@@ -1,164 +1,26 @@
-(* The benchmark / reproduction harness.
+(* Bechamel micro-benchmarks of the simulator primitives: the event heap,
+   the scheduler, the RNG, topology generation and search, a link, and the
+   profiler's span cost.
 
-   Usage: main.exe [SECTION ...] [--quick | --full] [--jobs N] [--out-dir DIR]
-          [--backend domains|proc] [--cache DIR]
+   Usage: main.exe
 
-   Sections (default: all): micro, plus every campaign section of
-   [Campaign.Sections.all] (fig3..fig7, overhead, scenarios, the ablations
-   and the extensions).
-
-   Every section except micro runs as a campaign: the sweep is decomposed
-   into independent (protocol, degree, seed) cells, executed on a domain
-   pool of --jobs workers, merged deterministically, and rendered from the
-   merged artifact. With --out-dir the artifact of each section is also
-   written to DIR/BENCH_<section>.json, and the tables are rendered from the
-   file just written — proving the committed artifacts regenerate the tables.
-
-   --quick shrinks every sweep (3 seeds, degrees 3/4/6, shorter timeline);
-   --full uses the paper's full setup (10 seeds, degrees 3..8, 800 s). The
-   default is the paper timeline with 5 seeds, a compromise that keeps the
-   whole harness under a few minutes. *)
-
-let usage oc =
-  Printf.fprintf oc
-    "usage: %s [SECTION ...] [--quick | --full] [--jobs N] [--out-dir DIR]\n\
-     \n\
-     sections (default: all):\n\
-    \  micro             bechamel micro-benchmarks of the simulator primitives\n\
-     %s\n\
-     options:\n\
-    \  --quick           tiny sweeps, short timeline (CI smoke)\n\
-    \  --full            the paper's full setup (10 seeds, degrees 3..8)\n\
-    \  --jobs N          parallel worker domains (default %d on this machine)\n\
-    \  --out-dir DIR     also write BENCH_<section>.json artifacts into DIR\n\
-    \  --backend B       cell execution backend: domains (default, in-process)\n\
-    \                    or proc (supervised worker processes)\n\
-    \  --cache DIR       content-addressed cell cache: identical re-runs load\n\
-    \                    finished cells instead of re-simulating them\n"
-    Sys.executable_name
-    (String.concat "\n"
-       (List.map
-          (fun (s : Campaign.Sections.t) ->
-            Printf.sprintf "  %-17s %s" s.Campaign.Sections.name
-              s.Campaign.Sections.doc)
-          Campaign.Sections.all))
-    (Campaign.Pool.default_jobs ())
-
-let die fmt =
-  Printf.ksprintf
-    (fun msg ->
-      Printf.eprintf "%s: %s\n\n" Sys.executable_name msg;
-      usage stderr;
-      exit 2)
-    fmt
-
-type options = {
-  quick : bool;
-  full : bool;
-  jobs : int;
-  out_dir : string option;
-  backend : [ `Domains | `Proc ];
-  cache : string option;
-  worker_section : string option;
-      (** set by the internal --cells-worker flag: run as a proc-backend
-          cell worker for that section instead of as the bench harness *)
-  sections : string list;  (** empty = all *)
-}
-
-let known_sections = "micro" :: Campaign.Sections.names
-
-let parse_args argv =
-  let opts =
-    ref { quick = false; full = false; jobs = Campaign.Pool.default_jobs ();
-          out_dir = None; backend = `Domains; cache = None;
-          worker_section = None; sections = [] }
-  in
-  let n = Array.length argv in
-  let rec go i =
-    if i < n then begin
-      let next what =
-        if i + 1 >= n then die "%s expects an argument" what else argv.(i + 1)
-      in
-      (match argv.(i) with
-      | "--help" | "-h" ->
-        usage stdout;
-        exit 0
-      | "--quick" -> opts := { !opts with quick = true }
-      | "--full" -> opts := { !opts with full = true }
-      | "--jobs" -> (
-        match int_of_string_opt (next "--jobs") with
-        | Some j when j >= 1 -> opts := { !opts with jobs = j }
-        | Some _ | None -> die "--jobs expects a positive integer")
-      | "--out-dir" -> opts := { !opts with out_dir = Some (next "--out-dir") }
-      | "--backend" -> (
-        match next "--backend" with
-        | "domains" -> opts := { !opts with backend = `Domains }
-        | "proc" -> opts := { !opts with backend = `Proc }
-        | b -> die "--backend expects domains or proc, not %S" b)
-      | "--cache" -> opts := { !opts with cache = Some (next "--cache") }
-      | "--cells-worker" ->
-        opts := { !opts with worker_section = Some (next "--cells-worker") }
-      | s when String.length s > 0 && s.[0] = '-' -> die "unknown flag %S" s
-      | s when List.mem s known_sections || s = "all" ->
-        opts := { !opts with sections = !opts.sections @ [ s ] }
-      | s -> die "unknown section %S (try --help)" s);
-      let consumed =
-        match argv.(i) with
-        | "--jobs" | "--out-dir" | "--backend" | "--cache" | "--cells-worker" ->
-          2
-        | _ -> 1
-      in
-      go (i + consumed)
-    end
-  in
-  go 1;
-  if !opts.quick && !opts.full then die "--quick and --full are exclusive";
-  !opts
-
-let opts = parse_args Sys.argv
-
-let wants section =
-  match opts.sections with
-  | [] -> true
-  | l -> List.mem section l || List.mem "all" l
-
-let mode =
-  if opts.quick then "quick" else if opts.full then "full" else "standard"
-
-let sweep =
-  if opts.quick then
-    Convergence.Experiments.
-      {
-        degrees = [ 3; 4; 6 ];
-        runs = 3;
-        base =
-          {
-            Convergence.Config.default with
-            send_rate_pps = 100.;
-            traffic_start = 60.;
-            warmup = 70.;
-            failure_time = 80.;
-            sim_end = 220.;
-          };
-      }
-  else if opts.full then Convergence.Experiments.paper_sweep
-  else Convergence.Experiments.(scale ~runs:5 paper_sweep)
-
-let progress line = Fmt.pr "  .. %s@." line
-
-let heading title = Fmt.pr "@.=== %s ===@." title
-
-(* ---------- bechamel micro-benchmarks ---------- *)
+   The rows are pure wall-clock with no deterministic part to archive, so
+   they are printed, never written to an artifact. Sweep results (the paper
+   figures, the scenario wall-clock table, ablations, extensions, perf, topo
+   and resilience) are campaign sections: run them with
+   [rcsim campaign SECTION]. *)
 
 let micro_tests () =
   let open Bechamel in
+  let heap = Dessim.Int_heap.create () in
+  let slot = Dessim.Int_heap.slot () and seq = ref 0 in
   let heap_churn () =
-    let h = Dessim.Heap.create () in
     for i = 0 to 255 do
-      Dessim.Heap.add h ~time:(float_of_int (i * 7919 mod 101)) ~seq:i i
+      Dessim.Int_heap.add heap ~time:(float_of_int (i * 7919 mod 101)) ~seq:i i
     done;
-    let rec drain () = match Dessim.Heap.pop h with Some _ -> drain () | None -> () in
-    drain ()
+    while not (Dessim.Int_heap.is_empty heap) do
+      ignore (Dessim.Int_heap.pop_into heap slot ~seq)
+    done
   in
   let scheduler_churn () =
     let s = Dessim.Scheduler.create () in
@@ -221,8 +83,8 @@ let micro_tests () =
       Test.make ~name:"prof: 256 spans, enabled" (Staged.stage prof_enabled);
     ]
 
-let run_micro () =
-  heading "micro-benchmarks (bechamel)";
+let () =
+  Fmt.pr "routing-convergence micro-benchmarks (bechamel)@.";
   let open Bechamel in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
@@ -244,127 +106,3 @@ let run_micro () =
     |> List.sort compare
   in
   List.iter (fun (name, ns) -> Fmt.pr "%-40s %12.1f ns/run@." name ns) rows
-
-(* ---------- campaign sections ---------- *)
-
-(* Pass the artifact through disk when --out-dir is given: the tables the
-   user sees are then provably regenerable from the committed JSON. *)
-let render_artifact (section : Campaign.Sections.t) artifact =
-  let artifact =
-    match opts.out_dir with
-    | None -> artifact
-    | Some dir ->
-      let path =
-        Filename.concat dir
-          (Printf.sprintf "BENCH_%s.json" section.Campaign.Sections.name)
-      in
-      Campaign.Artifact.write ~path artifact;
-      progress (Printf.sprintf "wrote %s" path);
-      (match Campaign.Artifact.read ~path with
-      | Ok a -> a
-      | Error e -> failwith e)
-  in
-  heading section.Campaign.Sections.title;
-  section.Campaign.Sections.render Fmt.stdout artifact
-
-(* Child side of --backend proc: this same binary re-exec'd with
-   --cells-worker SECTION (plus the parent's --quick/--full), so worker and
-   parent decompose the identical sweep. Never returns. *)
-let run_cells_worker section_name =
-  match Campaign.Sections.find section_name with
-  | None ->
-    Printf.eprintf "%s: --cells-worker: unknown section %S\n"
-      Sys.executable_name section_name;
-    exit 2
-  | Some section ->
-    let sweep = Campaign.Sections.sweep_for section ~full:opts.full sweep in
-    let tasks = section.Campaign.Sections.tasks sweep in
-    let run_cell i =
-      if i < 0 || i >= Array.length tasks then
-        Error (Printf.sprintf "cell index %d out of range" i)
-      else begin
-        let a0 = Unix.gettimeofday () in
-        match Campaign.Driver.attempt_once tasks.(i) with
-        | Ok cell -> Ok (Unix.gettimeofday () -. a0, cell)
-        | Error e -> Error e
-      end
-    in
-    Campaign.Proc_backend.worker ~run_cell ()
-
-let backend_for (lead : Campaign.Sections.t) =
-  match opts.backend with
-  | `Domains -> Campaign.Driver.Domains
-  | `Proc ->
-    Campaign.Driver.Proc
-      {
-        argv =
-          Array.of_list
-            ([ Sys.executable_name; "--cells-worker"; lead.Campaign.Sections.name ]
-            @ (if opts.quick then [ "--quick" ] else [])
-            @ if opts.full then [ "--full" ] else []);
-      }
-
-let cache_for family =
-  Option.map
-    (fun dir ->
-      Campaign.Cache.open_ ~dir
-        {
-          Campaign.Cache.git_sha = Campaign.Artifact.git_sha ();
-          family;
-          mode;
-          runs = None;
-          degrees = None;
-          seed = None;
-        })
-    opts.cache
-
-let run_campaigns () =
-  let requested =
-    List.filter
-      (fun (s : Campaign.Sections.t) -> wants s.Campaign.Sections.name)
-      Campaign.Sections.all
-  in
-  (* Sections with equal (family, sweep) share one simulation pass. *)
-  let families =
-    List.fold_left
-      (fun acc (s : Campaign.Sections.t) ->
-        let key = s.Campaign.Sections.family in
-        if List.mem_assoc key acc then
-          List.map (fun (k, v) -> if k = key then (k, v @ [ s ]) else (k, v)) acc
-        else acc @ [ (key, [ s ]) ])
-      [] requested
-  in
-  List.iter
-    (fun (family, (members : Campaign.Sections.t list)) ->
-      let lead = List.hd members in
-      let sweep = Campaign.Sections.sweep_for lead ~full:opts.full sweep in
-      if List.length members > 1 || family = "paper" then
-        heading
-          (Printf.sprintf "running the %s sweep (%s)" family
-             (String.concat "/"
-                (List.map (fun (s : Campaign.Sections.t) -> s.Campaign.Sections.name)
-                   members)));
-      let cells, quarantined, timing =
-        Campaign.Driver.run_tasks ~jobs:opts.jobs ~progress
-          ~heartbeat:(fun line -> Fmt.epr "  %s@." line)
-          ?cache:(cache_for family) ~backend:(backend_for lead)
-          (lead.Campaign.Sections.tasks sweep)
-      in
-      List.iter
-        (fun section ->
-          render_artifact section
-            (Campaign.Driver.artifact_of ~section ~mode ~timing ~quarantined
-               sweep cells))
-        members)
-    families
-
-let () =
-  match opts.worker_section with
-  | Some name -> run_cells_worker name
-  | None ->
-    let t0 = Unix.gettimeofday () in
-    Fmt.pr "routing-convergence bench harness (%s mode, %d jobs)@." mode
-      opts.jobs;
-    if wants "micro" then run_micro ();
-    run_campaigns ();
-    Fmt.pr "@.total wall clock: %.1f s@." (Unix.gettimeofday () -. t0)

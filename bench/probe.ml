@@ -4,21 +4,21 @@
 let now_ns () = Unix.gettimeofday () *. 1e9
 
 let heap_steady depth =
-  let h = Dessim.Heap.create () in
+  let h = Dessim.Int_heap.create () in
   let rng = Dessim.Rng.create 7 in
   let seq = ref 0 in
   for _ = 1 to depth do
-    Dessim.Heap.add h ~time:(Dessim.Rng.float rng 180.) ~seq:!seq !seq;
+    Dessim.Int_heap.add h ~time:(Dessim.Rng.float rng 180.) ~seq:!seq !seq;
     incr seq
   done;
-  let slot = Dessim.Heap.slot () in
+  let slot = Dessim.Int_heap.slot () in
   let sq = ref 0 in
   let iters = 2_000_000 in
   let t0 = now_ns () in
   for _ = 1 to iters do
-    let _x = Dessim.Heap.pop_into h slot ~seq:sq in
-    Dessim.Heap.add h
-      ~time:(slot.Dessim.Heap.slot_time +. Dessim.Rng.float rng 180.)
+    let _x = Dessim.Int_heap.pop_into h slot ~seq:sq in
+    Dessim.Int_heap.add h
+      ~time:(slot.Dessim.Int_heap.slot_time +. Dessim.Rng.float rng 180.)
       ~seq:!seq !seq;
     incr seq
   done;

@@ -243,6 +243,83 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Run one failure scenario under one routing protocol")
     term
 
+(* ---------- sweep execution (shared by fig, compare and campaign) ---------- *)
+
+(* A journaled campaign shuts down gracefully on the first SIGINT/SIGTERM:
+   the handler only sets the cooperative stop flag (workers abandon their
+   in-flight cell at the next scheduler poll and drain the queue), then
+   restores the default disposition so a second signal kills the process the
+   ordinary way. The handler body is write(2) + an atomic store — safe at
+   OCaml's signal safe-points. *)
+let install_stop_handlers () =
+  let handle _ =
+    Dessim.Scheduler.request_stop ();
+    let msg =
+      "\nrcsim: stop requested; abandoning in-flight cells (signal again to \
+       kill)\n"
+    in
+    ignore (Unix.write Unix.stderr (Bytes.of_string msg) 0 (String.length msg));
+    Sys.set_signal Sys.sigint Sys.Signal_default;
+    Sys.set_signal Sys.sigterm Sys.Signal_default
+  in
+  Sys.set_signal Sys.sigint (Sys.Signal_handle handle);
+  Sys.set_signal Sys.sigterm (Sys.Signal_handle handle)
+
+(* Exit status of a gracefully stopped (interruptible, resumable) campaign —
+   distinct from cmdliner's 0/123/124/125 so scripts and CI can tell
+   "stopped, resume me" from success and from real failure. *)
+let stopped_exit_code = 4
+
+let stopped_incomplete ~missing ~journal_path =
+  Fmt.epr "stopped: %d cell(s) not run@." missing;
+  (match journal_path with
+  | Some jp -> Fmt.epr "resume with:@.  rcsim campaign resume %s@." jp
+  | None -> Fmt.epr "no --journal was given; the partial results are lost@.");
+  exit stopped_exit_code
+
+(* The one path every sweep result takes: the section's cells through
+   [Driver.run_tasks] (progress on stderr), merged in canonical cell order
+   into the section's artifact. The journal, if any, is closed on return. A
+   graceful stop that left cells unrun exits with [stopped_exit_code]
+   instead of returning a partial artifact. *)
+let run_section ?(jobs = Campaign.Pool.default_jobs ()) ?(quiet = false)
+    ?cell_budget ?retries ?hang ?stop_after ?journal ?journal_path ?cache
+    ?backend ?completed ?prior_quarantine ~mode (section : Campaign.Sections.t)
+    sweep =
+  let tasks = section.Campaign.Sections.tasks sweep in
+  let progress line = if not quiet then Fmt.epr "  .. %s@." line in
+  let heartbeat line = if not quiet then Fmt.epr "  %s@." line in
+  let cells, quarantined, timing =
+    Fun.protect
+      ~finally:(fun () -> Option.iter Campaign.Journal.close journal)
+      (fun () ->
+        Campaign.Driver.run_tasks ~jobs ~progress ~heartbeat ?cell_budget
+          ?retries ?hang ?stop_after ?journal ?cache ?backend ?completed
+          ?prior_quarantine tasks)
+  in
+  let missing =
+    Campaign.Driver.missing_count ~total:(Array.length tasks) cells quarantined
+  in
+  if missing > 0 then stopped_incomplete ~missing ~journal_path;
+  Campaign.Driver.artifact_of ~section ~mode ~timing ~quarantined sweep cells
+
+(* A section's tables, rendered from its merged artifact, and the cells the
+   driver gave up on. *)
+let show_artifact (section : Campaign.Sections.t) artifact =
+  Fmt.pr "=== %s ===@." section.Campaign.Sections.title;
+  section.Campaign.Sections.render Fmt.stdout artifact;
+  match artifact.Campaign.Artifact.quarantined with
+  | [] -> ()
+  | qs ->
+    Fmt.pr "%d cell(s) quarantined:@." (List.length qs);
+    List.iter
+      (fun (q : Campaign.Artifact.quarantine) ->
+        Fmt.pr "  %s d=%d seed=%d after %d attempt(s): %s@."
+          q.Campaign.Artifact.q_protocol q.Campaign.Artifact.q_degree
+          q.Campaign.Artifact.q_seed q.Campaign.Artifact.q_attempts
+          q.Campaign.Artifact.q_error)
+      qs
+
 (* ---------- fig ---------- *)
 
 let fig_cmd =
@@ -250,69 +327,20 @@ let fig_cmd =
     let doc = "Figure number: 3, 4, 5, 6 or 7." in
     Arg.(required & pos 0 (some int) None & info [] ~docv:"FIGURE" ~doc)
   in
-  let action which runs degrees rows cols seed rate csv =
-    if not (List.mem which [ 3; 4; 5; 6; 7 ]) then
-      `Error (false, "figure must be 3, 4, 5, 6 or 7")
-    else begin
+  let action which runs degrees rows cols seed rate =
+    match Campaign.Sections.find (Printf.sprintf "fig%d" which) with
+    | None -> `Error (false, "figure must be 3, 4, 5, 6 or 7")
+    | Some section ->
       let base = config_of ~rows ~cols ~degree:4 ~seed ~rate in
       let sweep = Convergence.Experiments.{ degrees; runs; base } in
-      let progress line = Fmt.epr "  .. %s@." line in
-      let grid =
-        Convergence.Experiments.run_grid ~progress sweep
-          Convergence.Engine_registry.paper_four
-      in
-      let scalar ~title ~unit_label data =
-        Fmt.pr "%a@." (Convergence.Report.scalar_table ~title ~unit_label) data
-      in
-      let series ~title ~unit_label ~mode data =
-        Fmt.pr "%a@."
-          (fun ppf d ->
-            Convergence.Report.series_table ~title ~unit_label
-              ~warmup:base.Convergence.Config.warmup ~window:(0., 60.) ~mode ppf d)
-          data
-      in
-      (match which with
-      | 3 ->
-        scalar ~title:"Figure 3: packet drops due to no route"
-          ~unit_label:"packets, mean over runs" (Convergence.Experiments.fig3 grid)
-      | 4 ->
-        scalar ~title:"Figure 4: TTL expirations"
-          ~unit_label:"packets, mean over runs" (Convergence.Experiments.fig4 grid)
-      | 5 ->
-        List.iter
-          (fun d ->
-            if List.mem d degrees then
-              series
-                ~title:(Printf.sprintf "Figure 5: throughput, degree %d" d)
-                ~unit_label:"packets/s" ~mode:`Rate
-                (Convergence.Experiments.fig5 grid ~degree:d))
-          [ 3; 4; 6 ]
-      | 6 ->
-        scalar ~title:"Figure 6(a): forwarding-path convergence"
-          ~unit_label:"seconds" (Convergence.Experiments.fig6a grid);
-        scalar ~title:"Figure 6(b): network routing convergence"
-          ~unit_label:"seconds" (Convergence.Experiments.fig6b grid)
-      | _ ->
-        List.iter
-          (fun d ->
-            if List.mem d degrees then
-              series
-                ~title:(Printf.sprintf "Figure 7: packet delay, degree %d" d)
-                ~unit_label:"seconds" ~mode:`Mean
-                (Convergence.Experiments.fig7 grid ~degree:d))
-          [ 4; 5; 6 ]);
-      (match csv with
-      | Some path ->
-        Convergence.Export.to_file (Convergence.Export.grid_csv grid) ~path
-      | None -> ());
+      show_artifact section (run_section ~mode:"custom" section sweep);
       `Ok ()
-    end
   in
   let term =
     Term.(
       ret
         (const action $ which_arg $ runs_arg $ degrees_arg $ rows_arg $ cols_arg
-       $ seed_arg $ rate_arg $ csv_arg))
+       $ seed_arg $ rate_arg))
   in
   Cmd.v (Cmd.info "fig" ~doc:"Regenerate one of the paper's figures") term
 
@@ -441,16 +469,35 @@ let anatomy_cmd =
 
 (* ---------- compare ---------- *)
 
+(* One line per (protocol, degree) aggregate: mean delivery, drops by cause,
+   convergence delays with their standard deviations, transient paths and
+   control messages. *)
+let pp_aggregate_line ppf (g : Campaign.Artifact.aggregate) =
+  let stat name = List.assoc name g.Campaign.Artifact.a_metrics in
+  let m name = (stat name).Campaign.Artifact.mean in
+  let sd name = (stat name).Campaign.Artifact.stddev in
+  Fmt.pf ppf
+    "%-8s d=%d runs=%d | delivered %.1f/%.1f | drops: no-route %.1f, ttl %.1f, \
+     queue %.1f, link %.1f | conv: fwd %.2fs (sd %.2f), routing %.2fs (sd %.2f) \
+     | transient paths %.1f | ctrl msgs %.0f"
+    g.Campaign.Artifact.a_protocol g.Campaign.Artifact.a_degree
+    g.Campaign.Artifact.a_runs (m "delivered") (m "sent") (m "drops_no_route")
+    (m "drops_ttl") (m "drops_queue") (m "drops_link") (m "fwd_convergence")
+    (sd "fwd_convergence") (m "routing_convergence") (sd "routing_convergence")
+    (m "transient_paths") (m "ctrl_messages")
+
 let compare_cmd =
   let action degree rows cols seed rate runs =
     let base = config_of ~rows ~cols ~degree ~seed ~rate in
     let sweep = Convergence.Experiments.{ degrees = [ degree ]; runs; base } in
-    let show engine =
-      let cell = Convergence.Experiments.run_cell sweep degree engine in
-      Fmt.pr "%a@." Convergence.Report.summary_line
-        cell.Convergence.Experiments.summary
+    let section =
+      Campaign.Sections.grid ~name:"compare"
+        ~engines:Convergence.Engine_registry.all ()
     in
-    List.iter show Convergence.Engine_registry.all;
+    let artifact = run_section ~mode:"custom" section sweep in
+    List.iter
+      (Fmt.pr "%a@." pp_aggregate_line)
+      artifact.Campaign.Artifact.aggregates;
     `Ok ()
   in
   let term =
@@ -458,7 +505,7 @@ let compare_cmd =
       ret (const action $ degree_arg $ rows_arg $ cols_arg $ seed_arg $ rate_arg $ runs_arg))
   in
   Cmd.v
-    (Cmd.info "compare" ~doc:"All six protocol engines side by side on one setup")
+    (Cmd.info "compare" ~doc:"All seven protocol engines side by side on one setup")
     term
 
 (* ---------- multiflow ---------- *)
@@ -574,39 +621,28 @@ let loops_cmd =
     | Error e -> `Error (false, e)
     | Ok engine ->
       let cfg = config_of ~rows ~cols ~degree ~seed ~rate in
-      let history = ref [] in
+      let loop_events = ref [] in
       let collect (r : Obs.Sink.record) =
         match r.event with
-        | Obs.Event.Path_changed { kind; path; _ } ->
-          history := (r.time, path_result_of kind path) :: !history
+        | Obs.Event.Loop_enter _ | Obs.Event.Loop_exit _ ->
+          loop_events := r :: !loop_events
         | _ -> ()
       in
       let trace =
-        Obs.Trace.create ~categories:[ Obs.Event.Env ]
+        Obs.Trace.create ~categories:[ Obs.Event.Data ]
           (Obs.Sink.callback collect)
       in
       let run = Convergence.Engine_registry.run ~trace cfg engine in
-      let episodes = Convergence.Loop_analysis.episodes !history in
-      if episodes = [] then
-        Fmt.pr
-          "no transient forwarding loops on the flow's path (TTL drops: %d)@."
-          run.Convergence.Metrics.drops_ttl
-      else begin
-        Fmt.pr "%d loop episode(s) on the flow's path:@." (List.length episodes);
+      (* The same episode pairing and rendering as [rcsim trace]. *)
+      (match Obs.Replay.loop_report (List.rev !loop_events) with
+      | [] -> Fmt.pr "no transient forwarding loops on the flow's path@."
+      | episodes ->
+        Fmt.pr "%d loop episode(s):@." (List.length episodes);
         List.iter
-          (fun e ->
-            Fmt.pr "  %a@."
-              (fun ppf e ->
-                Fmt.pf ppf "loop %a from t=%.2f to t=%.2f (>= %.2f s)"
-                  Netsim.Types.pp_path e.Convergence.Loop_analysis.cycle
-                  (e.Convergence.Loop_analysis.started -. cfg.Convergence.Config.warmup)
-                  (e.Convergence.Loop_analysis.ended -. cfg.Convergence.Config.warmup)
-                  (Convergence.Loop_analysis.duration e))
-              e)
-          episodes;
-        Fmt.pr "TTL expirations: %d; packets that escaped a loop: %d@."
-          run.Convergence.Metrics.drops_ttl run.Convergence.Metrics.looped_delivered
-      end;
+          (fun e -> Fmt.pr "  %a@." Obs.Replay.pp_loop_episode e)
+          episodes);
+      Fmt.pr "TTL expirations: %d; packets that escaped a loop: %d@."
+        run.Convergence.Metrics.drops_ttl run.Convergence.Metrics.looped_delivered;
       `Ok ()
   in
   let term =
@@ -1006,31 +1042,6 @@ let print_loss_window_summary (a : Campaign.Artifact.t) ~schedules ~protocols =
         Fmt.pr "  %-8s %s@." sched (String.concat "   " cols))
     schedules
 
-(* A journaled campaign shuts down gracefully on the first SIGINT/SIGTERM:
-   the handler only sets the cooperative stop flag (workers abandon their
-   in-flight cell at the next scheduler poll and drain the queue), then
-   restores the default disposition so a second signal kills the process the
-   ordinary way. The handler body is write(2) + an atomic store — safe at
-   OCaml's signal safe-points. *)
-let install_stop_handlers () =
-  let handle _ =
-    Dessim.Scheduler.request_stop ();
-    let msg =
-      "\nrcsim: stop requested; abandoning in-flight cells (signal again to \
-       kill)\n"
-    in
-    ignore (Unix.write Unix.stderr (Bytes.of_string msg) 0 (String.length msg));
-    Sys.set_signal Sys.sigint Sys.Signal_default;
-    Sys.set_signal Sys.sigterm Sys.Signal_default
-  in
-  Sys.set_signal Sys.sigint (Sys.Signal_handle handle);
-  Sys.set_signal Sys.sigterm (Sys.Signal_handle handle)
-
-(* Exit status of a gracefully stopped (interruptible, resumable) campaign —
-   distinct from cmdliner's 0/123/124/125 so scripts and CI can tell
-   "stopped, resume me" from success and from real failure. *)
-let stopped_exit_code = 4
-
 let campaign_cmd =
   let quick_arg =
     let doc = "Tiny sweep, short timeline (CI smoke)." in
@@ -1231,28 +1242,8 @@ let campaign_cmd =
   in
   let render_result (section : Campaign.Sections.t) ~out artifact =
     Campaign.Artifact.write ~path:out artifact;
-    Fmt.pr "=== %s ===@." section.Campaign.Sections.title;
-    section.Campaign.Sections.render Fmt.stdout artifact;
-    (match artifact.Campaign.Artifact.quarantined with
-    | [] -> ()
-    | qs ->
-      Fmt.pr "%d cell(s) quarantined:@." (List.length qs);
-      List.iter
-        (fun (q : Campaign.Artifact.quarantine) ->
-          Fmt.pr "  %s d=%d seed=%d after %d attempt(s): %s@."
-            q.Campaign.Artifact.q_protocol q.Campaign.Artifact.q_degree
-            q.Campaign.Artifact.q_seed q.Campaign.Artifact.q_attempts
-            q.Campaign.Artifact.q_error)
-        qs);
+    show_artifact section artifact;
     Fmt.pr "artifact: %s@." out
-  in
-  let stopped_incomplete ~missing ~journal_path =
-    Fmt.epr "stopped: %d cell(s) not run@." missing;
-    (match journal_path with
-    | Some jp -> Fmt.epr "resume with:@.  rcsim campaign resume %s@." jp
-    | None ->
-      Fmt.epr "no --journal was given; the partial results are lost@.");
-    exit stopped_exit_code
   in
   let section_cmd (section : Campaign.Sections.t) =
     let action quick full jobs out runs degrees seed quiet cell_budget retries
@@ -1273,7 +1264,6 @@ let campaign_cmd =
           let mode = if quick then "quick" else if full then "full" else "standard" in
           let sweep = sweep_of ~quick ~full ~runs ~degrees ~seed in
           let sweep = Campaign.Sections.sweep_for section ~full sweep in
-          let tasks = section.Campaign.Sections.tasks sweep in
           let backend =
             match backend with
             | `Domains -> Campaign.Driver.Domains
@@ -1299,7 +1289,7 @@ let campaign_cmd =
                     h_mode = mode;
                     h_jobs = jobs;
                     h_out = out;
-                    h_total = Array.length tasks;
+                    h_total = Array.length (section.Campaign.Sections.tasks sweep);
                     h_runs = runs;
                     h_degrees = degrees;
                     h_seed = seed;
@@ -1308,21 +1298,9 @@ let campaign_cmd =
           in
           if Option.is_some journal then install_stop_handlers ();
           if prof then Obs.Prof.set_enabled true;
-          let progress line = if not quiet then Fmt.epr "  .. %s@." line in
-          let heartbeat line = if not quiet then Fmt.epr "  %s@." line in
-          let cells, quarantined, timing =
-            Campaign.Driver.run_tasks ~jobs ~progress ~heartbeat ?cell_budget
-              ~retries ?hang ?stop_after ?journal ?cache ~backend tasks
-          in
-          Option.iter Campaign.Journal.close journal;
-          let missing =
-            Campaign.Driver.missing_count ~total:(Array.length tasks) cells
-              quarantined
-          in
-          if missing > 0 then stopped_incomplete ~missing ~journal_path;
           render_result section ~out
-            (Campaign.Driver.artifact_of ~section ~mode ~timing ~quarantined
-               sweep cells);
+            (run_section ~jobs ~quiet ?cell_budget ~retries ?hang ?stop_after
+               ?journal ?journal_path ?cache ~backend ~mode section sweep);
           if prof then Fmt.epr "hot scopes:@.%a" Obs.Prof.pp_report ();
           `Ok ()
       end
@@ -1411,8 +1389,6 @@ let campaign_cmd =
               Dessim.Scheduler.clear_stop ();
               install_stop_handlers ();
               let journal = Campaign.Journal.append_to ~path in
-              let progress line = if not quiet then Fmt.epr "  .. %s@." line in
-              let heartbeat line = if not quiet then Fmt.epr "  %s@." line in
               (* Same sweep-shaping inputs the original run recorded, so a
                  resume's workers decompose identically too. *)
               let backend =
@@ -1440,30 +1416,20 @@ let campaign_cmd =
                   ~seed:h.Campaign.Journal.h_seed
               in
               match
-                Campaign.Driver.run_tasks ~jobs ~progress ~heartbeat
-                  ?cell_budget ~retries ?stop_after ~journal ?cache ~backend
+                run_section ~jobs ~quiet ?cell_budget ~retries ?stop_after
+                  ~journal ~journal_path:path ?cache ~backend
                   ~completed:c.Campaign.Journal.j_cells
-                  ~prior_quarantine:c.Campaign.Journal.j_quarantined tasks
+                  ~prior_quarantine:c.Campaign.Journal.j_quarantined
+                  ~mode:h.Campaign.Journal.h_mode section sweep
               with
               | exception Invalid_argument e ->
-                Campaign.Journal.close journal;
                 `Error (false, Printf.sprintf "%s: %s" path e)
-              | cells, quarantined, timing ->
-                Campaign.Journal.close journal;
-                let missing =
-                  Campaign.Driver.missing_count ~total:(Array.length tasks)
-                    cells quarantined
-                in
-                if missing > 0 then
-                  stopped_incomplete ~missing ~journal_path:(Some path);
+              | artifact ->
                 let out =
                   Option.value out_override
                     ~default:h.Campaign.Journal.h_out
                 in
-                render_result section ~out
-                  (Campaign.Driver.artifact_of ~section
-                     ~mode:h.Campaign.Journal.h_mode ~timing ~quarantined
-                     sweep cells);
+                render_result section ~out artifact;
                 `Ok ()
             end)
       end
@@ -1773,7 +1739,7 @@ let campaign_cmd =
   let info =
     Cmd.info "campaign"
       ~doc:
-        "Parallel experiment campaigns: run a bench section as independent \
+        "Parallel experiment campaigns: run a section as independent \
          (protocol, degree, seed) cells on a domain pool, merge \
          deterministically, and write a versioned BENCH_<section>.json \
          artifact"

@@ -20,18 +20,13 @@ let () =
         base = { Convergence.Config.default with send_rate_pps = 100. };
       }
   in
-  let progress line = Fmt.epr "  .. %s@." line in
-  let grid = Convergence.Experiments.ablation_mrai ~progress sweep in
-  Fmt.pr "%a@.@."
-    (Convergence.Report.scalar_table
-       ~title:"Routing convergence: per-neighbor (BGP) vs per-destination (BGP-pd)"
-       ~unit_label:"seconds")
-    (Convergence.Experiments.fig6b grid);
-  Fmt.pr "%a@.@."
-    (Convergence.Report.scalar_table ~title:"Packet drops due to no route"
-       ~unit_label:"packets")
-    (Convergence.Experiments.fig3 grid);
-  Fmt.pr "%a@."
-    (Convergence.Report.scalar_table ~title:"Control messages"
-       ~unit_label:"messages per run")
-    (Convergence.Experiments.overhead grid)
+  match Campaign.Sections.find "ablation-mrai" with
+  | None -> failwith "no ablation-mrai campaign section"
+  | Some section ->
+    let artifact =
+      Campaign.Driver.run ~jobs:(Campaign.Pool.default_jobs ())
+        ~progress:(fun line -> Fmt.epr "  .. %s@." line)
+        ~mode:"custom" sweep section
+    in
+    Fmt.pr "=== %s ===@." section.Campaign.Sections.title;
+    section.Campaign.Sections.render Fmt.stdout artifact

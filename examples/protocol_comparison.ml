@@ -11,25 +11,41 @@
 
      dune exec examples/protocol_comparison.exe *)
 
-let sweep degree =
-  Convergence.Experiments.
-    {
-      degrees = [ degree ];
-      runs = 5;
-      base = { Convergence.Config.default with send_rate_pps = 100. };
-    }
-
 let () =
+  let sweep =
+    Convergence.Experiments.
+      {
+        degrees = [ 3; 6 ];
+        runs = 5;
+        base = { Convergence.Config.default with send_rate_pps = 100. };
+      }
+  in
+  let section =
+    Campaign.Sections.grid ~name:"protocol-comparison"
+      ~engines:Convergence.Engine_registry.paper_four ()
+  in
+  let artifact =
+    Campaign.Driver.run ~jobs:(Campaign.Pool.default_jobs ()) ~mode:"custom"
+      sweep section
+  in
   List.iter
     (fun degree ->
       Fmt.pr "@.--- node degree %d ---@." degree;
       List.iter
-        (fun engine ->
-          let cell = Convergence.Experiments.run_cell (sweep degree) degree engine in
-          Fmt.pr "%a@." Convergence.Report.summary_line
-            cell.Convergence.Experiments.summary)
-        Convergence.Engine_registry.paper_four)
-    [ 3; 6 ];
+        (fun (g : Campaign.Artifact.aggregate) ->
+          let m name =
+            (List.assoc name g.Campaign.Artifact.a_metrics).Campaign.Artifact.mean
+          in
+          if g.Campaign.Artifact.a_degree = degree then
+            Fmt.pr
+              "%-6s runs=%d | delivered %.1f/%.1f | drops: no-route %.1f, ttl \
+               %.1f | conv: fwd %.2fs, routing %.2fs | ctrl msgs %.0f@."
+              g.Campaign.Artifact.a_protocol g.Campaign.Artifact.a_runs
+              (m "delivered") (m "sent") (m "drops_no_route") (m "drops_ttl")
+              (m "fwd_convergence") (m "routing_convergence")
+              (m "ctrl_messages"))
+        artifact.Campaign.Artifact.aggregates)
+    sweep.Convergence.Experiments.degrees;
   Fmt.pr
     "@.Reading guide: 'no-route' drops happen while a router has no usable@.\
      next hop (the switch-over period); 'conv: fwd' is when the sender's@.\

@@ -86,8 +86,8 @@ type aggregate = {
   a_metrics : (string * stat) list;  (** one entry per scalar metric, in
                                          {!Cell_result.metrics} order *)
   a_series : (string * Cell_result.series) list;
-      (** per-bucket (count, sum) averaged over the group's seeds — the same
-          accumulate-then-scale rule as {!Convergence.Metrics.summarize} *)
+      (** per-bucket (count, sum) averaged over the group's seeds:
+          accumulated, then scaled by [1/runs] *)
 }
 
 type cell_timing = {

@@ -24,9 +24,8 @@ type series = {
   s_sums : float array;  (** per-bucket sample sums *)
 }
 (** A windowed slice of a {!Dessim.Series.t}, kept as raw (count, sum) pairs
-    so that merging cells can average exactly the way
-    {!Convergence.Metrics.summarize} does: accumulate, then scale by
-    [1/runs]. *)
+    so that merging cells can average them exactly: accumulate, then scale
+    by [1/runs]. *)
 
 type t = {
   protocol : string;
@@ -100,8 +99,8 @@ val compare_key : t -> t -> int
 val windowed :
   warmup:float -> lo:float -> hi:float -> Dessim.Series.t -> series
 (** [windowed ~warmup ~lo ~hi s] slices the buckets of [s] whose normalized
-    left edge [t - warmup] lies in [[lo, hi]] — the same inclusive window
-    {!Convergence.Report.series_table} prints. *)
+    left edge [t - warmup] lies in [[lo, hi]] — the inclusive window the
+    time-series figures print. *)
 
 val to_json : include_series:bool -> t -> Obs.Json.t
 (** One JSON object per row. [include_series] controls whether the [series]

@@ -94,8 +94,9 @@ let scalar_table ~title ~unit_label ~metric ppf a =
     (Convergence.Report.scalar_table ~title ~unit_label)
     (scalar_data a metric)
 
-(* Same layout as {!Convergence.Report.series_table}, driven by the stored
-   (count, sum) buckets instead of a live [Dessim.Series.t]. *)
+(* Per-protocol time series against normalized time, driven by the stored
+   (count, sum) buckets: [`Rate] prints counts per second (throughput),
+   [`Mean] per-bucket means (delay). *)
 let series_table ~title ~unit_label ~mode ~metric ~degree ppf (a : Artifact.t) =
   let data =
     List.filter_map

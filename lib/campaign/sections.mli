@@ -1,8 +1,9 @@
-(** Campaign descriptions: how each bench section decomposes into cells and
-    how its tables are rendered back out of a merged artifact.
+(** Campaign descriptions: how each section decomposes into cells and how
+    its tables are rendered back out of a merged artifact.
 
-    A section is the declarative replacement for the old hand-written bench
-    loops. It knows three things:
+    A section is the one description of how a sweep result is computed; the
+    CLI's [campaign], [fig] and [compare] commands all run section tasks. It
+    knows three things:
 
     - {b decomposition}: [tasks sweep] lays the sweep out as a flat array of
       independent cells, one per (protocol, degree, seed), in canonical
@@ -19,8 +20,8 @@
 
     Sections whose scenarios need extra knobs (the multiflow section halves
     the per-flow rate, the RFD section drives a flapping link) encode those
-    knobs here, in their task builders, keeping [bench/main.ml] and the CLI
-    free of experiment logic. *)
+    knobs here, in their task builders, keeping the CLI free of experiment
+    logic. *)
 
 type task = {
   t_protocol : string;
@@ -56,12 +57,12 @@ val sweep_for :
     the CLI) use this so both always agree on cell decomposition. *)
 
 val all : t list
-(** Every artifact-backed section, in bench order: [fig3], [fig4], [fig5],
-    [fig6], [fig7], [overhead], [scenarios], [ablation-mrai],
+(** Every artifact-backed section, in registry order: [fig3], [fig4],
+    [fig5], [fig6], [fig7], [overhead], [scenarios], [ablation-mrai],
     [ablation-damping], [ablation-rfd], [ext-ls], [ext-multiflow],
-    [ext-transport], [faults], [topo]. (The bechamel [micro] section stays in
-    the bench binary: its output is pure wall-clock and has no deterministic
-    part to archive.)
+    [ext-transport], [faults], [perf], [topo], [resilience]. (The bechamel
+    micro-benchmarks stay in the bench binary: their output is pure
+    wall-clock and has no deterministic part to archive.)
 
     The [faults] section sweeps a fault axis instead of mesh degree, reusing
     each cell's degree field as the axis code: loss cells store their
@@ -90,6 +91,6 @@ val grid :
   unit ->
   t
 (** [grid ~name ~engines ()] is a minimal scalar section over [engines]
-    (standard metrics only, fig3-style drops table) — the building block the
-    unit tests use to run tiny deterministic campaigns without dragging in a
-    full paper sweep. *)
+    (standard metrics only, fig3-style drops table): what [rcsim compare]
+    runs over every engine, and the building block the unit tests use to run
+    tiny deterministic campaigns without dragging in a full paper sweep. *)

@@ -10,217 +10,3 @@ let scale ?runs ?degrees sweep =
     runs = (match runs with Some r -> r | None -> sweep.runs);
     degrees = (match degrees with Some d -> d | None -> sweep.degrees);
   }
-
-type cell = { degree : int; summary : Metrics.summary }
-
-type grid = (string * cell list) list
-
-let run_cell ?(progress = fun _ -> ()) sweep degree engine =
-  let runs =
-    List.init sweep.runs (fun i ->
-        let cfg =
-          sweep.base |> Config.with_degree degree
-          |> Config.with_seed (sweep.base.Config.seed + i)
-        in
-        Engine_registry.run cfg engine)
-  in
-  let summary = Metrics.summarize runs in
-  progress
-    (Printf.sprintf "%-6s degree=%d runs=%d: no-route=%.1f ttl=%.1f fwd-conv=%.1fs"
-       (Engine_registry.name engine)
-       degree sweep.runs summary.Metrics.mean_drops_no_route
-       summary.Metrics.mean_drops_ttl summary.Metrics.mean_fwd_convergence);
-  { degree; summary }
-
-let run_grid ?progress sweep engines =
-  let per_engine engine =
-    let cells = List.map (fun d -> run_cell ?progress sweep d engine) sweep.degrees in
-    (Engine_registry.name engine, cells)
-  in
-  List.map per_engine engines
-
-let column grid f =
-  let project (proto, cells) =
-    (proto, List.map (fun c -> (c.degree, f c.summary)) cells)
-  in
-  List.map project grid
-
-let fig3 grid = column grid (fun s -> s.Metrics.mean_drops_no_route)
-
-let fig4 grid = column grid (fun s -> s.Metrics.mean_drops_ttl)
-
-let series_at grid ~degree pick =
-  let find (proto, cells) =
-    match List.find_opt (fun c -> c.degree = degree) cells with
-    | Some c -> Some (proto, pick c.summary)
-    | None -> None
-  in
-  List.filter_map find grid
-
-let fig5 grid ~degree = series_at grid ~degree (fun s -> s.Metrics.avg_throughput)
-
-let fig6a grid = column grid (fun s -> s.Metrics.mean_fwd_convergence)
-
-let fig6b grid = column grid (fun s -> s.Metrics.mean_routing_convergence)
-
-let fig7 grid ~degree = series_at grid ~degree (fun s -> s.Metrics.avg_delay)
-
-let overhead grid = column grid (fun s -> s.Metrics.mean_ctrl_messages)
-
-let ablation_mrai ?progress sweep =
-  run_grid ?progress sweep
-    [ Engine_registry.bgp; Engine_registry.bgp_per_dest ]
-
-let ablation_damping ?progress sweep intervals =
-  let engine_of (dmin, dmax) =
-    let cfg =
-      { Protocols.Dv_core.default_config with damp_min = dmin; damp_max = dmax }
-    in
-    Engine_registry.Engine
-      ((module Protocols.Dbf), cfg, Printf.sprintf "DBF[%g-%gs]" dmin dmax)
-  in
-  run_grid ?progress sweep (List.map engine_of intervals)
-
-let extension_ls ?progress sweep =
-  run_grid ?progress sweep
-    [ Engine_registry.ls; Engine_registry.dbf; Engine_registry.bgp3 ]
-
-type multi_cell = {
-  mc_degree : int;
-  mc_delivery_ratio : float;
-  mc_no_route_drops : float;
-  mc_ttl_drops : float;
-  mc_routing_convergence : float;
-}
-
-let multi_failure_study ?(progress = fun _ -> ()) sweep ~flows ~failures ~gap
-    engines =
-  if flows <= 0 then invalid_arg "Experiments.multi_failure_study: flows";
-  if failures < 0 then invalid_arg "Experiments.multi_failure_study: failures";
-  let flow_specs = List.init flows (fun _ -> Runner.default_flow) in
-  let failure_specs base =
-    List.init failures (fun i ->
-        {
-          Runner.fail_at = base.Config.failure_time +. (float_of_int i *. gap);
-          target = Runner.Flow_path (i mod flows);
-          heal_after = None;
-        })
-  in
-  let cell engine degree =
-    let runs =
-      List.init sweep.runs (fun i ->
-          let cfg =
-            sweep.base |> Config.with_degree degree
-            |> Config.with_seed (sweep.base.Config.seed + i)
-          in
-          Engine_registry.run_multi ~flows:flow_specs
-            ~failures:(failure_specs cfg) cfg engine)
-    in
-    let mean f = Dessim.Stat.mean (List.map f runs) in
-    let per_flow_mean f =
-      mean (fun m ->
-          Dessim.Stat.mean (List.map f m.Metrics.m_flows))
-    in
-    let sum_flows f =
-      mean (fun m ->
-          List.fold_left (fun acc fl -> acc +. f fl) 0. m.Metrics.m_flows)
-    in
-    let c =
-      {
-        mc_degree = degree;
-        mc_delivery_ratio = per_flow_mean Metrics.flow_delivery_ratio;
-        mc_no_route_drops =
-          sum_flows (fun fl -> float_of_int fl.Metrics.f_drops_no_route);
-        mc_ttl_drops = sum_flows (fun fl -> float_of_int fl.Metrics.f_drops_ttl);
-        mc_routing_convergence = mean (fun m -> m.Metrics.m_routing_convergence);
-      }
-    in
-    progress
-      (Printf.sprintf
-         "%-6s degree=%d flows=%d failures=%d: delivery=%.3f no-route=%.1f conv=%.1fs"
-         (Engine_registry.name engine)
-         degree flows failures c.mc_delivery_ratio c.mc_no_route_drops
-         c.mc_routing_convergence);
-    c
-  in
-  List.map
-    (fun engine ->
-      ( Engine_registry.name engine,
-        List.map (cell engine) sweep.degrees ))
-    engines
-
-type transport_cell = {
-  tr_degree : int;
-  tr_completion : float;
-  tr_retransmissions : float;
-  tr_stall : float;
-}
-
-let transport_study ?(progress = fun _ -> ()) sweep ~transport engines =
-  let failure base =
-    [
-      {
-        Runner.fail_at = base.Config.failure_time;
-        target = Runner.Flow_path 0;
-        heal_after = None;
-      };
-    ]
-  in
-  let stall_seconds base (o : Runner.transport_outcome) =
-    let g = o.Runner.t_goodput in
-    let count = ref 0 in
-    let from_bucket =
-      match Dessim.Series.bucket_of_time g base.Config.failure_time with
-      | Some b -> b
-      | None -> 0
-    in
-    (* Stop counting once the transfer completes: zero goodput after the
-       last packet is acknowledged is not a stall. *)
-    let horizon =
-      match o.Runner.t_completed_at with
-      | Some t -> (
-        match Dessim.Series.bucket_of_time g t with
-        | Some b -> b
-        | None -> Dessim.Series.buckets g - 1)
-      | None -> Dessim.Series.buckets g - 1
-    in
-    let upto = min horizon (from_bucket + 60) in
-    for i = from_bucket to upto do
-      if Dessim.Series.count g i = 0 then incr count
-    done;
-    float_of_int !count
-  in
-  let cell engine degree =
-    let outcomes =
-      List.init sweep.runs (fun i ->
-          let cfg =
-            sweep.base |> Config.with_degree degree
-            |> Config.with_seed (sweep.base.Config.seed + i)
-          in
-          (cfg, Engine_registry.run_transport ~failures:(failure cfg) transport cfg engine))
-    in
-    let mean f = Dessim.Stat.mean (List.map f outcomes) in
-    let c =
-      {
-        tr_degree = degree;
-        tr_completion =
-          mean (fun (cfg, o) ->
-              let finish =
-                Option.value o.Runner.t_completed_at ~default:cfg.Config.sim_end
-              in
-              finish -. cfg.Config.traffic_start);
-        tr_retransmissions =
-          mean (fun (_, o) -> float_of_int o.Runner.t_retransmissions);
-        tr_stall = mean (fun (cfg, o) -> stall_seconds cfg o);
-      }
-    in
-    progress
-      (Printf.sprintf "%-6s degree=%d: completion=%.1fs retrans=%.1f stall=%.1fs"
-         (Engine_registry.name engine)
-         degree c.tr_completion c.tr_retransmissions c.tr_stall);
-    c
-  in
-  List.map
-    (fun engine ->
-      (Engine_registry.name engine, List.map (cell engine) sweep.degrees))
-    engines

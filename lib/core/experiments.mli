@@ -1,10 +1,11 @@
-(** Per-figure experiment drivers.
+(** Seeded (protocol, degree) sweeps.
 
-    Each paper figure is regenerated from a {!grid}: for every (protocol,
-    degree) cell, [runs] simulations with consecutive seeds are executed and
-    summarized. The same master seed sequence is used for every protocol, so
+    A {!sweep} names the grid every paper figure is computed over: for each
+    degree, [runs] simulations with consecutive seeds starting at
+    [base.seed]. The same master seed sequence is used for every protocol, so
     each seed sees the same sender/receiver attachment across protocols (the
-    paper's controlled comparison). *)
+    paper's controlled comparison). Campaign sections decompose a sweep into
+    cells and aggregate them; this module only describes it. *)
 
 type sweep = {
   degrees : int list;
@@ -19,105 +20,3 @@ val quick_sweep : sweep
 (** Degrees [3; 4; 6], 3 runs, {!Config.quick}; for tests and smoke runs. *)
 
 val scale : ?runs:int -> ?degrees:int list -> sweep -> sweep
-
-type cell = { degree : int; summary : Metrics.summary }
-
-type grid = (string * cell list) list
-(** One entry per protocol, in engine order. *)
-
-val run_cell :
-  ?progress:(string -> unit) -> sweep -> int -> Engine_registry.t -> cell
-(** [run_cell sweep degree engine] runs and summarizes one cell. *)
-
-val run_grid :
-  ?progress:(string -> unit) ->
-  sweep ->
-  Engine_registry.t list ->
-  grid
-(** [progress] receives one human-readable line per completed cell. *)
-
-val column : grid -> (Metrics.summary -> float) -> (string * (int * float) list) list
-(** Project one scalar out of every cell: per protocol, (degree, value). *)
-
-(** Figure-shaped projections (see DESIGN.md experiment index). *)
-
-val fig3 : grid -> (string * (int * float) list) list
-(** Packet drops due to no route, vs node degree. *)
-
-val fig4 : grid -> (string * (int * float) list) list
-(** TTL expirations, vs node degree. *)
-
-val fig5 :
-  grid -> degree:int -> (string * Dessim.Series.t) list
-(** Instantaneous throughput (averaged over runs) for one degree. *)
-
-val fig6a : grid -> (string * (int * float) list) list
-(** Forwarding-path convergence delay vs degree. *)
-
-val fig6b : grid -> (string * (int * float) list) list
-(** Network routing convergence time vs degree. *)
-
-val fig7 : grid -> degree:int -> (string * Dessim.Series.t) list
-(** Instantaneous delay of delivered packets for one degree. *)
-
-val overhead : grid -> (string * (int * float) list) list
-(** Mean control messages per run vs degree (the cost axis the paper's
-    Section 2 discussion raises). *)
-
-(** Ablations and extensions. *)
-
-val ablation_mrai :
-  ?progress:(string -> unit) -> sweep -> grid
-(** BGP with per-neighbor vs per-(neighbor, destination) MRAI. *)
-
-val ablation_damping :
-  ?progress:(string -> unit) -> sweep -> (float * float) list -> grid
-(** DBF under different triggered-update damping intervals [(min, max)]. *)
-
-val extension_ls : ?progress:(string -> unit) -> sweep -> grid
-(** Link-state vs DBF and BGP-3 on the paper's sweep. *)
-
-(** Multi-flow / multi-failure study (the paper's future work, Section 6). *)
-
-type multi_cell = {
-  mc_degree : int;
-  mc_delivery_ratio : float;  (** mean over flows and runs *)
-  mc_no_route_drops : float;  (** mean per run, summed over flows *)
-  mc_ttl_drops : float;
-  mc_routing_convergence : float;  (** from the first failure *)
-}
-
-val multi_failure_study :
-  ?progress:(string -> unit) ->
-  sweep ->
-  flows:int ->
-  failures:int ->
-  gap:float ->
-  Engine_registry.t list ->
-  (string * multi_cell list) list
-(** [multi_failure_study sweep ~flows ~failures ~gap engines] runs [flows]
-    concurrent first-row/last-row CBR flows; failure [i] hits a random link
-    on flow [i mod flows]'s current path at [base.failure_time + i * gap], so
-    consecutive convergence episodes overlap when [gap] is smaller than the
-    protocol's convergence time. *)
-
-(** End-to-end transport study (the paper's future-work TCP axis). *)
-
-type transport_cell = {
-  tr_degree : int;
-  tr_completion : float;
-      (** mean transfer completion time in seconds from [traffic_start];
-          unfinished transfers count as [sim_end - traffic_start] *)
-  tr_retransmissions : float;
-  tr_stall : float;
-      (** mean seconds of zero goodput in the minute after the failure *)
-}
-
-val transport_study :
-  ?progress:(string -> unit) ->
-  sweep ->
-  transport:Runner.transport_config ->
-  Engine_registry.t list ->
-  (string * transport_cell list) list
-(** One reliable transfer per run, crossing the usual single failure on its
-    own path. Faster-converging protocols finish sooner and stall less. *)

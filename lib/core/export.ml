@@ -34,69 +34,4 @@ let run_csv runs =
         i r.Metrics.transient_paths;
       ])
 
-let summary_csv summaries =
-  buffer_csv
-    [
-      "protocol"; "degree"; "runs"; "mean_sent"; "mean_delivered";
-      "mean_drops_no_route"; "mean_drops_ttl"; "mean_drops_queue";
-      "mean_drops_link"; "mean_fwd_convergence"; "stddev_fwd_convergence";
-      "mean_routing_convergence"; "stddev_routing_convergence";
-      "mean_transient_paths"; "mean_ctrl_messages";
-    ]
-    summaries
-    (fun (s : Metrics.summary) ->
-      [
-        s.Metrics.s_protocol; i s.Metrics.s_degree; i s.Metrics.s_runs;
-        f s.Metrics.mean_sent; f s.Metrics.mean_delivered;
-        f s.Metrics.mean_drops_no_route; f s.Metrics.mean_drops_ttl;
-        f s.Metrics.mean_drops_queue; f s.Metrics.mean_drops_link;
-        f s.Metrics.mean_fwd_convergence; f s.Metrics.stddev_fwd_convergence;
-        f s.Metrics.mean_routing_convergence;
-        f s.Metrics.stddev_routing_convergence; f s.Metrics.mean_transient_paths;
-        f s.Metrics.mean_ctrl_messages;
-      ])
-
-let grid_csv grid =
-  let summaries =
-    List.concat_map
-      (fun (_, cells) ->
-        List.map (fun c -> c.Experiments.summary) cells)
-      grid
-  in
-  summary_csv summaries
-
-let series_csv ~warmup data =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "protocol,time,count,rate,mean\n";
-  let emit (name, series) =
-    for b = 0 to Dessim.Series.buckets series - 1 do
-      Buffer.add_string buf
-        (Printf.sprintf "%s,%g,%g,%g,%g\n" name
-           (Dessim.Series.time_of_bucket series b -. warmup)
-           (Dessim.Series.frac_count series b)
-           (Dessim.Series.frac_count series b /. Dessim.Series.width series)
-           (Dessim.Series.mean series b))
-    done
-  in
-  List.iter emit data;
-  Buffer.contents buf
-
-let flows_csv (m : Metrics.multi) =
-  buffer_csv
-    [
-      "protocol"; "degree"; "seed"; "src"; "dst"; "sent"; "delivered";
-      "delivery_ratio"; "drops_no_route"; "drops_ttl"; "drops_queue";
-      "drops_link"; "fwd_convergence"; "transient_paths";
-    ]
-    m.Metrics.m_flows
-    (fun (fl : Metrics.flow) ->
-      [
-        m.Metrics.m_protocol; i m.Metrics.m_degree; i m.Metrics.m_seed;
-        i fl.Metrics.f_src; i fl.Metrics.f_dst; i fl.Metrics.f_sent;
-        i fl.Metrics.f_delivered; f (Metrics.flow_delivery_ratio fl);
-        i fl.Metrics.f_drops_no_route; i fl.Metrics.f_drops_ttl;
-        i fl.Metrics.f_drops_queue; i fl.Metrics.f_drops_link;
-        f fl.Metrics.f_fwd_convergence; i fl.Metrics.f_transient_paths;
-      ])
-
 let to_file csv ~path = Rcutil.Atomic_file.write_string ~path csv

@@ -1,29 +1,14 @@
-(** CSV export of experiment results, for plotting with gnuplot / pandas.
+(** CSV export of per-run results, for plotting with gnuplot / pandas.
 
-    Every function returns the CSV as a string (header row included, one
-    record per line, numeric cells unquoted); {!to_file} writes any of them
-    to disk. Fields never contain commas or quotes, so no escaping is
-    needed — kept deliberately simple. *)
+    {!run_csv} returns the CSV as a string (header row included, one record
+    per line, numeric cells unquoted); {!to_file} writes it to disk. Fields
+    never contain commas or quotes, so no escaping is needed — kept
+    deliberately simple. Sweep results are exported as campaign artifacts
+    ([BENCH_<section>.json]). *)
 
 val run_csv : Metrics.run list -> string
 (** One row per run: protocol, degree, seed, endpoints, packet fates, loop
     counters, control-plane totals, convergence delays. *)
-
-val summary_csv : Metrics.summary list -> string
-(** One row per (protocol, degree) cell: the means and standard deviations a
-    figure needs. *)
-
-val grid_csv : Experiments.grid -> string
-(** {!summary_csv} over every cell of a grid, in engine order. *)
-
-val series_csv :
-  warmup:float -> (string * Dessim.Series.t) list -> string
-(** Long-format time series: columns [protocol, time, count, rate, mean].
-    [time] is normalized to [warmup] (the paper's convention). Series may
-    have different shapes; each contributes its own rows. *)
-
-val flows_csv : Metrics.multi -> string
-(** One row per flow of a multi-flow run. *)
 
 val to_file : string -> path:string -> unit
 (** [to_file csv ~path] writes the string to [path] (truncating). *)

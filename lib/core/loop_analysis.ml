@@ -1,11 +1,3 @@
-type episode = {
-  cycle : Netsim.Types.node_id list;
-  started : float;
-  ended : float;
-}
-
-let duration e = e.ended -. e.started
-
 (* Rotate a cycle so the smallest node comes first, preserving forwarding
    order; makes cycles comparable regardless of where they were entered. *)
 let normalize cycle =
@@ -44,24 +36,3 @@ let cycle_of_packet visits = cycle_of_visits visits
 let cycle_of_path = function
   | Observer.Looping p -> cycle_of_visits p
   | Observer.Complete _ | Observer.Broken _ -> None
-
-let episodes history =
-  let ordered = List.sort (fun (a, _) (b, _) -> compare a b) history in
-  let close acc = function
-    | None -> acc
-    | Some e -> e :: acc
-  in
-  let step (acc, current) (time, path) =
-    match (cycle_of_path path, current) with
-    | None, _ -> (close acc current, None)
-    | Some cycle, Some e when Observer.equal_nodes e.cycle cycle ->
-      (acc, Some { e with ended = time })
-    | Some cycle, _ ->
-      (close acc current, Some { cycle; started = time; ended = time })
-  in
-  let acc, current = List.fold_left step ([], None) ordered in
-  List.rev (close acc current)
-
-let pp_episode ppf e =
-  Fmt.pf ppf "loop %a from %.2fs to %.2fs (%.2fs)" Netsim.Types.pp_path e.cycle
-    e.started e.ended (duration e)

@@ -2,35 +2,18 @@
 
     The paper's methodology (Section 2): "studying the forwarding and routing
     trace files, thus we can identify the causes of routing loops in each
-    circumstance". This module turns a history of sampled forwarding paths
-    (or an individual packet's journey) into loop {e episodes}: which routers
-    formed the cycle, when it appeared, and how long it lasted — the paper's
-    point that looping duration (lengthened by damping/MRAI timers) is what
-    turns a transient inconsistency into TTL expirations. *)
-
-type episode = {
-  cycle : Netsim.Types.node_id list;
-      (** the looping routers, normalized to start at the smallest id, in
-          forwarding order; e.g. [[2; 7; 12]] means 2 -> 7 -> 12 -> 2 *)
-  started : float;  (** first sample that showed this cycle *)
-  ended : float;  (** last consecutive sample that still showed it *)
-}
-
-val duration : episode -> float
+    circumstance". This module extracts the cycle a sampled forwarding path
+    (or an individual packet's journey) is caught in. The runner turns cycle
+    changes into [Loop_enter]/[Loop_exit] trace events, and
+    [Obs.Replay.loop_report] pairs those into episodes — the paper's point
+    that looping duration (lengthened by damping/MRAI timers) is what turns a
+    transient inconsistency into TTL expirations. *)
 
 val cycle_of_path : Observer.path_result -> Netsim.Types.node_id list option
 (** [cycle_of_path p] is the normalized cycle when [p] is [Looping], [None]
-    otherwise. *)
+    otherwise. A cycle is normalized to start at its smallest id, in
+    forwarding order; e.g. [[2; 7; 12]] means 2 -> 7 -> 12 -> 2. *)
 
 val cycle_of_packet : Netsim.Types.node_id list -> Netsim.Types.node_id list option
 (** [cycle_of_packet visits] extracts the first cycle from a packet's visited
     routers (in travel order), if it revisited one. *)
-
-val episodes :
-  (float * Observer.path_result) list -> episode list
-(** [episodes history] extracts loop episodes from path samples (any order;
-    they are sorted by time). Consecutive samples showing the same cycle are
-    merged into one episode; an episode ends when a sample shows a different
-    path. Episodes are returned in chronological order. *)
-
-val pp_episode : episode Fmt.t

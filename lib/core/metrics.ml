@@ -53,72 +53,6 @@ let pp_run ppf r =
     r.final_path
     (if r.final_path_complete then "" else " (incomplete)")
 
-type summary = {
-  s_protocol : string;
-  s_degree : int;
-  s_runs : int;
-  mean_sent : float;
-  mean_delivered : float;
-  mean_drops_no_route : float;
-  mean_drops_ttl : float;
-  mean_drops_queue : float;
-  mean_drops_link : float;
-  mean_fwd_convergence : float;
-  stddev_fwd_convergence : float;
-  mean_routing_convergence : float;
-  stddev_routing_convergence : float;
-  mean_transient_paths : float;
-  mean_ctrl_messages : float;
-  mean_looped_delivered : float;
-  avg_throughput : Dessim.Series.t;
-  avg_delay : Dessim.Series.t;
-}
-
-let summarize runs =
-  match runs with
-  | [] -> invalid_arg "Metrics.summarize: no runs"
-  | first :: _ ->
-    let same r = r.protocol = first.protocol && r.degree = first.degree in
-    if not (List.for_all same runs) then
-      invalid_arg "Metrics.summarize: mixed protocol or degree";
-    let n = List.length runs in
-    let fn = float_of_int n in
-    let mean_of f = List.fold_left (fun acc r -> acc +. f r) 0. runs /. fn in
-    let floats f = List.map f runs in
-    let avg_series pick =
-      let model = pick first in
-      let acc =
-        Dessim.Series.create
-          ~start:(Dessim.Series.start model)
-          ~width:(Dessim.Series.width model)
-          ~buckets:(Dessim.Series.buckets model)
-      in
-      List.iter (fun r -> Dessim.Series.accumulate ~into:acc (pick r)) runs;
-      Dessim.Series.scale acc (1. /. fn);
-      acc
-    in
-    {
-      s_protocol = first.protocol;
-      s_degree = first.degree;
-      s_runs = n;
-      mean_sent = mean_of (fun r -> float_of_int r.sent);
-      mean_delivered = mean_of (fun r -> float_of_int r.delivered);
-      mean_drops_no_route = mean_of (fun r -> float_of_int r.drops_no_route);
-      mean_drops_ttl = mean_of (fun r -> float_of_int r.drops_ttl);
-      mean_drops_queue = mean_of (fun r -> float_of_int r.drops_queue);
-      mean_drops_link = mean_of (fun r -> float_of_int r.drops_link);
-      mean_fwd_convergence = mean_of (fun r -> r.fwd_convergence);
-      stddev_fwd_convergence = Dessim.Stat.stddev (floats (fun r -> r.fwd_convergence));
-      mean_routing_convergence = mean_of (fun r -> r.routing_convergence);
-      stddev_routing_convergence =
-        Dessim.Stat.stddev (floats (fun r -> r.routing_convergence));
-      mean_transient_paths = mean_of (fun r -> float_of_int r.transient_paths);
-      mean_ctrl_messages = mean_of (fun r -> float_of_int r.ctrl_messages);
-      mean_looped_delivered = mean_of (fun r -> float_of_int r.looped_delivered);
-      avg_throughput = avg_series (fun r -> r.throughput);
-      avg_delay = avg_series (fun r -> r.delay);
-    }
-
 type flow = {
   f_src : Netsim.Types.node_id;
   f_dst : Netsim.Types.node_id;

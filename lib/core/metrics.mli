@@ -1,9 +1,10 @@
-(** Per-run outcomes and their aggregation over seeds.
+(** Per-run outcomes.
 
     A {!run} captures everything the paper reports for a single simulation:
     packet fates broken down by drop reason, the receiver's throughput and
-    delay time series, convergence delays, and the forwarding-path history. A
-    {!summary} averages a set of runs (the paper uses 10 per data point). *)
+    delay time series, convergence delays, and the forwarding-path history.
+    Campaign cells ([Campaign.Cell_result]) lift runs into rows, and their
+    artifacts aggregate the seeds of one (protocol, degree) point. *)
 
 type run = {
   protocol : string;
@@ -53,31 +54,6 @@ val conservation_ok : run -> bool
 val in_flight : run -> int
 
 val pp_run : run Fmt.t
-
-(** Averages over a list of runs for one (protocol, degree) cell. *)
-type summary = {
-  s_protocol : string;
-  s_degree : int;
-  s_runs : int;
-  mean_sent : float;
-  mean_delivered : float;
-  mean_drops_no_route : float;
-  mean_drops_ttl : float;
-  mean_drops_queue : float;
-  mean_drops_link : float;
-  mean_fwd_convergence : float;
-  stddev_fwd_convergence : float;
-  mean_routing_convergence : float;
-  stddev_routing_convergence : float;
-  mean_transient_paths : float;
-  mean_ctrl_messages : float;
-  mean_looped_delivered : float;
-  avg_throughput : Dessim.Series.t;  (** per-bucket mean over runs *)
-  avg_delay : Dessim.Series.t;
-}
-
-val summarize : run list -> summary
-(** @raise Invalid_argument on the empty list or mixed protocol/degree. *)
 
 (** {2 Multi-flow, multi-failure outcomes}
 

@@ -30,54 +30,4 @@ let scalar_table ~title ~unit_label ppf data =
   rule ppf width;
   Fmt.pf ppf "@]"
 
-let series_table ~title ~unit_label ~warmup ?window ~mode ppf data =
-  let protocols = List.map fst data in
-  let width = 8 + (10 * List.length protocols) in
-  Fmt.pf ppf "@[<v>%s (%s; time normalized to warmup end)@," title unit_label;
-  rule ppf width;
-  Fmt.pf ppf "%-8s" "t(s)";
-  List.iter (fun p -> Fmt.pf ppf "%10s" p) protocols;
-  Fmt.pf ppf "@,";
-  rule ppf width;
-  (match data with
-  | [] -> ()
-  | (_, model) :: _ ->
-    let lo, hi =
-      match window with
-      | Some (lo, hi) -> (lo, hi)
-      | None ->
-        (0., Dessim.Series.width model *. float_of_int (Dessim.Series.buckets model))
-    in
-    let buckets = Dessim.Series.buckets model in
-    for i = 0 to buckets - 1 do
-      let t = Dessim.Series.time_of_bucket model i -. warmup in
-      if t >= lo && t <= hi then begin
-        Fmt.pf ppf "%-8.0f" t;
-        let cell (_, series) =
-          let v =
-            match mode with
-            | `Rate -> Dessim.Series.frac_count series i /. Dessim.Series.width series
-            | `Mean -> Dessim.Series.mean series i
-          in
-          Fmt.pf ppf "%10.3f" v
-        in
-        List.iter cell data;
-        Fmt.pf ppf "@,"
-      end
-    done);
-  rule ppf width;
-  Fmt.pf ppf "@]"
-
 let run_details ppf (r : Metrics.run) = Metrics.pp_run ppf r
-
-let summary_line ppf (s : Metrics.summary) =
-  Fmt.pf ppf
-    "%-8s d=%d runs=%d | delivered %.1f/%.1f | drops: no-route %.1f, ttl %.1f, \
-     queue %.1f, link %.1f | conv: fwd %.2fs (sd %.2f), routing %.2fs (sd %.2f) \
-     | transient paths %.1f | ctrl msgs %.0f"
-    s.Metrics.s_protocol s.Metrics.s_degree s.Metrics.s_runs
-    s.Metrics.mean_delivered s.Metrics.mean_sent s.Metrics.mean_drops_no_route
-    s.Metrics.mean_drops_ttl s.Metrics.mean_drops_queue s.Metrics.mean_drops_link
-    s.Metrics.mean_fwd_convergence s.Metrics.stddev_fwd_convergence
-    s.Metrics.mean_routing_convergence s.Metrics.stddev_routing_convergence
-    s.Metrics.mean_transient_paths s.Metrics.mean_ctrl_messages

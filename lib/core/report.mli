@@ -1,27 +1,13 @@
 (** ASCII rendering of experiment results in the layout of the paper's
-    figures: one column per protocol, one row per degree (scalar figures) or
-    per second of normalized time (time-series figures). *)
+    figures: one column per protocol, one row per degree. *)
 
 val scalar_table :
   title:string ->
   unit_label:string ->
   (string * (int * float) list) list Fmt.t
-(** Render a degree-indexed projection ({!Experiments.fig3}-style data):
-    rows are degrees, columns are protocols. *)
-
-val series_table :
-  title:string ->
-  unit_label:string ->
-  warmup:float ->
-  ?window:float * float ->
-  mode:[ `Rate | `Mean ] ->
-  (string * Dessim.Series.t) list Fmt.t
-(** Render per-protocol time series against normalized time (seconds since
-    [warmup]). [`Rate] prints per-bucket counts per second (throughput);
-    [`Mean] prints per-bucket means (delay). [window] restricts the rows to a
-    normalized-time interval (default: the whole series). *)
+(** Render a degree-indexed projection (per protocol, [(degree, value)]
+    points, as campaign sections project an artifact metric): rows are
+    degrees, columns are protocols. *)
 
 val run_details : Metrics.run Fmt.t
 (** A narrative rendering of a single run (used by examples and the CLI). *)
-
-val summary_line : Metrics.summary Fmt.t

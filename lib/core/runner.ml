@@ -828,16 +828,21 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
       ignore
         (Dessim.Scheduler.after st.sched ~delay:cfg.Config.detection_delay
            (fun () ->
-             (* Guarded on physical state so a heal racing the detection
-                delay cannot leave a stale detection mark behind. *)
-             if not (Netsim.Link.is_up (link st u v)) then frr_link_down st u v;
-             rtx_link_down st u v;
-             P.on_link_down st.routers.(u) ~neighbor:v;
-             P.on_link_down st.routers.(v) ~neighbor:u;
-             (* The failure may have changed the forwarding picture even if
-                no best route changed yet (e.g. RIP still points at the dead
-                link); sample so the history has a failure-time snapshot. *)
-             Array.iter (record_path_sample st) st.flows));
+             (* Guarded on physical state, like the flap path: a heal that
+                beat the detection delay is invisible to routing, and
+                detecting it anyway would take the link down with no
+                [on_link_up] to follow. *)
+             if not (Netsim.Link.is_up (link st u v)) then begin
+               frr_link_down st u v;
+               rtx_link_down st u v;
+               P.on_link_down st.routers.(u) ~neighbor:v;
+               P.on_link_down st.routers.(v) ~neighbor:u;
+               (* The failure may have changed the forwarding picture even
+                  if no best route changed yet (e.g. RIP still points at
+                  the dead link); sample so the history has a failure-time
+                  snapshot. *)
+               Array.iter (record_path_sample st) st.flows
+             end));
       match spec.heal_after with
       | None -> ()
       | Some delay ->

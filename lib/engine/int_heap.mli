@@ -1,10 +1,13 @@
-(** Structure-of-arrays 4-ary min-heap with [int] payloads.
+(** Structure-of-arrays 4-ary min-heap keyed by [(time, seq)], with [int]
+    payloads.
 
-    {!Heap} specialised to immediate payloads: the scheduler queues pool
-    indices instead of event records, so every array here is unboxed — sift
-    moves execute no write barrier and the GC never scans the queue. Ordered
-    by [(time, seq)] exactly like {!Heap}; since that key is a strict total
-    order, both implementations pop identical sequences (checked by the
+    Payloads are immediates: the scheduler queues pool indices instead of
+    event records, and Dijkstra queues node ids, so every array here is
+    unboxed — sift moves execute no write barrier and the GC never scans the
+    queue. Ordered by time first and, for equal times, by the sequence
+    number, which keeps simultaneous events FIFO and simulations
+    deterministic. It pops exactly the sequence of the pre-rewrite boxed
+    heap kept as an oracle in [test/reference_heap.ml] (checked by the
     differential suite in [test/test_differential.ml]). *)
 
 type t

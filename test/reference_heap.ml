@@ -3,14 +3,14 @@
    This is the boxed entry-record implementation the engine shipped with
    before the structure-of-arrays rewrite (including its swap-based sifts).
    The property tests drive identical (time, seq) streams through this heap
-   and [Dessim.Heap] and require identical pop sequences — the SoA layout is
-   an optimization, never a behavior change.
+   and [Dessim.Int_heap] and require identical pop sequences — the SoA layout
+   is an optimization, never a behavior change.
 
    (The original [ensure_capacity] seeded grown arrays with [t.arr.(0)] and
    [pop] parked the popped entry back into the array — both pin payloads for
    the GC. That retention bug is preserved here on purpose: this module is an
-   ordering oracle, not a memory-behavior one; the GC fix is asserted against
-   [Dessim.Heap] directly by the weak-pointer test.) *)
+   ordering oracle, not a memory-behavior one; [Dessim.Int_heap] holds only
+   immediate payloads, so it has nothing to retain.) *)
 
 type 'a entry = { time : float; seq : int; payload : 'a }
 

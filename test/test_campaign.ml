@@ -147,7 +147,7 @@ let test_aggregate_extras_and_series () =
     (match List.assoc_opt "throughput" g.Campaign.Artifact.a_series with
     | None -> Alcotest.fail "missing aggregated series"
     | Some agg ->
-      (* accumulate then scale by 1/runs, like Metrics.summarize *)
+      (* accumulate then scale by 1/runs *)
       Alcotest.(check (array (float 1e-12)))
         "counts" [| 2.; 3. |] agg.Campaign.Cell_result.s_counts;
       Alcotest.(check (array (float 1e-12)))

@@ -144,21 +144,6 @@ let test_metrics_accounting () =
   Alcotest.(check int) "in flight" 0 (Convergence.Metrics.in_flight r);
   Alcotest.(check bool) "conserved" true (Convergence.Metrics.conservation_ok r)
 
-let test_metrics_summarize () =
-  let runs = [ sample_run ~seed:1 ~no_route:4 (); sample_run ~seed:2 ~no_route:6 () ] in
-  let s = Convergence.Metrics.summarize runs in
-  Alcotest.(check int) "runs" 2 s.Convergence.Metrics.s_runs;
-  Alcotest.(check (float 1e-9)) "mean drops" 5. s.Convergence.Metrics.mean_drops_no_route;
-  Alcotest.(check (float 1e-9)) "mean fwd" 1.5 s.Convergence.Metrics.mean_fwd_convergence;
-  Alcotest.(check (float 1e-9)) "fwd stddev" 0. s.Convergence.Metrics.stddev_fwd_convergence
-
-let test_metrics_summarize_rejects_mixed () =
-  let runs = [ sample_run ~protocol:"A" (); sample_run ~protocol:"B" () ] in
-  Alcotest.check_raises "mixed" (Invalid_argument "Metrics.summarize: mixed protocol or degree")
-    (fun () -> ignore (Convergence.Metrics.summarize runs));
-  Alcotest.check_raises "empty" (Invalid_argument "Metrics.summarize: no runs") (fun () ->
-      ignore (Convergence.Metrics.summarize []))
-
 let test_metrics_pp_smoke () =
   let r = sample_run () in
   let s = Fmt.str "%a" Convergence.Metrics.pp_run r in
@@ -177,33 +162,6 @@ let test_report_scalar_table () =
   Alcotest.(check bool) "has title" true (Astring_contains.contains s "T (u)");
   Alcotest.(check bool) "has protocol" true (Astring_contains.contains s "RIP");
   Alcotest.(check bool) "has value" true (Astring_contains.contains s "10.00")
-
-let test_report_series_table () =
-  let mk () =
-    let s = Dessim.Series.create ~start:10. ~width:1. ~buckets:5 in
-    Dessim.Series.add s ~time:11.5 3.;
-    s
-  in
-  let render ppf data =
-    Convergence.Report.series_table ~title:"S" ~unit_label:"pps" ~warmup:10.
-      ~mode:`Rate ppf data
-  in
-  let out = Fmt.str "%a" render [ ("P", mk ()) ] in
-  Alcotest.(check bool) "has series title" true (Astring_contains.contains out "S (pps");
-  Alcotest.(check bool) "bucket rate rendered" true
-    (Astring_contains.contains out "1.000")
-
-let test_report_window () =
-  let s = Dessim.Series.create ~start:0. ~width:1. ~buckets:100 in
-  let out =
-    Fmt.str "%a"
-      (Convergence.Report.series_table ~title:"W" ~unit_label:"x" ~warmup:0.
-         ~window:(10., 12.) ~mode:`Mean)
-      [ ("P", s) ]
-  in
-  (* Rows outside the window must be absent: time 50 not rendered. *)
-  Alcotest.(check bool) "window start present" true (Astring_contains.contains out "10");
-  Alcotest.(check bool) "outside absent" false (Astring_contains.contains out "50")
 
 (* ---------- Loop analysis ---------- *)
 
@@ -225,40 +183,6 @@ let test_cycle_of_path () =
     (Convergence.Loop_analysis.cycle_of_path
        (Convergence.Observer.Complete [ 0; 1; 2 ]))
 
-let test_episodes_merge_and_close () =
-  let looping = Convergence.Observer.Looping [ 0; 1; 2; 1 ] in
-  let looping' = Convergence.Observer.Looping [ 0; 3; 4; 3 ] in
-  let fine = Convergence.Observer.Complete [ 0; 5 ] in
-  let history =
-    [ (1., fine); (2., looping); (3., looping); (4., fine); (6., looping'); (7., fine) ]
-  in
-  match Convergence.Loop_analysis.episodes history with
-  | [ a; b ] ->
-    Alcotest.(check (list int)) "first cycle" [ 1; 2 ] a.Convergence.Loop_analysis.cycle;
-    Alcotest.(check (float 1e-9)) "starts" 2. a.Convergence.Loop_analysis.started;
-    Alcotest.(check (float 1e-9)) "ends" 3. a.Convergence.Loop_analysis.ended;
-    Alcotest.(check (float 1e-9)) "duration" 1. (Convergence.Loop_analysis.duration a);
-    Alcotest.(check (list int)) "second cycle" [ 3; 4 ] b.Convergence.Loop_analysis.cycle
-  | l -> Alcotest.failf "expected 2 episodes, got %d" (List.length l)
-
-let test_episodes_unordered_input () =
-  let looping = Convergence.Observer.Looping [ 0; 1; 2; 1 ] in
-  let fine = Convergence.Observer.Complete [ 0; 5 ] in
-  let history = [ (3., looping); (1., fine); (2., looping); (4., fine) ] in
-  match Convergence.Loop_analysis.episodes history with
-  | [ a ] ->
-    Alcotest.(check (float 1e-9)) "sorted start" 2. a.Convergence.Loop_analysis.started;
-    Alcotest.(check (float 1e-9)) "sorted end" 3. a.Convergence.Loop_analysis.ended
-  | l -> Alcotest.failf "expected 1 episode, got %d" (List.length l)
-
-let test_episodes_open_at_end () =
-  let looping = Convergence.Observer.Looping [ 0; 1; 2; 1 ] in
-  match Convergence.Loop_analysis.episodes [ (5., looping) ] with
-  | [ a ] ->
-    Alcotest.(check (float 1e-9)) "zero-length episode" 0.
-      (Convergence.Loop_analysis.duration a)
-  | l -> Alcotest.failf "expected 1 episode, got %d" (List.length l)
-
 (* ---------- Engine registry ---------- *)
 
 let test_registry_names () =
@@ -278,49 +202,11 @@ let test_registry_paper_four () =
     [ "RIP"; "DBF"; "BGP"; "BGP-3" ]
     (List.map Convergence.Engine_registry.name Convergence.Engine_registry.paper_four)
 
-(* ---------- Experiments drivers ---------- *)
+(* ---------- Experiments sweeps ---------- *)
 
 let tiny_sweep =
   Convergence.Experiments.
     { degrees = [ 3; 4 ]; runs = 2; base = Convergence.Config.quick }
-
-let test_experiments_grid_shape () =
-  let grid =
-    Convergence.Experiments.run_grid tiny_sweep [ Convergence.Engine_registry.dbf ]
-  in
-  match grid with
-  | [ ("DBF", cells) ] ->
-    Alcotest.(check (list int)) "degrees" [ 3; 4 ]
-      (List.map (fun c -> c.Convergence.Experiments.degree) cells);
-    List.iter
-      (fun c ->
-        Alcotest.(check int) "runs per cell" 2
-          c.Convergence.Experiments.summary.Convergence.Metrics.s_runs)
-      cells
-  | _ -> Alcotest.fail "unexpected grid shape"
-
-let test_experiments_projections () =
-  let grid =
-    Convergence.Experiments.run_grid tiny_sweep [ Convergence.Engine_registry.dbf ]
-  in
-  let check_projection name projection =
-    match projection with
-    | [ ("DBF", points) ] ->
-      Alcotest.(check (list int)) (name ^ " degrees") [ 3; 4 ] (List.map fst points)
-    | _ -> Alcotest.failf "%s: unexpected shape" name
-  in
-  check_projection "fig3" (Convergence.Experiments.fig3 grid);
-  check_projection "fig4" (Convergence.Experiments.fig4 grid);
-  check_projection "fig6a" (Convergence.Experiments.fig6a grid);
-  check_projection "fig6b" (Convergence.Experiments.fig6b grid);
-  check_projection "overhead" (Convergence.Experiments.overhead grid);
-  (match Convergence.Experiments.fig5 grid ~degree:3 with
-  | [ ("DBF", series) ] ->
-    Alcotest.(check bool) "series nonempty" true (Dessim.Series.buckets series > 0)
-  | _ -> Alcotest.fail "fig5 shape");
-  match Convergence.Experiments.fig5 grid ~degree:9 with
-  | [] -> ()
-  | _ -> Alcotest.fail "fig5 must be empty for unswept degree"
 
 let test_experiments_scale () =
   let scaled =
@@ -330,13 +216,6 @@ let test_experiments_scale () =
   Alcotest.(check (list int)) "degrees" [ 5 ] scaled.Convergence.Experiments.degrees;
   let unchanged = Convergence.Experiments.scale tiny_sweep in
   Alcotest.(check int) "default runs kept" 2 unchanged.Convergence.Experiments.runs
-
-let test_experiments_same_seed_same_grid () =
-  let one () =
-    Convergence.Experiments.fig3
-      (Convergence.Experiments.run_grid tiny_sweep [ Convergence.Engine_registry.dbf ])
-  in
-  Alcotest.(check bool) "deterministic grids" true (one () = one ())
 
 (* ---------- Export ---------- *)
 
@@ -357,28 +236,6 @@ let test_export_run_csv () =
       (fun r -> Alcotest.(check int) "cell count" (cells header) (cells r))
       rows
   | [] -> Alcotest.fail "empty csv"
-
-let test_export_summary_csv () =
-  let s = Convergence.Metrics.summarize [ sample_run (); sample_run ~seed:2 () ] in
-  let csv = Convergence.Export.summary_csv [ s ] in
-  match lines csv with
-  | [ header; row ] ->
-    Alcotest.(check bool) "header" true
-      (Astring_contains.contains header "mean_drops_no_route");
-    Alcotest.(check bool) "runs cell" true (Astring_contains.contains row "X,4,2")
-  | _ -> Alcotest.fail "expected header + 1 row"
-
-let test_export_series_csv () =
-  let series = Dessim.Series.create ~start:10. ~width:1. ~buckets:3 in
-  Dessim.Series.add series ~time:11.5 4.;
-  let csv = Convergence.Export.series_csv ~warmup:10. [ ("P", series) ] in
-  match lines csv with
-  | [ header; b0; b1; b2 ] ->
-    Alcotest.(check string) "header" "protocol,time,count,rate,mean" header;
-    Alcotest.(check string) "bucket 0" "P,0,0,0,0" b0;
-    Alcotest.(check string) "bucket 1" "P,1,1,1,4" b1;
-    Alcotest.(check string) "bucket 2" "P,2,0,0,0" b2
-  | l -> Alcotest.failf "expected 4 lines, got %d" (List.length l)
 
 let test_export_to_file () =
   let path = Filename.temp_file "rcsim" ".csv" in
@@ -411,23 +268,16 @@ let () =
       ( "metrics",
         [
           Alcotest.test_case "accounting" `Quick test_metrics_accounting;
-          Alcotest.test_case "summarize" `Quick test_metrics_summarize;
-          Alcotest.test_case "summarize rejects" `Quick test_metrics_summarize_rejects_mixed;
           Alcotest.test_case "pp smoke" `Quick test_metrics_pp_smoke;
         ] );
       ( "report",
         [
           Alcotest.test_case "scalar table" `Quick test_report_scalar_table;
-          Alcotest.test_case "series table" `Quick test_report_series_table;
-          Alcotest.test_case "window" `Quick test_report_window;
         ] );
       ( "loop analysis",
         [
           Alcotest.test_case "packet cycles" `Quick test_cycle_of_packet;
           Alcotest.test_case "path cycles" `Quick test_cycle_of_path;
-          Alcotest.test_case "episodes" `Quick test_episodes_merge_and_close;
-          Alcotest.test_case "unordered input" `Quick test_episodes_unordered_input;
-          Alcotest.test_case "open episode" `Quick test_episodes_open_at_end;
         ] );
       ( "registry",
         [
@@ -437,16 +287,11 @@ let () =
         ] );
       ( "experiments",
         [
-          Alcotest.test_case "grid shape" `Quick test_experiments_grid_shape;
-          Alcotest.test_case "projections" `Quick test_experiments_projections;
           Alcotest.test_case "scale" `Quick test_experiments_scale;
-          Alcotest.test_case "deterministic" `Quick test_experiments_same_seed_same_grid;
         ] );
       ( "export",
         [
           Alcotest.test_case "run csv" `Quick test_export_run_csv;
-          Alcotest.test_case "summary csv" `Quick test_export_summary_csv;
-          Alcotest.test_case "series csv" `Quick test_export_series_csv;
           Alcotest.test_case "to_file" `Quick test_export_to_file;
         ] );
     ]

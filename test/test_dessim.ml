@@ -5,63 +5,74 @@ let check_float = Alcotest.(check (float 1e-9))
 
 (* ---------- Heap ---------- *)
 
+(* Drain an [Int_heap] into its (time, seq, payload) pop sequence. *)
+let drain h =
+  let slot = Dessim.Int_heap.slot () and seq = ref 0 in
+  let rec go acc =
+    if Dessim.Int_heap.is_empty h then List.rev acc
+    else
+      let v = Dessim.Int_heap.pop_into h slot ~seq in
+      go ((slot.Dessim.Int_heap.slot_time, !seq, v) :: acc)
+  in
+  go []
+
 let test_heap_empty () =
-  let h = Dessim.Heap.create () in
-  Alcotest.(check bool) "empty" true (Dessim.Heap.is_empty h);
-  Alcotest.(check int) "length" 0 (Dessim.Heap.length h);
-  Alcotest.(check bool) "pop none" true (Dessim.Heap.pop h = None);
-  Alcotest.(check bool) "min none" true (Dessim.Heap.min_elt h = None)
+  let h = Dessim.Int_heap.create () in
+  Alcotest.(check bool) "empty" true (Dessim.Int_heap.is_empty h);
+  Alcotest.(check int) "length" 0 (Dessim.Int_heap.length h);
+  Alcotest.(check bool) "peek none" false
+    (Dessim.Int_heap.peek_time h (Dessim.Int_heap.slot ()));
+  Alcotest.check_raises "pop raises" (Invalid_argument "Int_heap.pop_into: empty heap")
+    (fun () ->
+      ignore (Dessim.Int_heap.pop_into h (Dessim.Int_heap.slot ()) ~seq:(ref 0)))
 
 let test_heap_order () =
-  let h = Dessim.Heap.create () in
-  Dessim.Heap.add h ~time:3. ~seq:0 "c";
-  Dessim.Heap.add h ~time:1. ~seq:1 "a";
-  Dessim.Heap.add h ~time:2. ~seq:2 "b";
-  let order = List.map (fun (_, _, x) -> x) (Dessim.Heap.to_sorted_list h) in
-  Alcotest.(check (list string)) "time order" [ "a"; "b"; "c" ] order
+  let h = Dessim.Int_heap.create () in
+  Dessim.Int_heap.add h ~time:3. ~seq:0 30;
+  Dessim.Int_heap.add h ~time:1. ~seq:1 10;
+  Dessim.Int_heap.add h ~time:2. ~seq:2 20;
+  let order = List.map (fun (_, _, x) -> x) (drain h) in
+  Alcotest.(check (list int)) "time order" [ 10; 20; 30 ] order
 
 let test_heap_fifo_ties () =
-  let h = Dessim.Heap.create () in
-  List.iteri (fun i x -> Dessim.Heap.add h ~time:5. ~seq:i x) [ "x"; "y"; "z" ];
-  let order = List.map (fun (_, _, x) -> x) (Dessim.Heap.to_sorted_list h) in
-  Alcotest.(check (list string)) "seq breaks ties" [ "x"; "y"; "z" ] order
+  let h = Dessim.Int_heap.create () in
+  List.iteri (fun i x -> Dessim.Int_heap.add h ~time:5. ~seq:i x) [ 7; 8; 9 ];
+  let order = List.map (fun (_, _, x) -> x) (drain h) in
+  Alcotest.(check (list int)) "seq breaks ties" [ 7; 8; 9 ] order
 
 let test_heap_min_does_not_remove () =
-  let h = Dessim.Heap.create () in
-  Dessim.Heap.add h ~time:1. ~seq:0 1;
-  ignore (Dessim.Heap.min_elt h);
-  Alcotest.(check int) "still there" 1 (Dessim.Heap.length h)
+  let h = Dessim.Int_heap.create () in
+  Dessim.Int_heap.add h ~time:1. ~seq:0 1;
+  ignore (Dessim.Int_heap.peek_time h (Dessim.Int_heap.slot ()));
+  Alcotest.(check int) "still there" 1 (Dessim.Int_heap.length h)
 
 let test_heap_clear () =
-  let h = Dessim.Heap.create () in
+  let h = Dessim.Int_heap.create () in
   for i = 0 to 99 do
-    Dessim.Heap.add h ~time:(float_of_int i) ~seq:i i
+    Dessim.Int_heap.add h ~time:(float_of_int i) ~seq:i i
   done;
-  Dessim.Heap.clear h;
-  Alcotest.(check int) "cleared" 0 (Dessim.Heap.length h)
+  Dessim.Int_heap.clear h;
+  Alcotest.(check int) "cleared" 0 (Dessim.Int_heap.length h)
 
 let test_heap_interleaved () =
-  let h = Dessim.Heap.create () in
-  Dessim.Heap.add h ~time:10. ~seq:0 10;
-  Dessim.Heap.add h ~time:5. ~seq:1 5;
-  (match Dessim.Heap.pop h with
-  | Some (t, _, 5) -> check_float "first pop" 5. t
-  | _ -> Alcotest.fail "expected 5");
-  Dessim.Heap.add h ~time:1. ~seq:2 1;
-  (match Dessim.Heap.pop h with
-  | Some (_, _, 1) -> ()
-  | _ -> Alcotest.fail "expected 1");
-  match Dessim.Heap.pop h with
-  | Some (_, _, 10) -> ()
-  | _ -> Alcotest.fail "expected 10"
+  let h = Dessim.Int_heap.create () in
+  let slot = Dessim.Int_heap.slot () and seq = ref 0 in
+  let pop () = Dessim.Int_heap.pop_into h slot ~seq in
+  Dessim.Int_heap.add h ~time:10. ~seq:0 10;
+  Dessim.Int_heap.add h ~time:5. ~seq:1 5;
+  Alcotest.(check int) "first pop" 5 (pop ());
+  check_float "first pop time" 5. slot.Dessim.Int_heap.slot_time;
+  Dessim.Int_heap.add h ~time:1. ~seq:2 1;
+  Alcotest.(check int) "second pop" 1 (pop ());
+  Alcotest.(check int) "third pop" 10 (pop ())
 
 let prop_heap_sorted =
   QCheck.Test.make ~name:"heap drains keys in nondecreasing order" ~count:200
     QCheck.(list (pair (float_bound_exclusive 1000.) small_nat))
     (fun pairs ->
-      let h = Dessim.Heap.create () in
-      List.iteri (fun i (t, _) -> Dessim.Heap.add h ~time:t ~seq:i i) pairs;
-      let drained = Dessim.Heap.to_sorted_list h in
+      let h = Dessim.Int_heap.create () in
+      List.iteri (fun i (t, _) -> Dessim.Int_heap.add h ~time:t ~seq:i i) pairs;
+      let drained = drain h in
       let rec sorted = function
         | (t1, s1, _) :: ((t2, s2, _) :: _ as rest) ->
           (t1 < t2 || (t1 = t2 && s1 < s2)) && sorted rest
@@ -73,9 +84,9 @@ let prop_heap_multiset =
   QCheck.Test.make ~name:"heap preserves payload multiset" ~count:200
     QCheck.(list (float_bound_exclusive 100.))
     (fun times ->
-      let h = Dessim.Heap.create () in
-      List.iteri (fun i t -> Dessim.Heap.add h ~time:t ~seq:i t) times;
-      let out = List.map (fun (_, _, x) -> x) (Dessim.Heap.to_sorted_list h) in
+      let h = Dessim.Int_heap.create () in
+      List.iteri (fun i t -> Dessim.Int_heap.add h ~time:t ~seq:i i) times;
+      let out = List.map (fun (_, _, i) -> List.nth times i) (drain h) in
       List.sort compare out = List.sort compare times)
 
 (* ---------- Scheduler ---------- *)

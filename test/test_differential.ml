@@ -4,83 +4,27 @@
 
    Three oracles:
    - [Reference_heap]: the old boxed entry-record heap, kept verbatim. Driven
-     with the same (time, seq) streams as [Dessim.Heap], pop sequences must
-     match element for element — on randomized QCheck2 streams (with
+     with the same (time, seq) streams as [Dessim.Int_heap], pop sequences
+     must match element for element — on randomized QCheck2 streams (with
      shrinking), on a large seeded soak, and on the exact streams real seed
      scenarios push through the scheduler (captured via the recorder seam).
    - a reference scheduler: the old closure-per-event scheduler rebuilt on
      [Reference_heap], for random schedule/cancel/step interleavings.
-   - the GC: a popped payload must become collectable (weak-pointer check) —
-     the old implementation pinned it in the vacated slot.
+   - the GC: a fired event's closure must become collectable (weak-pointer
+     check) once the scheduler recycles its cell.
 
    Randomness discipline (repo idiom): QCheck2 generates plain integers and
    structures are built deterministically from them, so a failing case
    reproduces from its printed counterexample alone. *)
 
-(* ---------- heap vs reference heap: randomized op streams ---------- *)
+(* ---------- int-payload heap vs reference heap: randomized op streams ---------- *)
 
 (* An op stream: [Some k] adds with time [k /. 4.] (small range forces
    equal-timestamp ties), [None] pops from both heaps and compares. Sequence
-   numbers increase monotonically like the scheduler's. *)
-let run_stream ops =
-  let h = Dessim.Heap.create () in
-  let r = Reference_heap.create () in
-  let seq = ref 0 in
-  let ok = ref true in
-  List.iter
-    (fun op ->
-      match op with
-      | Some k ->
-        let time = float_of_int k /. 4. in
-        Dessim.Heap.add h ~time ~seq:!seq !seq;
-        Reference_heap.add r ~time ~seq:!seq !seq;
-        incr seq
-      | None ->
-        if Dessim.Heap.pop h <> Reference_heap.pop r then ok := false)
-    ops;
-  (* Drain both completely: the full pop sequence must agree, and lengths
-     must have stayed in lockstep. *)
-  let rec drain () =
-    match (Dessim.Heap.pop h, Reference_heap.pop r) with
-    | None, None -> ()
-    | a, b ->
-      if a <> b then ok := false
-      else drain ()
-  in
-  drain ();
-  !ok
-
-let heap_differential_streams =
-  QCheck2.Test.make ~name:"SoA heap pops exactly like the reference heap"
-    ~count:300
-    QCheck2.Gen.(list_size (int_range 1 400) (option (int_range 0 30)))
-    run_stream
-
-let heap_differential_fifo =
-  (* All-equal timestamps: pure FIFO; both heaps must agree on it. *)
-  QCheck2.Test.make ~name:"equal-timestamp FIFO stability matches reference"
-    ~count:100
-    QCheck2.Gen.(list_size (int_range 1 200) (option (return 7)))
-    run_stream
-
-let test_heap_soak () =
-  (* One big seeded stream: >10k adds with interleaved pops, times drawn from
-     64 distinct values so ties are everywhere. *)
-  let rng = Dessim.Rng.create 1234 in
-  let ops =
-    List.init 25_000 (fun _ ->
-        if Dessim.Rng.float rng 1. < 0.6 then Some (Dessim.Rng.int rng 64)
-        else None)
-  in
-  Alcotest.(check bool) "25k-op stream identical" true (run_stream ops)
-
-(* ---------- int-payload heap vs reference heap ---------- *)
-
-(* The same streams through [Dessim.Int_heap] — the queue the scheduler
-   actually runs on. Beyond pop order, this checks the out-parameter
-   protocol: [peek_key] must surface exactly the (time, seq) the following
-   [pop_into] returns, since the scheduler's lane merge decides on the peek
-   and then trusts the pop. *)
+   numbers increase monotonically like the scheduler's. Beyond pop order,
+   this checks the out-parameter protocol: [peek_key] must surface exactly
+   the (time, seq) the following [pop_into] returns, since the scheduler's
+   lane merge decides on the peek and then trusts the pop. *)
 let run_stream_int ops =
   let h = Dessim.Int_heap.create () in
   let r = Reference_heap.create () in
@@ -349,31 +293,9 @@ let scheduler_differential_cancels =
 
 (* ---------- GC retention ---------- *)
 
-let test_popped_payload_not_retained () =
-  (* A popped payload must be collectable immediately: the heap used to park
-     it in the vacated slot (and [ensure_capacity] seeded grown arrays with a
-     live element), pinning it until overwritten. *)
-  let h = Dessim.Heap.create () in
-  let payload = ref (Bytes.create 64) in
-  let w = Weak.create 1 in
-  Weak.set w 0 (Some !payload);
-  Dessim.Heap.add h ~time:1. ~seq:0 !payload;
-  (* Keep neighbors in the heap so the popped slot is interior, then force
-     growth so the old backing arrays are dead. *)
-  for i = 1 to 40 do
-    Dessim.Heap.add h ~time:(2. +. float_of_int i) ~seq:i (Bytes.create 8)
-  done;
-  (match Dessim.Heap.pop h with
-  | Some (_, _, b) -> assert (b == !payload)
-  | None -> Alcotest.fail "pop returned nothing");
-  payload := Bytes.create 1;
-  Gc.full_major ();
-  Gc.full_major ();
-  Alcotest.(check bool) "payload was collected" true (Weak.get w 0 = None)
-
 let test_scheduler_cell_does_not_retain () =
-  (* Same property one layer up: after a closure event fires, the scheduler's
-     recycled cell must not pin the closure's environment. *)
+  (* After a closure event fires, the scheduler's recycled cell must not pin
+     the closure's environment. *)
   let s = Dessim.Scheduler.create () in
   let env = ref (Some (Bytes.create 128)) in
   let w = Weak.create 1 in
@@ -498,14 +420,8 @@ let () =
     [
       ( "heap",
         qsuite
-          [
-            heap_differential_streams;
-            heap_differential_fifo;
-            int_heap_differential_streams;
-            int_heap_differential_fifo;
-          ]
+          [ int_heap_differential_streams; int_heap_differential_fifo ]
         @ [
-            Alcotest.test_case "25k-op seeded soak" `Quick test_heap_soak;
             Alcotest.test_case "25k-op int-heap soak" `Quick test_int_heap_soak;
             Alcotest.test_case "real scenario streams (4 protocols x 2 sizes x faults)"
               `Slow test_scenario_streams;
@@ -513,8 +429,6 @@ let () =
       ( "scheduler",
         qsuite [ scheduler_differential_cancels ]
         @ [
-            Alcotest.test_case "popped payload not retained" `Quick
-              test_popped_payload_not_retained;
             Alcotest.test_case "fired cell does not retain closure" `Quick
               test_scheduler_cell_does_not_retain;
           ] );

@@ -136,6 +136,34 @@ let test_restore_after () =
   Alcotest.(check int) "shortest again" dist
     (List.length r.Convergence.Metrics.final_path - 1)
 
+let test_heal_before_detection () =
+  (* A failure that heals before the detection delay must be invisible to
+     routing: every protocol still converges to the oracle's shortest paths
+     on the intact topology. Detecting the healed link anyway would take it
+     down for good, with no link-up to follow. *)
+  let cfg = { quick with seed = 3 } in
+  List.iter
+    (fun engine ->
+      let name = Convergence.Engine_registry.name engine in
+      let max_metric =
+        match name with
+        | "RIP" | "DBF" ->
+          Some Protocols.Dv_core.default_config.Protocols.Dv_core.infinity_metric
+        | _ -> None
+      in
+      let mismatches = ref None in
+      ignore
+        (Convergence.Engine_registry.run ~src:0 ~dst:24 ~fail_link:(0, 1)
+           ~restore_after:0.2
+           ~on_quiesce:(fun view ->
+             mismatches := Some (Check.Oracle.check ?max_metric view))
+           cfg engine);
+      match !mismatches with
+      | None -> Alcotest.failf "%s: on_quiesce never ran" name
+      | Some ms ->
+        Alcotest.(check int) (name ^ ": oracle mismatches") 0 (List.length ms))
+    Convergence.Engine_registry.paper_four
+
 let test_events_fire () =
   let cfg = { quick with seed = 2 } in
   let failures = ref [] in
@@ -235,6 +263,7 @@ let () =
           Alcotest.test_case "rip periodic recovery" `Quick test_rip_recovers_within_period;
           Alcotest.test_case "pinned failure" `Quick test_pinned_failure_link;
           Alcotest.test_case "restore" `Quick test_restore_after;
+          Alcotest.test_case "heal before detection" `Quick test_heal_before_detection;
           Alcotest.test_case "custom topology" `Quick test_custom_topology;
           Alcotest.test_case "events" `Quick test_events_fire;
           Alcotest.test_case "invalid config" `Quick test_invalid_config_rejected;

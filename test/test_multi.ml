@@ -164,21 +164,25 @@ let test_pp_multi_smoke () =
   Alcotest.(check bool) "mentions protocol" true (Astring_contains.contains s "DBF")
 
 let test_multi_failure_study_shape () =
-  let sweep =
-    Convergence.Experiments.{ degrees = [ 4 ]; runs = 2; base = quick }
+  (* One DBF cell of the ext-multiflow campaign section: four flows, two
+     overlapping failures. *)
+  let cell =
+    match Campaign.Sections.find "ext-multiflow" with
+    | None -> Alcotest.fail "no ext-multiflow section"
+    | Some section ->
+      let sweep = Convergence.Experiments.{ degrees = [ 4 ]; runs = 1; base = quick } in
+      let task =
+        List.find
+          (fun t -> t.Campaign.Sections.t_protocol = "DBF")
+          (Array.to_list (section.Campaign.Sections.tasks sweep))
+      in
+      task.Campaign.Sections.t_run ()
   in
-  let result =
-    Convergence.Experiments.multi_failure_study sweep ~flows:2 ~failures:2
-      ~gap:5.
-      Convergence.Engine_registry.[ dbf ]
-  in
-  match result with
-  | [ ("DBF", [ cell ]) ] ->
-    Alcotest.(check int) "degree" 4 cell.Convergence.Experiments.mc_degree;
-    Alcotest.(check bool) "delivery sane" true
-      (cell.Convergence.Experiments.mc_delivery_ratio > 0.5
-      && cell.Convergence.Experiments.mc_delivery_ratio <= 1.)
-  | _ -> Alcotest.fail "unexpected shape"
+  Alcotest.(check int) "degree" 4 cell.Campaign.Cell_result.degree;
+  match List.assoc_opt "delivery_ratio" cell.Campaign.Cell_result.extras with
+  | Some ratio ->
+    Alcotest.(check bool) "delivery sane" true (ratio > 0.5 && ratio <= 1.)
+  | None -> Alcotest.fail "no delivery_ratio extra"
 
 let test_rip_multi_failures_hurt_more_than_dbf () =
   (* Under two overlapping failures, RIP's delivery deficit dwarfs DBF's. *)

@@ -7,6 +7,17 @@
 
 (* ---------- engine: heap ---------- *)
 
+(* Pop every entry of an [Int_heap] as (time, seq, payload). *)
+let drain_heap h =
+  let slot = Dessim.Int_heap.slot () and seq = ref 0 in
+  let rec go acc =
+    if Dessim.Int_heap.is_empty h then List.rev acc
+    else
+      let v = Dessim.Int_heap.pop_into h slot ~seq in
+      go ((slot.Dessim.Int_heap.slot_time, !seq, v) :: acc)
+  in
+  go []
+
 (* Pop order under mixed inserts: keys (time, seq) come out lexicographically
    nondecreasing, i.e. by time, FIFO within a time. *)
 let heap_pop_order =
@@ -14,16 +25,15 @@ let heap_pop_order =
     ~count:200
     QCheck.(list (int_bound 50))
     (fun times ->
-      let h = Dessim.Heap.create () in
+      let h = Dessim.Int_heap.create () in
       List.iteri
-        (fun seq t -> Dessim.Heap.add h ~time:(float_of_int t) ~seq seq)
+        (fun seq t -> Dessim.Int_heap.add h ~time:(float_of_int t) ~seq seq)
         times;
-      let rec drain prev =
-        match Dessim.Heap.pop h with
-        | None -> true
-        | Some (t, seq, _) -> (t, seq) > prev && drain (t, seq)
+      let rec increasing prev = function
+        | [] -> true
+        | (t, seq, _) :: rest -> (t, seq) > prev && increasing (t, seq) rest
       in
-      drain (neg_infinity, -1))
+      increasing (neg_infinity, -1) (drain_heap h))
 
 let heap_stability =
   QCheck.Test.make
@@ -32,24 +42,21 @@ let heap_stability =
     (fun times ->
       (* Many duplicate timestamps; payload = insertion index. Within each
          timestamp, payloads must come out in insertion order. *)
-      let h = Dessim.Heap.create () in
+      let h = Dessim.Int_heap.create () in
       List.iteri
-        (fun seq t -> Dessim.Heap.add h ~time:(float_of_int t) ~seq seq)
+        (fun seq t -> Dessim.Int_heap.add h ~time:(float_of_int t) ~seq seq)
         times;
       let by_time = Hashtbl.create 8 in
-      let ok = ref true in
-      let rec drain () =
-        match Dessim.Heap.pop h with
-        | None -> ()
-        | Some (t, _, payload) ->
-          (match Hashtbl.find_opt by_time t with
-          | Some last when payload <= last -> ok := false
-          | _ -> ());
+      List.for_all
+        (fun (t, _, payload) ->
+          let ok =
+            match Hashtbl.find_opt by_time t with
+            | Some last -> payload > last
+            | None -> true
+          in
           Hashtbl.replace by_time t payload;
-          drain ()
-      in
-      drain ();
-      !ok)
+          ok)
+        (drain_heap h))
 
 (* ---------- engine: scheduler ---------- *)
 

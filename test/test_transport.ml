@@ -108,18 +108,25 @@ let test_rip_stalls_longer_than_dbf () =
     true (rip > dbf_t)
 
 let test_transport_study_shape () =
-  let sweep = Convergence.Experiments.{ degrees = [ 4 ]; runs = 2; base = quick } in
-  let result =
-    Convergence.Experiments.transport_study sweep
-      ~transport:(tc ~total:2000 ())
-      Convergence.Engine_registry.[ dbf ]
+  (* One DBF cell of the ext-transport campaign section: a go-back-N
+     transfer crossing the failure. *)
+  let cell =
+    match Campaign.Sections.find "ext-transport" with
+    | None -> Alcotest.fail "no ext-transport section"
+    | Some section ->
+      let sweep = Convergence.Experiments.{ degrees = [ 4 ]; runs = 1; base = quick } in
+      let task =
+        List.find
+          (fun t -> t.Campaign.Sections.t_protocol = "DBF")
+          (Array.to_list (section.Campaign.Sections.tasks sweep))
+      in
+      task.Campaign.Sections.t_run ()
   in
-  match result with
-  | [ ("DBF", [ cell ]) ] ->
-    Alcotest.(check int) "degree" 4 cell.Convergence.Experiments.tr_degree;
-    Alcotest.(check bool) "completion positive" true
-      (cell.Convergence.Experiments.tr_completion > 0.)
-  | _ -> Alcotest.fail "unexpected shape"
+  Alcotest.(check int) "degree" 4 cell.Campaign.Cell_result.degree;
+  match List.assoc_opt "completion_s" cell.Campaign.Cell_result.extras with
+  | Some completion ->
+    Alcotest.(check bool) "completion positive" true (completion > 0.)
+  | None -> Alcotest.fail "no completion_s extra"
 
 let () =
   Alcotest.run "transport"
