@@ -3,11 +3,16 @@
    ordering, severity classification, JSON encoding, or the simulation's
    deterministic behavior shows up here as a diff.
 
-   Two cells are covered:
+   Four cells are covered:
    - a 3x3 RIP failure scenario (the original seed cell);
    - a 4x4 DBF cell with a CBR-heavy traffic window, pinning the per-packet
      injection times and delivery order of the flow pacer (the engine's
-     batched CBR path must emit exactly these sends and arrivals).
+     batched CBR path must emit exactly these sends and arrivals);
+   - a 3x3 BGP-3 cell with 5% control loss under the reliable control
+     transport, fast reroute on, a pinned healing failure and a flap on a
+     different link: the Rtx, FRR and fault-schedule event streams;
+   - a 4x4 DBF go-back-N transfer crossing a failure: the transfer's sends,
+     deliveries, retransmissions and drops.
 
    The [Sched] category is deliberately excluded (its [cpu_s] field is
    wall-clock) and the severity floor is [Info] (per-hop forwarding and timer
@@ -21,7 +26,15 @@ let rip_golden_path = "golden/rip_3x3.jsonl"
 
 let cbr_golden_path = "golden/dbf_cbr_4x4.jsonl"
 
-let trace_of cfg engine =
+let bgp_golden_path = "golden/bgp3_rtx_frr_3x3.jsonl"
+
+let transfer_golden_path = "golden/dbf_transfer_4x4.jsonl"
+
+module E = Convergence.Engine_registry
+module R = Convergence.Runner
+
+(* The JSONL a run writes through a Data/Control/Env, Info-floor trace. *)
+let traced run =
   let buf = Buffer.create 4096 in
   let sink =
     Obs.Sink.jsonl_writer (fun line ->
@@ -33,9 +46,11 @@ let trace_of cfg engine =
       ~categories:[ Obs.Event.Data; Obs.Event.Control; Obs.Event.Env ]
       ~min_severity:Obs.Event.Info sink
   in
-  let _ = Convergence.Engine_registry.run ~trace cfg engine in
+  run trace;
   Obs.Trace.close trace;
   Buffer.contents buf
+
+let trace_of cfg engine = traced (fun trace -> ignore (E.run ~trace cfg engine))
 
 let rip_trace () =
   let cfg =
@@ -73,6 +88,64 @@ let cbr_trace () =
     }
   in
   trace_of cfg Convergence.Engine_registry.dbf
+
+(* BGP-3 with every optional layer engaged at once. The failure (0-1, on the
+   0 -> 8 path, healed after 10 s) and the flap (4-5, two 2 s cycles) are
+   distinct links, so each link has a single down cause at any time. *)
+let bgp_trace () =
+  let cfg =
+    {
+      Convergence.Config.quick with
+      rows = 3;
+      cols = 3;
+      degree = 4;
+      send_rate_pps = 5.;
+      traffic_start = 30.;
+      warmup = 30.;
+      failure_time = 35.;
+      sim_end = 60.;
+      seed = 3;
+    }
+  in
+  let faults =
+    {
+      (Fault.Spec.control_loss 0.05) with
+      Fault.Spec.flaps =
+        [
+          Fault.Schedule.flap ~link:(Fault.Schedule.Edge (4, 5)) ~start:40.
+            ~cycles:2 ~down:2. ~up:2. ();
+        ];
+    }
+  in
+  let flows = [ { R.default_flow with flow_src = Some 0; flow_dst = Some 8 } ] in
+  let failures =
+    [ { R.fail_at = 35.; target = R.Link (0, 1); heal_after = Some 10. } ]
+  in
+  traced (fun trace ->
+      ignore (E.run_multi ~faults ~frr:true ~trace ~flows ~failures cfg E.bgp3))
+
+(* A 300-packet, window-8 DBF transfer whose path fails 2 s in. *)
+let transfer_trace () =
+  let cfg =
+    {
+      Convergence.Config.quick with
+      rows = 4;
+      cols = 4;
+      degree = 4;
+      traffic_start = 20.;
+      warmup = 20.;
+      failure_time = 22.;
+      sim_end = 40.;
+      seed = 11;
+    }
+  in
+  let tc =
+    { R.default_transport with window = 8; rto = 0.5; total_packets = 300 }
+  in
+  let failures =
+    [ { R.fail_at = 22.; target = R.Flow_path 0; heal_after = None } ]
+  in
+  traced (fun trace -> ignore (E.run_transport ~trace ~failures tc cfg E.dbf))
 
 let read_file path =
   let ic = open_in_bin path in
@@ -117,6 +190,11 @@ let test_rip_golden () = check_golden ~golden_path:rip_golden_path (rip_trace ()
 
 let test_cbr_golden () = check_golden ~golden_path:cbr_golden_path (cbr_trace ())
 
+let test_bgp_golden () = check_golden ~golden_path:bgp_golden_path (bgp_trace ())
+
+let test_transfer_golden () =
+  check_golden ~golden_path:transfer_golden_path (transfer_trace ())
+
 let test_golden_replays path () =
   (* The committed trace must round-trip through the replay decoder with no
      skipped lines and internally consistent packet accounting. *)
@@ -140,5 +218,18 @@ let () =
           Alcotest.test_case "trace matches byte-for-byte" `Quick test_cbr_golden;
           Alcotest.test_case "trace replays cleanly" `Quick
             (test_golden_replays cbr_golden_path);
+        ] );
+      ( "bgp-3 rtx frr 3x3",
+        [
+          Alcotest.test_case "trace matches byte-for-byte" `Quick test_bgp_golden;
+          Alcotest.test_case "trace replays cleanly" `Quick
+            (test_golden_replays bgp_golden_path);
+        ] );
+      ( "dbf transfer 4x4",
+        [
+          Alcotest.test_case "trace matches byte-for-byte" `Quick
+            test_transfer_golden;
+          Alcotest.test_case "trace replays cleanly" `Quick
+            (test_golden_replays transfer_golden_path);
         ] );
     ]
