@@ -23,7 +23,6 @@ let () =
       send_rate_pps = 100.;
     }
   in
-  let module R = Convergence.Runner.Make (Protocols.Dbf) in
   let normalized t = t -. cfg.Convergence.Config.failure_time in
   Fmt.pr
     "4x4 mesh, degree 4. Flow 0 -> 15. A randomly chosen link on the flow's@.\
@@ -52,7 +51,10 @@ let () =
   let trace =
     Obs.Trace.create ~categories:[ Obs.Event.Env ] (Obs.Sink.callback narrate)
   in
-  let run = R.run ~src:0 ~dst:15 ~trace cfg Protocols.Dbf.default_config in
+  let run =
+    Convergence.Engine_registry.run ~src:0 ~dst:15 ~trace cfg
+      Convergence.Engine_registry.dbf
+  in
   Fmt.pr "@.Packet accounting over the whole run:@.%a@.@."
     Convergence.Report.run_details run;
   Fmt.pr

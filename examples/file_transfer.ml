@@ -12,12 +12,17 @@
 
 let cfg = Convergence.Config.quick
 
-let transport =
+let transfer =
   {
-    Convergence.Runner.default_transport with
-    window = 16;
-    rto = 0.5;
-    total_packets = 8000;
+    Convergence.Runner.default_flow with
+    flow_traffic =
+      Convergence.Runner.Transfer
+        {
+          Convergence.Runner.default_transport with
+          window = 16;
+          rto = 0.5;
+          total_packets = 8000;
+        };
   }
 
 let failure =
@@ -29,19 +34,24 @@ let failure =
 
 let show engine =
   let name = Convergence.Engine_registry.name engine in
+  let m =
+    Convergence.Engine_registry.run_multi ~flows:[ transfer ]
+      ~failures:[ failure ] cfg engine
+  in
   let o =
-    Convergence.Engine_registry.run_transport ~failures:[ failure ] transport
-      cfg engine
+    match m.Convergence.Metrics.m_flows with
+    | [ { Convergence.Metrics.f_transfer = Some o; _ } ] -> o
+    | _ -> assert false
   in
   let finish =
-    match o.Convergence.Runner.t_completed_at with
+    match o.Convergence.Metrics.t_completed_at with
     | Some t -> Printf.sprintf "%.1f s" (t -. cfg.Convergence.Config.traffic_start)
     | None -> "did not finish"
   in
   Fmt.pr "%-6s completion: %-14s retransmissions: %3d@." name finish
-    o.Convergence.Runner.t_retransmissions;
+    o.Convergence.Metrics.t_retransmissions;
   (* Render the goodput dip around the failure. *)
-  let g = o.Convergence.Runner.t_goodput in
+  let g = o.Convergence.Metrics.t_goodput in
   let failure_bucket =
     match
       Dessim.Series.bucket_of_time g cfg.Convergence.Config.failure_time

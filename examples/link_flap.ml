@@ -12,14 +12,8 @@
 
 let run_engine name (engine : Convergence.Engine_registry.t) =
   let cfg = { Convergence.Config.quick with send_rate_pps = 100. } in
-  let module E = Convergence.Engine_registry in
   let restore_after = 40. in
-  let r =
-    match engine with
-    | E.Engine ((module P), pcfg, label) ->
-      let module R = Convergence.Runner.Make (P) in
-      R.run ~label ~restore_after cfg pcfg
-  in
+  let r = Convergence.Engine_registry.run ~restore_after cfg engine in
   Fmt.pr "@.%s, link restored %.0f s after the failure:@." name restore_after;
   Fmt.pr "  drops: no-route %d, link %d; final path %a@."
     r.Convergence.Metrics.drops_no_route r.Convergence.Metrics.drops_link

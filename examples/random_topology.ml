@@ -29,16 +29,7 @@ let run_on alpha seed =
   let src, dst = most_distant_pair topo in
   let cfg = { Convergence.Config.quick with seed; send_rate_pps = 100. } in
   let one engine =
-    let module E = Convergence.Engine_registry in
-    let r =
-      match engine with
-      | `Dbf ->
-        let module R = Convergence.Runner.Make (Protocols.Dbf) in
-        R.run ~topology:topo ~src ~dst cfg Protocols.Dbf.default_config
-      | `Bgp3 ->
-        let module R = Convergence.Runner.Make (Protocols.Bgp) in
-        R.run ~label:"BGP-3" ~topology:topo ~src ~dst cfg Protocols.Bgp.fast_config
-    in
+    let r = Convergence.Engine_registry.run ~topology:topo ~src ~dst cfg engine in
     Fmt.pr
       "  %-6s drops: no-route %4d, ttl %3d | fwd conv %5.2f s | routing conv %6.2f s@."
       r.Convergence.Metrics.protocol r.Convergence.Metrics.drops_no_route
@@ -50,8 +41,8 @@ let run_on alpha seed =
     (Netsim.Topology.edge_count topo)
     (2. *. float_of_int (Netsim.Topology.edge_count topo) /. 49.)
     src dst;
-  one `Dbf;
-  one `Bgp3
+  one Convergence.Engine_registry.dbf;
+  one Convergence.Engine_registry.bgp3
 
 let () =
   List.iter

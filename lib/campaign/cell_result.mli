@@ -24,8 +24,8 @@ type series = {
   s_sums : float array;  (** per-bucket sample sums *)
 }
 (** A windowed slice of a {!Dessim.Series.t}, kept as raw (count, sum) pairs
-    so that merging cells can average them exactly: accumulate, then scale
-    by [1/runs]. *)
+    so that merging cells can average them exactly: sum the seeds' pairs
+    bucket by bucket, then divide by [runs]. *)
 
 type t = {
   protocol : string;

@@ -441,13 +441,18 @@ let ext_multiflow =
 
 (* A go-back-N transfer sized to span the failure comfortably at the
    window-limited rate (~100 pps on these paths). *)
-let transport_config =
-  { R.default_transport with window = 16; rto = 0.5; total_packets = 8000 }
+let transport_flow =
+  {
+    R.default_flow with
+    flow_traffic =
+      R.Transfer
+        { R.default_transport with window = 16; rto = 0.5; total_packets = 8000 };
+  }
 
 (* Seconds of zero goodput in the minute after the failure, stopping at
    transfer completion: zero goodput after the last ack is not a stall. *)
-let stall_seconds (cfg : C.t) (o : R.transport_outcome) =
-  let g = o.R.t_goodput in
+let stall_seconds (cfg : C.t) (o : M.transfer) =
+  let g = o.M.t_goodput in
   let count = ref 0 in
   let from_bucket =
     match Dessim.Series.bucket_of_time g cfg.C.failure_time with
@@ -455,7 +460,7 @@ let stall_seconds (cfg : C.t) (o : R.transport_outcome) =
     | None -> 0
   in
   let horizon =
-    match o.R.t_completed_at with
+    match o.M.t_completed_at with
     | Some t -> (
       match Dessim.Series.bucket_of_time g t with
       | Some b -> b
@@ -472,16 +477,21 @@ let transport_cell cfg engine =
   let failures =
     [ { R.fail_at = cfg.C.failure_time; target = R.Flow_path 0; heal_after = None } ]
   in
-  let o = E.run_transport ~failures transport_config cfg engine in
-  let finish = Option.value o.R.t_completed_at ~default:cfg.C.sim_end in
+  let m = E.run_multi ~flows:[ transport_flow ] ~failures cfg engine in
+  let o =
+    match m.M.m_flows with
+    | [ { M.f_transfer = Some o; _ } ] -> o
+    | _ -> invalid_arg "transport_cell: expected one transfer flow"
+  in
+  let finish = Option.value o.M.t_completed_at ~default:cfg.C.sim_end in
   Cell_result.of_multi
     ~extras:
       [
         ("completion_s", finish -. cfg.C.traffic_start);
-        ("retransmissions", float_of_int o.R.t_retransmissions);
+        ("retransmissions", float_of_int o.M.t_retransmissions);
         ("stall_s", stall_seconds cfg o);
       ]
-    o.R.t_multi
+    m
 
 let ext_transport =
   {
@@ -1189,6 +1199,16 @@ let sweep_for t ~full sweep =
     X.scale ~runs:(min 5 sweep.X.runs)
       ~degrees:(List.filter (fun d -> d >= 3 && d <= 6) sweep.X.degrees) sweep
   | _ -> ablation_scale ~full sweep
+
+(* The sections whose cells ignore the sweep's [degrees] and [runs], and the
+   axis each sweeps instead: scenarios and perf build their cells from the
+   sweep's base config alone, and [sweep_for] overwrites both topo axes. *)
+let fixed_axis t =
+  match t.family with
+  | "scenarios" -> Some "one cell per engine at the base degree and seed"
+  | "perf" -> Some "mesh sizes of 25, 49 and 100 nodes, one seed each"
+  | "topo" -> Some "node counts 49, 256 and 1024 (and 4096 in full mode), one seed each"
+  | _ -> None
 
 (* ---------- registry ---------- *)
 

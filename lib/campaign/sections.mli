@@ -56,6 +56,13 @@ val sweep_for :
     {!ablation_scale} of it for ablations and extensions. Callers (bench and
     the CLI) use this so both always agree on cell decomposition. *)
 
+val fixed_axis : t -> string option
+(** [fixed_axis section] is [Some axis] for the sections whose cells ignore
+    the sweep's [degrees] and [runs] — [scenarios], [perf] and [topo] — naming
+    the axis they sweep instead; [None] for every other section. The CLI
+    rejects [--degrees] and [--runs] for these sections rather than let the
+    flags change only the cache key. *)
+
 val all : t list
 (** Every artifact-backed section, in registry order: [fig3], [fig4],
     [fig5], [fig6], [fig7], [overhead], [scenarios], [ablation-mrai],

@@ -35,20 +35,25 @@ let find label =
   let target = String.lowercase_ascii label in
   List.find_opt (fun e -> String.lowercase_ascii (name e) = target) all
 
-let run ?topology ?faults ?frr ?src ?dst ?trace ?monitors ?metrics ?on_quiesce
-    ?fail_link ?restore_after cfg (Engine ((module P), pcfg, label)) =
-  let module R = Runner.Make (P) in
-  R.run ~label ?topology ?faults ?frr ?src ?dst ?trace ?monitors ?metrics
-    ?on_quiesce ?fail_link ?restore_after cfg pcfg
-
 let run_multi ?topology ?faults ?frr ?trace ?monitors ?metrics ?on_quiesce
     ~flows ~failures cfg (Engine ((module P), pcfg, label)) =
   let module R = Runner.Make (P) in
   R.run_multi ~label ?topology ?faults ?frr ?trace ?monitors ?metrics
     ?on_quiesce ~flows ~failures cfg pcfg
 
-let run_transport ?topology ?faults ?frr ?trace ?metrics ?src ?dst ~failures tc
-    cfg (Engine ((module P), pcfg, label)) =
-  let module R = Runner.Make (P) in
-  R.run_transport ~label ?topology ?faults ?frr ?trace ?metrics ?src ?dst
-    ~failures tc cfg pcfg
+let run ?topology ?faults ?frr ?src ?dst ?trace ?monitors ?metrics ?on_quiesce
+    ?fail_link ?restore_after (cfg : Config.t) engine =
+  let flow = { Runner.default_flow with flow_src = src; flow_dst = dst } in
+  let failure =
+    {
+      Runner.fail_at = cfg.Config.failure_time;
+      target =
+        (match fail_link with
+        | Some (u, v) -> Runner.Link (u, v)
+        | None -> Runner.Flow_path 0);
+      heal_after = restore_after;
+    }
+  in
+  Metrics.run_of_multi
+    (run_multi ?topology ?faults ?frr ?trace ?monitors ?metrics ?on_quiesce
+       ~flows:[ flow ] ~failures:[ failure ] cfg engine)

@@ -39,6 +39,22 @@ val all : t list
 val find : string -> t option
 (** Case-insensitive lookup by display name. *)
 
+val run_multi :
+  ?topology:Netsim.Topology.t ->
+  ?faults:Fault.Spec.t ->
+  ?frr:bool ->
+  ?trace:Obs.Trace.t ->
+  ?monitors:Obs.Sink.t list ->
+  ?metrics:Obs.Registry.t ->
+  ?on_quiesce:(Runner.routing_view -> unit) ->
+  flows:Runner.flow_spec list ->
+  failures:Runner.failure_spec list ->
+  Config.t ->
+  t ->
+  Metrics.multi
+(** Execute a scenario under the given engine: {!Runner.Make.run_multi}
+    labelled with the engine's name. *)
+
 val run :
   ?topology:Netsim.Topology.t ->
   ?faults:Fault.Spec.t ->
@@ -54,36 +70,7 @@ val run :
   Config.t ->
   t ->
   Metrics.run
-(** Execute the paper's single-flow scenario under the given engine. [?trace],
-    [?monitors], [?metrics] and [?on_quiesce] are forwarded to
-    {!Runner.Make.run}. *)
-
-val run_multi :
-  ?topology:Netsim.Topology.t ->
-  ?faults:Fault.Spec.t ->
-  ?frr:bool ->
-  ?trace:Obs.Trace.t ->
-  ?monitors:Obs.Sink.t list ->
-  ?metrics:Obs.Registry.t ->
-  ?on_quiesce:(Runner.routing_view -> unit) ->
-  flows:Runner.flow_spec list ->
-  failures:Runner.failure_spec list ->
-  Config.t ->
-  t ->
-  Metrics.multi
-(** Execute a multi-flow, multi-failure scenario under the given engine. *)
-
-val run_transport :
-  ?topology:Netsim.Topology.t ->
-  ?faults:Fault.Spec.t ->
-  ?frr:bool ->
-  ?trace:Obs.Trace.t ->
-  ?metrics:Obs.Registry.t ->
-  ?src:Netsim.Types.node_id ->
-  ?dst:Netsim.Types.node_id ->
-  failures:Runner.failure_spec list ->
-  Runner.transport_config ->
-  Config.t ->
-  t ->
-  Runner.transport_outcome
-(** Execute a reliable-transport transfer under the given engine. *)
+(** The paper's single-flow scenario: {!run_multi} with one CBR flow
+    ([?src]/[?dst], random first-row and last-row routers by default) and one
+    failure at [cfg.failure_time] on that flow's path (or on [?fail_link]),
+    healed after [?restore_after] (never, by default). *)

@@ -31,8 +31,6 @@ let cycle_of_visits visits =
   in
   hunt [] visits
 
-let cycle_of_packet visits = cycle_of_visits visits
-
 let cycle_of_path = function
   | Observer.Looping p -> cycle_of_visits p
   | Observer.Complete _ | Observer.Broken _ -> None

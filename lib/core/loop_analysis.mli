@@ -3,7 +3,7 @@
     The paper's methodology (Section 2): "studying the forwarding and routing
     trace files, thus we can identify the causes of routing loops in each
     circumstance". This module extracts the cycle a sampled forwarding path
-    (or an individual packet's journey) is caught in. The runner turns cycle
+    is caught in. The runner turns cycle
     changes into [Loop_enter]/[Loop_exit] trace events, and
     [Obs.Replay.loop_report] pairs those into episodes — the paper's point
     that looping duration (lengthened by damping/MRAI timers) is what turns a
@@ -13,7 +13,3 @@ val cycle_of_path : Observer.path_result -> Netsim.Types.node_id list option
 (** [cycle_of_path p] is the normalized cycle when [p] is [Looping], [None]
     otherwise. A cycle is normalized to start at its smallest id, in
     forwarding order; e.g. [[2; 7; 12]] means 2 -> 7 -> 12 -> 2. *)
-
-val cycle_of_packet : Netsim.Types.node_id list -> Netsim.Types.node_id list option
-(** [cycle_of_packet visits] extracts the first cycle from a packet's visited
-    routers (in travel order), if it revisited one. *)

@@ -53,6 +53,14 @@ let pp_run ppf r =
     r.final_path
     (if r.final_path_complete then "" else " (incomplete)")
 
+type transfer = {
+  t_completed : int;
+  t_retransmissions : int;
+  t_duplicates : int;
+  t_completed_at : float option;
+  t_goodput : Dessim.Series.t;
+}
+
 type flow = {
   f_src : Netsim.Types.node_id;
   f_dst : Netsim.Types.node_id;
@@ -72,6 +80,7 @@ type flow = {
   f_pre_failure_path : Netsim.Types.node_id list;
   f_final_path : Netsim.Types.node_id list;
   f_final_path_complete : bool;
+  f_transfer : transfer option;
 }
 
 type multi = {

@@ -63,6 +63,17 @@ val pp_run : run Fmt.t
     such run: per-flow delivery outcomes plus run-global control-plane
     accounting. *)
 
+type transfer = {
+  t_completed : int;  (** packets acknowledged in order *)
+  t_retransmissions : int;
+  t_duplicates : int;  (** data packets that arrived more than once *)
+  t_completed_at : float option;
+      (** when the whole transfer finished, if it did *)
+  t_goodput : Dessim.Series.t;
+      (** newly acknowledged packets per 1 s bucket, at the sender *)
+}
+(** What a go-back-N transfer achieved, beyond its flow's packet fates. *)
+
 type flow = {
   f_src : Netsim.Types.node_id;
   f_dst : Netsim.Types.node_id;
@@ -82,6 +93,7 @@ type flow = {
   f_pre_failure_path : Netsim.Types.node_id list;
   f_final_path : Netsim.Types.node_id list;
   f_final_path_complete : bool;
+  f_transfer : transfer option;  (** [Some _] for transfer flows *)
 }
 
 type multi = {

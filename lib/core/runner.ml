@@ -8,15 +8,27 @@ let msg_kind_of = function
   | Protocols.Proto_intf.Withdrawal -> Obs.Event.Withdrawal
   | Protocols.Proto_intf.Mixed -> Obs.Event.Mixed
 
+type transport_config = {
+  window : int;
+  rto : float;
+  total_packets : int;
+  ack_bytes : int;
+}
+
+let default_transport =
+  { window = 16; rto = 1.; total_packets = 0; ack_bytes = 40 }
+
+type traffic = Cbr of float option | Transfer of transport_config
+
 type flow_spec = {
   flow_src : Netsim.Types.node_id option;
   flow_dst : Netsim.Types.node_id option;
-  flow_rate : float option;
+  flow_traffic : traffic;
   flow_start : float option;
 }
 
 let default_flow =
-  { flow_src = None; flow_dst = None; flow_rate = None; flow_start = None }
+  { flow_src = None; flow_dst = None; flow_traffic = Cbr None; flow_start = None }
 
 type failure_target =
   | Flow_path of int
@@ -27,13 +39,6 @@ type failure_spec = {
   fail_at : float;
   target : failure_target;
   heal_after : float option;
-}
-
-type transport_config = {
-  window : int;
-  rto : float;
-  total_packets : int;
-  ack_bytes : int;
 }
 
 (* A protocol-agnostic snapshot of the control plane at the end of a run,
@@ -54,23 +59,12 @@ type routing_view = {
       (* installed fast-reroute backup next hops; [None] when frr is off *)
 }
 
-let default_transport =
-  { window = 16; rto = 1.; total_packets = 0; ack_bytes = 40 }
-
-type transport_outcome = {
-  t_completed : int;
-  t_retransmissions : int;
-  t_duplicates : int;
-  t_completed_at : float option;
-  t_goodput : Dessim.Series.t;
-  t_multi : Metrics.multi;
-}
-
 module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
   (* Every data packet carries a handler deciding what its delivery or loss
-     means: CBR flows count packets, transport endpoints run their protocol
-     logic. The handler rides in the payload itself, so forwarding never
-     touches a lookup table. *)
+     means: a flow's packets are counted, a transfer's data packets then run
+     the receiver's logic, and its ACKs run only the sender's. The handler
+     rides in the payload itself, so forwarding never touches a lookup
+     table. *)
   type packet_handler = {
     h_deliver : Netsim.Packet.t -> unit;
     h_drop : Netsim.Packet.t -> Netsim.Types.drop_reason -> unit;
@@ -93,7 +87,7 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
     idx : int;
     src : Netsim.Types.node_id;
     dst : Netsim.Types.node_id;
-    rate : float;
+    traffic : traffic;
     start : float;
     mutable sent : int;
     mutable delivered : int;
@@ -110,6 +104,7 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
     mutable pre_failure_path : Netsim.Types.node_id list;
     mutable loop_since : (float * Netsim.Types.node_id list) option;
         (* the sampled path is currently inside this cycle, since this time *)
+    mutable transfer : Metrics.transfer option;  (* [Transfer] flows only *)
   }
 
   type state = {
@@ -717,44 +712,47 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
     forward st src (Data d) d;
     id
 
-  let start_traffic st (f : flow_state) =
+  (* The per-flow accounting every data packet of flow [f] goes through:
+     counters, series and delay histogram, then the trace event. *)
+  let flow_handler st (f : flow_state) =
+    {
+      h_deliver =
+        (fun p ->
+          let now = Dessim.Scheduler.now st.sched in
+          f.delivered <- f.delivered + 1;
+          Dessim.Series.add f.throughput ~time:now 1.;
+          let delay = now -. p.Netsim.Packet.sent_at in
+          Dessim.Series.add f.delay ~time:now delay;
+          (match st.delay_hist with
+          | Some h -> Obs.Registry.observe h delay
+          | None -> ());
+          let looped = Netsim.Packet.looped p in
+          if looped then f.looped_delivered <- f.looped_delivered + 1;
+          if tracing st Obs.Event.Data then
+            emit st
+              (Obs.Event.Packet_delivered
+                 { flow = f.idx; pkt = p.Netsim.Packet.id; delay; looped }));
+      h_drop =
+        (fun p reason ->
+          (match reason with
+          | Netsim.Types.No_route -> f.drops_no_route <- f.drops_no_route + 1
+          | Netsim.Types.Ttl_expired -> f.drops_ttl <- f.drops_ttl + 1
+          | Netsim.Types.Queue_overflow -> f.drops_queue <- f.drops_queue + 1
+          | Netsim.Types.Link_down -> f.drops_link <- f.drops_link + 1
+          | Netsim.Types.Injected_loss | Netsim.Types.Corrupted ->
+            f.drops_injected <- f.drops_injected + 1);
+          let looped = Netsim.Packet.looped p in
+          if looped then f.looped_dropped <- f.looped_dropped + 1;
+          if tracing st Obs.Event.Data then
+            emit st
+              (Obs.Event.Packet_dropped
+                 { flow = f.idx; pkt = p.Netsim.Packet.id; reason; looped }));
+    }
+
+  let start_cbr st (f : flow_state) rate =
     let cfg = st.cfg in
-    let interval = 1. /. f.rate in
-    let handler =
-      {
-        h_deliver =
-          (fun p ->
-            let now = Dessim.Scheduler.now st.sched in
-            f.delivered <- f.delivered + 1;
-            Dessim.Series.add f.throughput ~time:now 1.;
-            let delay = now -. p.Netsim.Packet.sent_at in
-            Dessim.Series.add f.delay ~time:now delay;
-            (match st.delay_hist with
-            | Some h -> Obs.Registry.observe h delay
-            | None -> ());
-            let looped = Netsim.Packet.looped p in
-            if looped then f.looped_delivered <- f.looped_delivered + 1;
-            if tracing st Obs.Event.Data then
-              emit st
-                (Obs.Event.Packet_delivered
-                   { flow = f.idx; pkt = p.Netsim.Packet.id; delay; looped }));
-        h_drop =
-          (fun p reason ->
-            (match reason with
-            | Netsim.Types.No_route -> f.drops_no_route <- f.drops_no_route + 1
-            | Netsim.Types.Ttl_expired -> f.drops_ttl <- f.drops_ttl + 1
-            | Netsim.Types.Queue_overflow -> f.drops_queue <- f.drops_queue + 1
-            | Netsim.Types.Link_down -> f.drops_link <- f.drops_link + 1
-            | Netsim.Types.Injected_loss | Netsim.Types.Corrupted ->
-              f.drops_injected <- f.drops_injected + 1);
-            let looped = Netsim.Packet.looped p in
-            if looped then f.looped_dropped <- f.looped_dropped + 1;
-            if tracing st Obs.Event.Data then
-              emit st
-                (Obs.Event.Packet_dropped
-                   { flow = f.idx; pkt = p.Netsim.Packet.id; reason; looped }));
-      }
-    in
+    let interval = 1. /. rate in
+    let handler = flow_handler st f in
     (* One self-rescheduling pacer closure for the flow's whole life: with
        [fire_after] (no handle, recycled event cell) the steady-state cost of
        a CBR tick is the packet itself. *)
@@ -769,6 +767,143 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
       end
     in
     Dessim.Scheduler.fire_at st.sched ~at:f.start send_one
+
+  (* Sender/receiver pair implementing a fixed-size sliding window with
+     cumulative ACKs and go-back-to-base timeout retransmission — the "simple
+     flow control with a maximal window size and retransmission after
+     timeout" workload of Shankar et al. (the paper's reference [25]), and a
+     first step toward the paper's future-work TCP study. Data packets go
+     through the flow's accounting before the receiver sees them; ACKs are
+     anonymous and uncounted. *)
+  let start_transfer st (f : flow_state) (tc : transport_config) =
+    if tc.window <= 0 then invalid_arg "Runner: transport window";
+    if tc.rto <= 0. then invalid_arg "Runner: transport rto";
+    let goodput =
+      let buckets =
+        int_of_float (Float.ceil (st.cfg.Config.sim_end -. f.start)) |> max 1
+      in
+      Dessim.Series.create ~start:f.start ~width:1. ~buckets
+    in
+    f.transfer <-
+      Some
+        {
+          Metrics.t_completed = 0;
+          t_retransmissions = 0;
+          t_duplicates = 0;
+          t_completed_at = None;
+          t_goodput = goodput;
+        };
+    let update g = f.transfer <- Option.map g f.transfer in
+    let accounting = flow_handler st f in
+    (* Sender state. *)
+    let send_base = ref 0 in
+    let next_seq = ref 0 in
+    let rto_handle = ref None in
+    (* Receiver state. *)
+    let rcv_next = ref 0 in
+    let out_of_order = Hashtbl.create 64 in
+    let cancel_rto () =
+      match !rto_handle with
+      | Some h ->
+        Dessim.Scheduler.cancel h;
+        rto_handle := None
+      | None -> ()
+    in
+    let finished () = tc.total_packets > 0 && !send_base >= tc.total_packets in
+    let limit () =
+      if tc.total_packets > 0 then min tc.total_packets (!send_base + tc.window)
+      else !send_base + tc.window
+    in
+    let null_drop _ _ = () in
+    let rec send_ack () =
+      (* Cumulative ACK: the handler closes over [rcv_next] (the simulator's
+         packets have no payload field). *)
+      let cum = !rcv_next in
+      let handler =
+        { h_deliver = (fun _ -> on_ack cum); h_drop = null_drop }
+      in
+      ignore
+        (launch_packet st ~handler ~src:f.dst ~dst:f.src
+           ~size_bits:(8 * tc.ack_bytes) ())
+    and on_data seq =
+      if seq = !rcv_next then begin
+        incr rcv_next;
+        while Hashtbl.mem out_of_order !rcv_next do
+          Hashtbl.remove out_of_order !rcv_next;
+          incr rcv_next
+        done
+      end
+      else if seq > !rcv_next then Hashtbl.replace out_of_order seq ()
+      else
+        update (fun t ->
+            { t with Metrics.t_duplicates = t.Metrics.t_duplicates + 1 });
+      send_ack ()
+    and send_data ~retransmit seq =
+      if retransmit then
+        update (fun t ->
+            { t with Metrics.t_retransmissions = t.Metrics.t_retransmissions + 1 });
+      f.sent <- f.sent + 1;
+      let handler =
+        {
+          accounting with
+          h_deliver =
+            (fun p ->
+              accounting.h_deliver p;
+              on_data seq);
+        }
+      in
+      ignore
+        (launch_packet st ~flow:f.idx ~handler ~src:f.src ~dst:f.dst
+           ~size_bits:(8 * st.cfg.Config.data_packet_bytes) ())
+    and arm_rto () =
+      cancel_rto ();
+      if not (finished ()) then
+        rto_handle :=
+          Some
+            (Dessim.Scheduler.after st.sched ~delay:tc.rto (fun () ->
+                 rto_handle := None;
+                 if not (finished ()) then begin
+                   (* Timeout: go-back-N — resend every outstanding packet,
+                      so one timeout after the route heals recovers the whole
+                      lost window in about one RTT. *)
+                   for seq = !send_base to !next_seq - 1 do
+                     send_data ~retransmit:true seq
+                   done;
+                   arm_rto ()
+                 end))
+    and fill_window () =
+      while !next_seq < limit () do
+        send_data ~retransmit:false !next_seq;
+        incr next_seq
+      done;
+      if !next_seq > !send_base && !rto_handle = None then arm_rto ()
+    and on_ack cum =
+      if cum > !send_base then begin
+        let now = Dessim.Scheduler.now st.sched in
+        let progress = cum - !send_base in
+        for _ = 1 to progress do
+          Dessim.Series.add goodput ~time:now 1.
+        done;
+        send_base := cum;
+        update (fun t ->
+            {
+              t with
+              Metrics.t_completed = cum;
+              t_completed_at =
+                (if finished () && t.Metrics.t_completed_at = None then Some now
+                 else t.Metrics.t_completed_at);
+            });
+        if finished () then cancel_rto () else arm_rto ();
+        fill_window ()
+      end
+    in
+    ignore (Dessim.Scheduler.schedule st.sched ~at:f.start fill_window)
+
+  let start_traffic st (f : flow_state) =
+    match f.traffic with
+    | Cbr rate ->
+      start_cbr st f (Option.value rate ~default:st.cfg.Config.send_rate_pps)
+    | Transfer tc -> start_transfer st f tc
 
   let path_link_candidates path =
     let rec pairs = function
@@ -809,62 +944,14 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
         | Some _ | None -> invalid_arg "Runner: no path between src and dst")
       | candidates -> Dessim.Rng.pick rng candidates)
 
-  let inject_failure st rng (spec : failure_spec) =
-    let cfg = st.cfg in
-    let act () =
-      (* The first failure defines the measurement origin: freeze every
-         flow's pre-failure path. *)
-      if st.first_failure_at = None then begin
-        st.first_failure_at <- Some (Dessim.Scheduler.now st.sched);
-        Array.iter
-          (fun f -> f.pre_failure_path <- Observer.nodes_of (sample_path st f))
-          st.flows
-      end;
-      let u, v = pick_failure_link st rng spec.target in
-      st.failed_links <- (u, v) :: st.failed_links;
-      if tracing st Obs.Event.Env then emit st (Obs.Event.Link_failed { u; v });
-      Netsim.Link.fail (link st u v);
-      Netsim.Link.fail (link st v u);
-      ignore
-        (Dessim.Scheduler.after st.sched ~delay:cfg.Config.detection_delay
-           (fun () ->
-             (* Guarded on physical state, like the flap path: a heal that
-                beat the detection delay is invisible to routing, and
-                detecting it anyway would take the link down with no
-                [on_link_up] to follow. *)
-             if not (Netsim.Link.is_up (link st u v)) then begin
-               frr_link_down st u v;
-               rtx_link_down st u v;
-               P.on_link_down st.routers.(u) ~neighbor:v;
-               P.on_link_down st.routers.(v) ~neighbor:u;
-               (* The failure may have changed the forwarding picture even
-                  if no best route changed yet (e.g. RIP still points at
-                  the dead link); sample so the history has a failure-time
-                  snapshot. *)
-               Array.iter (record_path_sample st) st.flows
-             end));
-      match spec.heal_after with
-      | None -> ()
-      | Some delay ->
-        ignore
-          (Dessim.Scheduler.after st.sched ~delay (fun () ->
-               if tracing st Obs.Event.Env then
-                 emit st (Obs.Event.Link_healed { u; v });
-               Netsim.Link.restore (link st u v);
-               Netsim.Link.restore (link st v u);
-               frr_link_up st u v;
-               rtx_link_up st u v;
-               P.on_link_up st.routers.(u) ~neighbor:v;
-               P.on_link_up st.routers.(v) ~neighbor:u))
-    in
-    ignore (Dessim.Scheduler.schedule st.sched ~at:spec.fail_at act)
+  (* ---------- link state ---------- *)
 
-  (* ---------- declarative fault schedules ---------- *)
-
-  (* Flap and crash schedules can down the same link concurrently (a flapping
-     link whose endpoint also crashes), so link state is refcounted per
-     undirected edge: the link physically fails on 0 -> 1 and heals on
-     1 -> 0, and every down/up cause just moves the count. *)
+  (* Every cause that takes a link down — a scheduled failure, a flap, an
+     endpoint crash — goes through this pair, and causes can overlap (two
+     failures on one link, a failure plus a flap), so link state is
+     refcounted per undirected edge: the link physically fails and is
+     detected on 0 -> 1 and heals on 1 -> 0; every other down/up just moves
+     the count. *)
   let down_ref st u v =
     let key = if u <= v then (u, v) else (v, u) in
     match Hashtbl.find_opt st.down_refs key with
@@ -878,6 +965,8 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
     let r = down_ref st u v in
     incr r;
     if !r = 1 then begin
+      (* The first failure defines the measurement origin: freeze every
+         flow's pre-failure path. *)
       if st.first_failure_at = None then begin
         st.first_failure_at <- Some (Dessim.Scheduler.now st.sched);
         Array.iter
@@ -891,14 +980,18 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
       ignore
         (Dessim.Scheduler.after st.sched ~delay:st.cfg.Config.detection_delay
            (fun () ->
-             (* Skip notification if the link already came back up: a flap
-                shorter than the detection delay is invisible to routing,
-                exactly like a real loss-of-signal debounce. *)
+             (* Skip notification if the link already came back up: an
+                outage shorter than the detection delay is invisible to
+                routing, exactly like a real loss-of-signal debounce. *)
              if !(down_ref st u v) > 0 then begin
                frr_link_down st u v;
                rtx_link_down st u v;
                P.on_link_down st.routers.(u) ~neighbor:v;
                P.on_link_down st.routers.(v) ~neighbor:u;
+               (* The failure may have changed the forwarding picture even
+                  if no best route changed yet (e.g. RIP still points at
+                  the dead link); sample so the history has a failure-time
+                  snapshot. *)
                Array.iter (record_path_sample st) st.flows
              end))
     end
@@ -917,6 +1010,23 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
         P.on_link_up st.routers.(v) ~neighbor:u
       end
     end
+
+  (* A failure picks its link when it fires ([Flow_path] targets the flow's
+     path at that instant) and holds it down for [heal_after], or for the
+     rest of the run. *)
+  let inject_failure st rng (spec : failure_spec) =
+    ignore
+      (Dessim.Scheduler.schedule st.sched ~at:spec.fail_at (fun () ->
+           let u, v = pick_failure_link st rng spec.target in
+           sched_take_down st u v;
+           Option.iter
+             (fun delay ->
+               ignore
+                 (Dessim.Scheduler.after st.sched ~delay (fun () ->
+                      sched_bring_up st u v)))
+             spec.heal_after))
+
+  (* ---------- declarative fault schedules ---------- *)
 
   let apply_flap st srng (f : Fault.Schedule.flap) =
     let u, v =
@@ -1044,166 +1154,8 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
       f_pre_failure_path = f.pre_failure_path;
       f_final_path = Observer.nodes_of final;
       f_final_path_complete = Observer.is_complete final;
+      f_transfer = f.transfer;
     }
-
-  (* Build the whole simulation world (topology, links, routers, per-flow
-     measurement slots) without starting any traffic. Returns the state and
-     the master RNG, positioned identically regardless of what traffic will
-     run on top — so a CBR run and a transport run over the same seed see the
-     same flow endpoints and failure choices. *)
-  let prepare ?topology ?(faults = Fault.Spec.none) ?(frr = false) ~trace
-      ~monitors ~metrics ~flows (cfg : Config.t) (pcfg : P.config) =
-    (match Config.validate cfg with
-    | Ok () -> ()
-    | Error msg -> invalid_arg ("Runner.run: " ^ msg));
-    (match Fault.Spec.validate faults with
-    | Ok () -> ()
-    | Error msg -> invalid_arg ("Runner.run: faults: " ^ msg));
-    if flows = [] then invalid_arg "Runner.run: no flows";
-    (* Monitors get the full, unfiltered event stream regardless of the
-       user trace's category/severity restrictions. *)
-    let trace =
-      match monitors with
-      | [] -> trace
-      | ms -> Obs.Trace.tee (trace :: List.map Obs.Trace.create ms)
-    in
-    let rng = Dessim.Rng.create cfg.Config.seed in
-    let topo =
-      match topology with
-      | Some t -> t
-      | None ->
-        Netsim.Mesh.generate ~rows:cfg.Config.rows ~cols:cfg.Config.cols
-          ~degree:cfg.Config.degree
-    in
-    let buckets =
-      int_of_float (Float.ceil (Config.duration_after_warmup cfg)) |> max 1
-    in
-    let resolve_flow idx (spec : flow_spec) =
-      let pick_from candidates = function
-        | Some n -> n
-        | None -> Dessim.Rng.pick rng candidates
-      in
-      let src =
-        pick_from
-          (Netsim.Mesh.first_row ~rows:cfg.Config.rows ~cols:cfg.Config.cols)
-          spec.flow_src
-      in
-      let dst =
-        pick_from
-          (Netsim.Mesh.last_row ~rows:cfg.Config.rows ~cols:cfg.Config.cols)
-          spec.flow_dst
-      in
-      {
-        idx;
-        src;
-        dst;
-        rate = Option.value spec.flow_rate ~default:cfg.Config.send_rate_pps;
-        start = Option.value spec.flow_start ~default:cfg.Config.traffic_start;
-        sent = 0;
-        delivered = 0;
-        drops_no_route = 0;
-        drops_ttl = 0;
-        drops_queue = 0;
-        drops_link = 0;
-        drops_injected = 0;
-        looped_delivered = 0;
-        looped_dropped = 0;
-        throughput = Dessim.Series.create ~start:cfg.Config.warmup ~width:1. ~buckets;
-        delay = Dessim.Series.create ~start:cfg.Config.warmup ~width:1. ~buckets;
-        path_samples = [];
-        pre_failure_path = [];
-        loop_since = None;
-      }
-    in
-    let link_off, link_nbr =
-      let n = Netsim.Topology.node_count topo in
-      let off = Array.make (n + 1) 0 in
-      for u = 0 to n - 1 do
-        off.(u + 1) <- off.(u) + Netsim.Topology.degree topo u
-      done;
-      let nbr = Array.make off.(n) 0 in
-      for u = 0 to n - 1 do
-        (* [Topology.neighbors] is sorted ascending, which [link_slot]'s
-           binary search depends on. *)
-        List.iteri
-          (fun i v -> nbr.(off.(u) + i) <- v)
-          (Netsim.Topology.neighbors topo u)
-      done;
-      (off, nbr)
-    in
-    let slot_dense =
-      let n = Netsim.Topology.node_count topo in
-      (* 8 MB of slot indexes at the 1024-node threshold; graphs past it are
-         the internet-scale sweeps, whose per-hop rate tolerates the binary
-         search far better than their footprint tolerates O(n²) memory. *)
-      if n * n > 1_048_576 then [||]
-      else begin
-        let dense = Array.make (n * n) (-1) in
-        for u = 0 to n - 1 do
-          for s = link_off.(u) to link_off.(u + 1) - 1 do
-            dense.((u * n) + link_nbr.(s)) <- s
-          done
-        done;
-        dense
-      end
-    in
-    let st =
-      {
-        cfg;
-        sched = Dessim.Scheduler.create ();
-        topo;
-        n_nodes = Netsim.Topology.node_count topo;
-        link_off;
-        link_nbr;
-        slot_dense;
-        links = Array.make (Array.length link_nbr) None;
-        routers = [||];
-        flows = Array.of_list (List.mapi resolve_flow flows);
-        trace;
-        metrics;
-        delay_hist =
-          Option.map (fun m -> Obs.Registry.histogram m "packet.delay_s") metrics;
-        ctrl_messages = 0;
-        ctrl_bytes = 0;
-        ctrl_lost = 0;
-        first_failure_at = None;
-        last_route_change = 0.;
-        failed_links = [];
-        next_packet_id = 0;
-        faults;
-        rtx_on =
-          (match faults.Fault.Spec.rtx with
-          | Some _ -> P.uses_reliable_transport
-          | None -> false);
-        rtx_sessions = Hashtbl.create 64;
-        link_rngs = Hashtbl.create 64;
-        down_refs = Hashtbl.create 16;
-        generation = Array.make (Netsim.Topology.node_count topo) 0;
-        crashed = Array.make (Netsim.Topology.node_count topo) false;
-        injected_data_drops = 0;
-        injected_ctrl_drops = 0;
-        rtx_retransmissions = 0;
-        rtx_timeouts = 0;
-        session_resets = 0;
-        timer_fires = 0;
-        data_forwards = 0;
-        frr =
-          (if frr then
-             Some
-               (Frr.create
-                  ~n:(Netsim.Topology.node_count topo)
-                  ~neighbors:(Netsim.Topology.neighbors topo))
-           else None);
-        frr_installs = 0;
-        frr_activations = 0;
-        frr_forwards = 0;
-        frr_exhausted = 0;
-      }
-    in
-    make_links st;
-    make_routers st pcfg rng;
-    apply_faults st pcfg;
-    (st, rng)
 
   let collect_multi ?label st =
     let routing_convergence =
@@ -1339,12 +1291,163 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
           st.frr;
     }
 
-  let run_multi ?label ?topology ?faults ?frr ?(trace = Obs.Trace.null)
-      ?(monitors = []) ?metrics ?on_quiesce ~flows ~failures (cfg : Config.t)
-      (pcfg : P.config) =
-    let st, rng =
-      prepare ?topology ?faults ?frr ~trace ~monitors ~metrics ~flows cfg pcfg
+  (* One simulation: build the world (topology, links, routers, per-flow
+     measurement slots), start every flow, schedule every failure, run to
+     [sim_end], then hand the quiescent routing state to [?on_quiesce]. *)
+  let run_multi ?label ?topology ?(faults = Fault.Spec.none) ?(frr = false)
+      ?(trace = Obs.Trace.null) ?(monitors = []) ?metrics ?on_quiesce ~flows
+      ~failures (cfg : Config.t) (pcfg : P.config) =
+    (match Config.validate cfg with
+    | Ok () -> ()
+    | Error msg -> invalid_arg ("Runner.run_multi: " ^ msg));
+    (match Fault.Spec.validate faults with
+    | Ok () -> ()
+    | Error msg -> invalid_arg ("Runner.run_multi: faults: " ^ msg));
+    if flows = [] then invalid_arg "Runner.run_multi: no flows";
+    (* Monitors get the full, unfiltered event stream regardless of the
+       user trace's category/severity restrictions. *)
+    let trace =
+      match monitors with
+      | [] -> trace
+      | ms -> Obs.Trace.tee (trace :: List.map Obs.Trace.create ms)
     in
+    let rng = Dessim.Rng.create cfg.Config.seed in
+    let topo =
+      match topology with
+      | Some t -> t
+      | None ->
+        Netsim.Mesh.generate ~rows:cfg.Config.rows ~cols:cfg.Config.cols
+          ~degree:cfg.Config.degree
+    in
+    let buckets =
+      int_of_float (Float.ceil (Config.duration_after_warmup cfg)) |> max 1
+    in
+    let resolve_flow idx (spec : flow_spec) =
+      let pick_from candidates = function
+        | Some n -> n
+        | None -> Dessim.Rng.pick rng candidates
+      in
+      let src =
+        pick_from
+          (Netsim.Mesh.first_row ~rows:cfg.Config.rows ~cols:cfg.Config.cols)
+          spec.flow_src
+      in
+      let dst =
+        pick_from
+          (Netsim.Mesh.last_row ~rows:cfg.Config.rows ~cols:cfg.Config.cols)
+          spec.flow_dst
+      in
+      {
+        idx;
+        src;
+        dst;
+        traffic = spec.flow_traffic;
+        start = Option.value spec.flow_start ~default:cfg.Config.traffic_start;
+        sent = 0;
+        delivered = 0;
+        drops_no_route = 0;
+        drops_ttl = 0;
+        drops_queue = 0;
+        drops_link = 0;
+        drops_injected = 0;
+        looped_delivered = 0;
+        looped_dropped = 0;
+        throughput = Dessim.Series.create ~start:cfg.Config.warmup ~width:1. ~buckets;
+        delay = Dessim.Series.create ~start:cfg.Config.warmup ~width:1. ~buckets;
+        path_samples = [];
+        pre_failure_path = [];
+        loop_since = None;
+        transfer = None;
+      }
+    in
+    let link_off, link_nbr =
+      let n = Netsim.Topology.node_count topo in
+      let off = Array.make (n + 1) 0 in
+      for u = 0 to n - 1 do
+        off.(u + 1) <- off.(u) + Netsim.Topology.degree topo u
+      done;
+      let nbr = Array.make off.(n) 0 in
+      for u = 0 to n - 1 do
+        (* [Topology.neighbors] is sorted ascending, which [link_slot]'s
+           binary search depends on. *)
+        List.iteri
+          (fun i v -> nbr.(off.(u) + i) <- v)
+          (Netsim.Topology.neighbors topo u)
+      done;
+      (off, nbr)
+    in
+    let slot_dense =
+      let n = Netsim.Topology.node_count topo in
+      (* 8 MB of slot indexes at the 1024-node threshold; graphs past it are
+         the internet-scale sweeps, whose per-hop rate tolerates the binary
+         search far better than their footprint tolerates O(n²) memory. *)
+      if n * n > 1_048_576 then [||]
+      else begin
+        let dense = Array.make (n * n) (-1) in
+        for u = 0 to n - 1 do
+          for s = link_off.(u) to link_off.(u + 1) - 1 do
+            dense.((u * n) + link_nbr.(s)) <- s
+          done
+        done;
+        dense
+      end
+    in
+    let st =
+      {
+        cfg;
+        sched = Dessim.Scheduler.create ();
+        topo;
+        n_nodes = Netsim.Topology.node_count topo;
+        link_off;
+        link_nbr;
+        slot_dense;
+        links = Array.make (Array.length link_nbr) None;
+        routers = [||];
+        flows = Array.of_list (List.mapi resolve_flow flows);
+        trace;
+        metrics;
+        delay_hist =
+          Option.map (fun m -> Obs.Registry.histogram m "packet.delay_s") metrics;
+        ctrl_messages = 0;
+        ctrl_bytes = 0;
+        ctrl_lost = 0;
+        first_failure_at = None;
+        last_route_change = 0.;
+        failed_links = [];
+        next_packet_id = 0;
+        faults;
+        rtx_on =
+          (match faults.Fault.Spec.rtx with
+          | Some _ -> P.uses_reliable_transport
+          | None -> false);
+        rtx_sessions = Hashtbl.create 64;
+        link_rngs = Hashtbl.create 64;
+        down_refs = Hashtbl.create 16;
+        generation = Array.make (Netsim.Topology.node_count topo) 0;
+        crashed = Array.make (Netsim.Topology.node_count topo) false;
+        injected_data_drops = 0;
+        injected_ctrl_drops = 0;
+        rtx_retransmissions = 0;
+        rtx_timeouts = 0;
+        session_resets = 0;
+        timer_fires = 0;
+        data_forwards = 0;
+        frr =
+          (if frr then
+             Some
+               (Frr.create
+                  ~n:(Netsim.Topology.node_count topo)
+                  ~neighbors:(Netsim.Topology.neighbors topo))
+           else None);
+        frr_installs = 0;
+        frr_activations = 0;
+        frr_forwards = 0;
+        frr_exhausted = 0;
+      }
+    in
+    make_links st;
+    make_routers st pcfg rng;
+    apply_faults st pcfg;
     Array.iter (start_traffic st) st.flows;
     List.iter (inject_failure st rng) failures;
     run_scheduler st;
@@ -1358,193 +1461,4 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
     (match on_quiesce with Some f -> f (routing_view st) | None -> ());
     collect_multi ?label st
 
-  let run ?label ?topology ?faults ?frr ?src ?dst ?trace ?monitors ?metrics
-      ?on_quiesce ?fail_link ?restore_after (cfg : Config.t) (pcfg : P.config)
-      =
-    let flow = { default_flow with flow_src = src; flow_dst = dst } in
-    let failure =
-      {
-        fail_at = cfg.Config.failure_time;
-        target = (match fail_link with Some (u, v) -> Link (u, v) | None -> Flow_path 0);
-        heal_after = restore_after;
-      }
-    in
-    Metrics.run_of_multi
-      (run_multi ?label ?topology ?faults ?frr ?trace ?monitors ?metrics
-         ?on_quiesce ~flows:[ flow ] ~failures:[ failure ] cfg pcfg)
-
-  (* ---------- reliable transport on top of the data plane ---------- *)
-
-  (* Sender/receiver pair implementing a fixed-size sliding window with
-     cumulative ACKs and go-back-to-base timeout retransmission — the "simple
-     flow control with a maximal window size and retransmission after
-     timeout" workload of Shankar et al. (the paper's reference [25]), and a
-     first step toward the paper's future-work TCP study. *)
-  let start_transport st (f : flow_state) (tc : transport_config) =
-    if tc.window <= 0 then invalid_arg "Runner: transport window";
-    if tc.rto <= 0. then invalid_arg "Runner: transport rto";
-    let goodput =
-      let buckets =
-        int_of_float (Float.ceil (st.cfg.Config.sim_end -. f.start)) |> max 1
-      in
-      Dessim.Series.create ~start:f.start ~width:1. ~buckets
-    in
-    let outcome =
-      ref
-        {
-          t_completed = 0;
-          t_retransmissions = 0;
-          t_duplicates = 0;
-          t_completed_at = None;
-          t_goodput = goodput;
-          t_multi =
-            {
-              Metrics.m_protocol = "";
-              m_degree = 0;
-              m_seed = 0;
-              m_flows = [];
-              m_ctrl_messages = 0;
-              m_ctrl_bytes = 0;
-              m_ctrl_lost = 0;
-              m_routing_convergence = 0.;
-              m_failed_links = [];
-              m_sched_events = 0;
-            };
-        }
-    in
-    (* Sender state. *)
-    let send_base = ref 0 in
-    let next_seq = ref 0 in
-    let rto_handle = ref None in
-    (* Receiver state. *)
-    let rcv_next = ref 0 in
-    let out_of_order = Hashtbl.create 64 in
-    let cancel_rto () =
-      match !rto_handle with
-      | Some h ->
-        Dessim.Scheduler.cancel h;
-        rto_handle := None
-      | None -> ()
-    in
-    let finished () = tc.total_packets > 0 && !send_base >= tc.total_packets in
-    let limit () =
-      if tc.total_packets > 0 then min tc.total_packets (!send_base + tc.window)
-      else !send_base + tc.window
-    in
-    let null_drop _ _ = () in
-    let rec send_ack () =
-      (* Cumulative ACK: carries [rcv_next] via a side table keyed by packet
-         id (the simulator's packets have no payload field). *)
-      let cum = !rcv_next in
-      let handler =
-        { h_deliver = (fun _ -> on_ack cum); h_drop = null_drop }
-      in
-      ignore
-        (launch_packet st ~handler ~src:f.dst ~dst:f.src
-           ~size_bits:(8 * tc.ack_bytes) ())
-    and on_data seq =
-      if seq = !rcv_next then begin
-        incr rcv_next;
-        while Hashtbl.mem out_of_order !rcv_next do
-          Hashtbl.remove out_of_order !rcv_next;
-          incr rcv_next
-        done
-      end
-      else if seq > !rcv_next then Hashtbl.replace out_of_order seq ()
-      else outcome := { !outcome with t_duplicates = !outcome.t_duplicates + 1 };
-      send_ack ()
-    and send_data ~retransmit seq =
-      if retransmit then
-        outcome :=
-          { !outcome with t_retransmissions = !outcome.t_retransmissions + 1 };
-      f.sent <- f.sent + 1;
-      let handler =
-        {
-          h_deliver =
-            (fun p ->
-              if tracing st Obs.Event.Data then begin
-                let now = Dessim.Scheduler.now st.sched in
-                emit st
-                  (Obs.Event.Packet_delivered
-                     {
-                       flow = f.idx;
-                       pkt = p.Netsim.Packet.id;
-                       delay = now -. p.Netsim.Packet.sent_at;
-                       looped = Netsim.Packet.looped p;
-                     })
-              end;
-              on_data seq);
-          h_drop =
-            (fun p reason ->
-              if tracing st Obs.Event.Data then
-                emit st
-                  (Obs.Event.Packet_dropped
-                     {
-                       flow = f.idx;
-                       pkt = p.Netsim.Packet.id;
-                       reason;
-                       looped = Netsim.Packet.looped p;
-                     }));
-        }
-      in
-      ignore
-        (launch_packet st ~flow:f.idx ~handler ~src:f.src ~dst:f.dst
-           ~size_bits:(8 * st.cfg.Config.data_packet_bytes) ())
-    and arm_rto () =
-      cancel_rto ();
-      if not (finished ()) then
-        rto_handle :=
-          Some
-            (Dessim.Scheduler.after st.sched ~delay:tc.rto (fun () ->
-                 rto_handle := None;
-                 if not (finished ()) then begin
-                   (* Timeout: go-back-N — resend every outstanding packet,
-                      so one timeout after the route heals recovers the whole
-                      lost window in about one RTT. *)
-                   for seq = !send_base to !next_seq - 1 do
-                     send_data ~retransmit:true seq
-                   done;
-                   arm_rto ()
-                 end))
-    and fill_window () =
-      while !next_seq < limit () do
-        send_data ~retransmit:false !next_seq;
-        incr next_seq
-      done;
-      if !next_seq > !send_base && !rto_handle = None then arm_rto ()
-    and on_ack cum =
-      if cum > !send_base then begin
-        let now = Dessim.Scheduler.now st.sched in
-        let progress = cum - !send_base in
-        for _ = 1 to progress do
-          Dessim.Series.add goodput ~time:now 1.
-        done;
-        send_base := cum;
-        outcome :=
-          {
-            !outcome with
-            t_completed = cum;
-            t_completed_at =
-              (if finished () && !outcome.t_completed_at = None then Some now
-               else !outcome.t_completed_at);
-          };
-        if finished () then cancel_rto () else arm_rto ();
-        fill_window ()
-      end
-    in
-    ignore (Dessim.Scheduler.schedule st.sched ~at:f.start fill_window);
-    outcome
-
-  let run_transport ?label ?topology ?faults ?frr ?(trace = Obs.Trace.null)
-      ?metrics ?src ?dst ~failures (tc : transport_config) (cfg : Config.t)
-      (pcfg : P.config) =
-    let flow = { default_flow with flow_src = src; flow_dst = dst } in
-    let st, rng =
-      prepare ?topology ?faults ?frr ~trace ~monitors:[] ~metrics
-        ~flows:[ flow ] cfg pcfg
-    in
-    let outcome = start_transport st st.flows.(0) tc in
-    List.iter (inject_failure st rng) failures;
-    run_scheduler st;
-    { !outcome with t_multi = collect_multi ?label st }
 end

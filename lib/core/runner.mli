@@ -1,13 +1,13 @@
 (** The simulation harness: wires a topology, links, one protocol instance per
-    router, CBR data flows, and link-failure injection, then measures
-    everything {!Metrics} records.
+    router, data flows, and link-failure injection, then measures everything
+    {!Metrics} records.
 
-    Two entry points:
-    - {!Make.run} is the paper's scenario — one flow (first row to last row),
-      one failure on that flow's path at [failure_time];
-    - {!Make.run_multi} is the paper's future-work generalization — any
-      number of flows and any number of (possibly overlapping, possibly
-      transient) link failures.
+    One entry point, {!Make.run_multi}: any number of flows, each carrying
+    CBR traffic or a go-back-N transfer, and any number of (possibly
+    overlapping, possibly transient) link failures. The paper's scenario —
+    one CBR flow from the first row to the last, one failure on its path at
+    [failure_time] — is the one-flow, one-failure case that
+    {!Engine_registry.run} builds.
 
     Timeline of the paper scenario (defaults in parentheses):
     - [t = 0]: protocols start, warm up, and converge;
@@ -19,14 +19,39 @@
       [detection_delay] later;
     - [sim_end] (800 s): measurement stops. *)
 
+type transport_config = {
+  window : int;  (** max unacknowledged packets in flight *)
+  rto : float;  (** retransmission timeout in seconds *)
+  total_packets : int;  (** transfer size; [0] = saturate until [sim_end] *)
+  ack_bytes : int;
+}
+
+val default_transport : transport_config
+(** window 16, RTO 1 s, unlimited transfer, 40-byte ACKs. *)
+
+(** What a flow sends. *)
+type traffic =
+  | Cbr of float option
+      (** constant bit rate, in packets/s; [None]: the config's
+          [send_rate_pps] *)
+  | Transfer of transport_config
+      (** a sliding-window sender with cumulative ACKs and go-back-N timeout
+          retransmission — the "simple flow control with a maximal window
+          size and retransmission after timeout" workload of the paper's
+          reference [25], and a first step toward its future-work end-to-end
+          TCP study. Data packets and ACKs ride the same simulated links; the
+          flow's packet counters cover the data packets, and its
+          {!Metrics.transfer} reports goodput and completion time. *)
+
 type flow_spec = {
   flow_src : Netsim.Types.node_id option;  (** [None]: random first-row router *)
   flow_dst : Netsim.Types.node_id option;  (** [None]: random last-row router *)
-  flow_rate : float option;  (** [None]: the config's [send_rate_pps] *)
+  flow_traffic : traffic;
   flow_start : float option;  (** [None]: the config's [traffic_start] *)
 }
 
 val default_flow : flow_spec
+(** Random endpoints, CBR at the config's rate, from [traffic_start]. *)
 
 type failure_target =
   | Flow_path of int
@@ -39,16 +64,10 @@ type failure_spec = {
   target : failure_target;
   heal_after : float option;  (** restore the link this long after failing *)
 }
-
-type transport_config = {
-  window : int;  (** max unacknowledged packets in flight *)
-  rto : float;  (** retransmission timeout in seconds *)
-  total_packets : int;  (** transfer size; [0] = saturate until [sim_end] *)
-  ack_bytes : int;
-}
-
-val default_transport : transport_config
-(** window 16, RTO 1 s, unlimited transfer, 40-byte ACKs. *)
+(** A failure holds its link down from [fail_at] for [heal_after] (or to the
+    end of the run). Failures, flaps and crashes share one refcounted link
+    state: a link held down by several causes at once fails and is detected
+    once, and heals when the last cause ends. *)
 
 type routing_view = {
   rv_topology : Netsim.Topology.t;
@@ -72,19 +91,7 @@ type routing_view = {
     after the hook returns for a [src] outside [0 .. node_count - 1], and
     are never consulted for [src = dst]. *)
 
-type transport_outcome = {
-  t_completed : int;  (** packets acknowledged in order *)
-  t_retransmissions : int;
-  t_duplicates : int;  (** data packets that arrived more than once *)
-  t_completed_at : float option;
-      (** when the whole [total_packets] transfer finished, if it did *)
-  t_goodput : Dessim.Series.t;
-      (** newly acknowledged packets per 1 s bucket, at the sender *)
-  t_multi : Metrics.multi;
-      (** control-plane and failure bookkeeping of the underlying run *)
-}
-
-(** Every entry point accepts:
+(** {!Make.run_multi} accepts:
     - [?trace] — an {!Obs.Trace.t} receiving the full structured event stream
       (data plane, control plane, environment, scheduler). Defaults to
       {!Obs.Trace.null}, which costs one boolean test per potential event.
@@ -101,9 +108,10 @@ type transport_outcome = {
       multi-domain programs, [Gc.quick_stat] aggregates across domains).
     - [?faults] — a {!Fault.Spec.t} describing injected link noise, fault
       schedules (flaps, crashes), and the reliable-control-transport
-      configuration. Defaults to {!Fault.Spec.none}, in which case the run
-      takes exactly its pre-fault code paths (bit-identical traces and
-      metrics). When faults are active the registry additionally gains
+      configuration. Defaults to {!Fault.Spec.none}, in which case the run's
+      traces and metrics are bit-identical to a run without fault support:
+      no perturbation draws, no [Rtx] sessions, and link failures take the
+      same refcounted down/up path a flap does. When faults are active the registry additionally gains
       [fault.injected_data_drops], [fault.injected_ctrl_drops],
       [rtx.retransmissions], [rtx.timeouts], and [rtx.session_resets].
     - [?frr] — enable the fast-reroute layer: every router precomputes a
@@ -112,8 +120,8 @@ type transport_outcome = {
       locally-detected-down link, or withdrawn/invalidated by reconvergence
       churn — falling back to normal forwarding once the protocol installs a
       fresh usable primary. Defaults to
-      [false], in which case the run takes exactly its pre-frr code paths
-      (bit-identical traces and metrics). When on, the registry gains
+      [false], in which case the run's traces and metrics are bit-identical
+      to a run without fast-reroute support. When on, the registry gains
       [frr.installs], [frr.activations], [frr.forwards] and
       [frr.exhausted] gauges, and the trace gains the [Frr_*] events. *)
 module Make (P : Protocols.Proto_intf.PROTOCOL) : sig
@@ -141,52 +149,6 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) : sig
       drains, with a {!routing_view} of the final routing state.
 
       @raise Invalid_argument when [Config.validate] rejects [cfg], when
-      [flows] is empty, or when a [Flow_path] index is out of range. *)
-
-  val run :
-    ?label:string ->
-    ?topology:Netsim.Topology.t ->
-    ?faults:Fault.Spec.t ->
-    ?frr:bool ->
-    ?src:Netsim.Types.node_id ->
-    ?dst:Netsim.Types.node_id ->
-    ?trace:Obs.Trace.t ->
-    ?monitors:Obs.Sink.t list ->
-    ?metrics:Obs.Registry.t ->
-    ?on_quiesce:(routing_view -> unit) ->
-    ?fail_link:Netsim.Types.node_id * Netsim.Types.node_id ->
-    ?restore_after:float ->
-    Config.t ->
-    P.config ->
-    Metrics.run
-  (** The paper's single-flow scenario: equivalent to {!run_multi} with one
-      flow and one failure at [cfg.failure_time] targeting that flow's path
-      (or [?fail_link] when pinned). *)
-
-  (** {2 End-to-end reliable transport}
-
-      A sliding-window sender with cumulative ACKs and timeout retransmission
-      — the "simple flow control with a maximal window size and
-      retransmission after timeout" workload of the paper's reference [25],
-      and a first step toward its future-work end-to-end TCP study. Data
-      packets and ACKs ride the same simulated links and are recovered from
-      convergence-period losses by the transport, so the metric shifts from
-      raw delivery to {e goodput} and {e completion time}. *)
-
-  val run_transport :
-    ?label:string ->
-    ?topology:Netsim.Topology.t ->
-    ?faults:Fault.Spec.t ->
-    ?frr:bool ->
-    ?trace:Obs.Trace.t ->
-    ?metrics:Obs.Registry.t ->
-    ?src:Netsim.Types.node_id ->
-    ?dst:Netsim.Types.node_id ->
-    failures:failure_spec list ->
-    transport_config ->
-    Config.t ->
-    P.config ->
-    transport_outcome
-  (** [run_transport ~failures tc cfg pcfg] runs one transport connection
-      (starting at [cfg.traffic_start]) across the usual scenario. *)
+      [flows] is empty, when a [Flow_path] index is out of range, or when a
+      [Transfer] has a non-positive window or RTO. *)
 end

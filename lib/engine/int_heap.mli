@@ -1,9 +1,8 @@
 (** Structure-of-arrays 4-ary min-heap keyed by [(time, seq)], with [int]
     payloads.
 
-    Payloads are immediates: the scheduler queues pool indices instead of
-    event records, and Dijkstra queues node ids, so every array here is
-    unboxed — sift moves execute no write barrier and the GC never scans the
+    Payloads are immediates (the scheduler queues pool indices instead of
+    event records), so every array here is unboxed — sift moves execute no write barrier and the GC never scans the
     queue. Ordered by time first and, for equal times, by the sequence
     number, which keeps simultaneous events FIFO and simulations
     deterministic. It pops exactly the sequence of the pre-rewrite boxed

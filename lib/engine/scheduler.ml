@@ -1,7 +1,7 @@
 type handle = { mutable cancelled : bool }
 
 (* The shared handle carried by events that can never be cancelled
-   (fire_at / fire_after / schedule_tag). Internal only: no caller can reach
+   (fire_at / fire_after). Internal only: no caller can reach
    it, so no caller can cancel it. *)
 let live = { cancelled = false }
 
@@ -332,28 +332,10 @@ let fire_at t ~at fn = push t ~at live (-1) (Obj.repr fn)
 
 let fire_after t ~delay fn = push_delayed t ~delay live (-1) (Obj.repr fn)
 
-let schedule_tag t ~at tag x = push t ~at live tag (Obj.repr x)
-
-let after_tag t ~delay tag x = push_delayed t ~delay live tag (Obj.repr x)
-
-let schedule_tag_h t ~at tag x =
-  let h = { cancelled = false } in
-  push t ~at h tag (Obj.repr x);
-  h
-
 let after_tag_h t ~delay tag x =
   let h = { cancelled = false } in
   push_delayed t ~delay h tag (Obj.repr x);
   h
-
-let schedule_tag_using t ~at ~handle tag x = push t ~at handle tag (Obj.repr x)
-
-let after_tag_using t ~delay ~handle tag x =
-  push_delayed t ~delay handle tag (Obj.repr x)
-
-let fresh_handle () = { cancelled = false }
-
-let renew h = h.cancelled <- false
 
 let cancel h = h.cancelled <- true
 

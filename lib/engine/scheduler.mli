@@ -42,11 +42,10 @@ val fire_after : t -> delay:float -> (unit -> unit) -> unit
 (** {2 Tagged events}
 
     The closure fallback above allocates one closure per distinct event. Hot
-    event categories (a link delivery, a protocol timer) instead register a
-    handler {e once} and schedule (tag, payload) pairs: the payload is
-    usually a long-lived mutable record, so a steady-state event costs no
-    allocation beyond an optional 2-word cancellation handle. Tags are typed:
-    a ['a tag] only accepts ['a] payloads. *)
+    event categories (a protocol timer) instead register a handler {e once}
+    and schedule (tag, payload) pairs: a steady-state event then costs no
+    allocation beyond its 2-word cancellation handle. Tags are typed: a
+    ['a tag] only accepts ['a] payloads. *)
 
 type 'a tag
 (** A handler registered with {!register}, identifying both the code to run
@@ -57,50 +56,17 @@ val register : t -> ('a -> unit) -> 'a tag
     Registration is cheap but not recycled: register per long-lived object
     (a link, a router), not per event. *)
 
-val schedule_tag : t -> at:float -> 'a tag -> 'a -> unit
-(** [schedule_tag t ~at tag x] arranges for [tag]'s handler to receive [x] at
-    time [at]. Not cancellable (like {!fire_at}).
-
-    @raise Invalid_argument if [at] is earlier than [now t]. *)
-
-val after_tag : t -> delay:float -> 'a tag -> 'a -> unit
-(** [after_tag t ~delay tag x] is [schedule_tag t ~at:(now t +. delay)].
+val after_tag_h : t -> delay:float -> 'a tag -> 'a -> handle
+(** [after_tag_h t ~delay tag x] arranges for [tag]'s handler to receive [x]
+    at [now t +. delay], and returns the event's cancellation handle.
 
     @raise Invalid_argument if [delay] is negative. *)
-
-val schedule_tag_h : t -> at:float -> 'a tag -> 'a -> handle
-(** [schedule_tag_h] is {!schedule_tag} returning a cancellation handle, for
-    tagged events that may be cancelled (in-flight payloads on a failing
-    link, protocol route timeouts). *)
-
-val after_tag_h : t -> delay:float -> 'a tag -> 'a -> handle
-(** [after_tag_h] is {!after_tag} returning a cancellation handle. *)
-
-val schedule_tag_using : t -> at:float -> handle:handle -> 'a tag -> 'a -> unit
-(** [schedule_tag_using t ~at ~handle tag x] is {!schedule_tag_h} reusing a
-    caller-owned [handle] record instead of allocating one, for objects that
-    live through a sequence of events (a packet crossing a link reuses one
-    handle for its transmission and its propagation). The caller must ensure
-    no other queued event still references [handle] — recycling a handle that
-    a cancelled, still-queued event points at would resurrect that event. *)
-
-val after_tag_using : t -> delay:float -> handle:handle -> 'a tag -> 'a -> unit
-(** [after_tag_using] is {!schedule_tag_using} with a relative delay. *)
 
 val inert_handle : handle
 (** A handle attached to no event, for initializing mutable handle fields
     before the first real event exists. {!cancel} on it is a harmless no-op
     and {!is_cancelled} reports whatever was last done to it — it guards
     nothing. *)
-
-val fresh_handle : unit -> handle
-(** A new handle attached to no event yet, for callers that own and reuse
-    handle records across events (see {!schedule_tag_using}). *)
-
-val renew : handle -> unit
-(** [renew h] clears [h]'s cancelled flag so a caller-owned handle can be
-    reused for a new event. Subject to the same safety condition as
-    {!schedule_tag_using}: no queued event may still reference [h]. *)
 
 val cancel : handle -> unit
 (** [cancel h] prevents the event behind [h] from firing. Cancelling an event

@@ -43,14 +43,3 @@ let rate t i = t.counts.(i) /. t.width
 
 let mean t i = if t.counts.(i) = 0. then 0. else t.sums.(i) /. t.counts.(i)
 
-let accumulate ~into src =
-  if
-    into.start <> src.start || into.width <> src.width
-    || Array.length into.counts <> Array.length src.counts
-  then invalid_arg "Series.accumulate: shape mismatch";
-  Array.iteri (fun i c -> into.counts.(i) <- into.counts.(i) +. c) src.counts;
-  Array.iteri (fun i s -> into.sums.(i) <- into.sums.(i) +. s) src.sums
-
-let scale t k =
-  Array.iteri (fun i c -> t.counts.(i) <- c *. k) t.counts;
-  Array.iteri (fun i s -> t.sums.(i) <- s *. k) t.sums

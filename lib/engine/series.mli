@@ -38,15 +38,6 @@ val rate : t -> int -> float
 val mean : t -> int -> float
 (** [mean t i] is [sum / count] for bucket [i], or [0.] when empty. *)
 
-val accumulate : into:t -> t -> unit
-(** [accumulate ~into src] adds [src]'s counts and sums into [into].
-    @raise Invalid_argument if the two series have different shapes. *)
-
-val scale : t -> float -> unit
-(** [scale t k] multiplies sums by [k] and counts by [k] (rounded); used to
-    average series accumulated over [n] runs with [k = 1/n]. Counts are kept
-    as rationals internally to avoid rounding: see {!frac_count}. *)
-
 val frac_count : t -> int -> float
-(** [frac_count t i] is the (possibly scaled, hence fractional) count of
-    bucket [i]. *)
+(** [frac_count t i] is {!count} as a float, the form windowed artifact
+    slices store. *)

@@ -98,40 +98,6 @@ let shortest_path t src dst =
     Some (walk [] dst)
   end
 
-let dijkstra t ~cost src =
-  let dist = Array.make t.n infinity in
-  let parent = Array.make t.n None in
-  let visited = Array.make t.n false in
-  dist.(src) <- 0.;
-  (* Keyed by (distance, node id), payload the node id: a node re-queued at
-     an equal distance repeats its key with the same payload, so the pop
-     order is fully determined. *)
-  let heap = Dessim.Int_heap.create () in
-  let top = Dessim.Int_heap.slot () and seq = ref 0 in
-  Dessim.Int_heap.add heap ~time:0. ~seq:src src;
-  while not (Dessim.Int_heap.is_empty heap) do
-    let u = Dessim.Int_heap.pop_into heap top ~seq in
-    if not visited.(u) && top.Dessim.Int_heap.slot_time <= dist.(u) then begin
-      visited.(u) <- true;
-      let relax v =
-        let nd = dist.(u) +. cost u v in
-        let better =
-          nd < dist.(v)
-          || (nd = dist.(v)
-             &&
-             match parent.(v) with Some p -> u < p | None -> false)
-        in
-        if better && not visited.(v) then begin
-          dist.(v) <- nd;
-          parent.(v) <- Some u;
-          Dessim.Int_heap.add heap ~time:nd ~seq:v v
-        end
-      in
-      List.iter relax t.adj.(u)
-    end
-  done;
-  (dist, parent)
-
 let diameter t =
   let worst = ref 0 in
   let disconnected = ref false in

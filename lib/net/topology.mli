@@ -1,8 +1,7 @@
 (** Immutable undirected graphs with unit-cost edges.
 
     All protocols in the paper run over unit-cost links, so shortest paths are
-    BFS paths; a weighted Dijkstra is provided for the link-state extension
-    and for tests that cross-check the two.
+    BFS paths.
 
     Graphs are built by {!Mesh} (the paper's regular family), {!Random_topo}
     (ER/Waxman/BA/hierarchical) and {!Classic} (test fixtures). Adjacency is
@@ -55,14 +54,6 @@ val bfs_distances : t -> Types.node_id -> int array
 val shortest_path : t -> Types.node_id -> Types.node_id -> Types.node_id list option
 (** [shortest_path t src dst] is a minimum-hop path from [src] to [dst]
     (inclusive of both), deterministic (smallest-id predecessor wins). *)
-
-val dijkstra :
-  t ->
-  cost:(Types.node_id -> Types.node_id -> float) ->
-  Types.node_id ->
-  float array * Types.node_id option array
-(** [dijkstra t ~cost src] is [(dist, parent)] with [dist.(u) = infinity] for
-    unreachable [u]. Ties broken toward the smaller parent id. *)
 
 val diameter : t -> int
 (** Longest shortest path over all pairs; [max_int] if disconnected. *)

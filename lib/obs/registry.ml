@@ -170,19 +170,3 @@ let pp ppf t =
     (Fmt.list ~sep:Fmt.cut (fun ppf (name, v) ->
          Fmt.pf ppf "%-32s %a" name pp_value v))
     entries
-
-let to_csv t =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "metric,kind,value\n";
-  List.iter
-    (fun (name, v) ->
-      let kind, value =
-        match v with
-        | Counter_value n -> ("counter", string_of_int n)
-        | Gauge_value g -> ("gauge", Json.to_string (Json.Float g))
-        | Histogram_value { n; mean; _ } ->
-          ("histogram", Printf.sprintf "%d;mean=%g" n mean)
-      in
-      Buffer.add_string buf (Printf.sprintf "%s,%s,%s\n" name kind value))
-    (snapshot t);
-  Buffer.contents buf

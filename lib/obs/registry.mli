@@ -74,5 +74,3 @@ val snapshot : t -> (string * value) list
 val lookup : t -> string -> value option
 
 val pp : t Fmt.t
-
-val to_csv : t -> string

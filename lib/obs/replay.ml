@@ -78,8 +78,6 @@ let read_lines path =
 
 let read_file path = of_lines (read_lines path)
 
-let items_of_file path = items_of_lines (read_lines path)
-
 (* ---------- aggregate views ---------- *)
 
 let event_counts records =

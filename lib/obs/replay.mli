@@ -27,9 +27,6 @@ val items_of_lines : string list -> item list * parse_stats
 (** Blank lines are ignored; malformed lines are counted in [skipped] rather
     than failing, so a trace mixed with other output still replays. *)
 
-val items_of_file : string -> item list * parse_stats
-(** @raise Sys_error when the file cannot be read. *)
-
 val records_of_items : item list -> Sink.record list
 (** The decoded records, in order, opaque lines elided. *)
 

@@ -472,17 +472,20 @@ module Blind_rip = struct
 end
 
 let test_oracle_catches_blind_rip () =
-  let module R = Convergence.Runner.Make (Blind_rip) in
+  let blind_rip =
+    Convergence.Engine_registry.Engine
+      ((module Blind_rip), Protocols.Rip.default_config, "blind-rip")
+  in
   let mismatches = ref [] in
   let _ =
-    R.run ~label:"blind-rip"
+    Convergence.Engine_registry.run
       ~on_quiesce:(fun view ->
         mismatches :=
           Check.Oracle.check
             ~max_metric:
               Protocols.Dv_core.default_config.Protocols.Dv_core.infinity_metric
             view)
-      quick_cfg Protocols.Rip.default_config
+      quick_cfg blind_rip
   in
   Alcotest.(check bool)
     "oracle reports stale routes into the failed link" true

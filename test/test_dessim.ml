@@ -343,26 +343,6 @@ let test_series_add_and_stats () =
   check_float "mean empty" 0. (Dessim.Series.mean s 1);
   Alcotest.(check int) "count b2" 1 (Dessim.Series.count s 2)
 
-let test_series_accumulate_scale () =
-  let mk () = Dessim.Series.create ~start:0. ~width:1. ~buckets:2 in
-  let a = mk () and b = mk () in
-  Dessim.Series.add a ~time:0.1 1.;
-  Dessim.Series.add b ~time:0.2 3.;
-  Dessim.Series.add b ~time:1.5 5.;
-  Dessim.Series.accumulate ~into:a b;
-  Alcotest.(check int) "merged count" 2 (Dessim.Series.count a 0);
-  check_float "merged sum" 4. (Dessim.Series.sum a 0);
-  Dessim.Series.scale a 0.5;
-  check_float "scaled count" 1. (Dessim.Series.frac_count a 0);
-  check_float "scaled sum" 2. (Dessim.Series.sum a 0);
-  check_float "mean invariant under scaling" 2. (Dessim.Series.mean a 0)
-
-let test_series_accumulate_shape_mismatch () =
-  let a = Dessim.Series.create ~start:0. ~width:1. ~buckets:2 in
-  let b = Dessim.Series.create ~start:0. ~width:2. ~buckets:2 in
-  Alcotest.check_raises "mismatch" (Invalid_argument "Series.accumulate: shape mismatch")
-    (fun () -> Dessim.Series.accumulate ~into:a b)
-
 let test_series_time_of_bucket () =
   let s = Dessim.Series.create ~start:5. ~width:0.5 ~buckets:4 in
   check_float "edge" 6. (Dessim.Series.time_of_bucket s 2)
@@ -437,8 +417,6 @@ let () =
         [
           Alcotest.test_case "bucketing" `Quick test_series_bucketing;
           Alcotest.test_case "add and stats" `Quick test_series_add_and_stats;
-          Alcotest.test_case "accumulate/scale" `Quick test_series_accumulate_scale;
-          Alcotest.test_case "shape mismatch" `Quick test_series_accumulate_shape_mismatch;
           Alcotest.test_case "time_of_bucket" `Quick test_series_time_of_bucket;
         ]
         @ qsuite [ prop_series_total_count ] );

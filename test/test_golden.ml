@@ -139,13 +139,19 @@ let transfer_trace () =
       seed = 11;
     }
   in
-  let tc =
-    { R.default_transport with window = 8; rto = 0.5; total_packets = 300 }
+  let flow =
+    {
+      R.default_flow with
+      flow_traffic =
+        R.Transfer
+          { R.default_transport with window = 8; rto = 0.5; total_packets = 300 };
+    }
   in
   let failures =
     [ { R.fail_at = 22.; target = R.Flow_path 0; heal_after = None } ]
   in
-  traced (fun trace -> ignore (E.run_transport ~trace ~failures tc cfg E.dbf))
+  traced (fun trace ->
+      ignore (E.run_multi ~trace ~flows:[ flow ] ~failures cfg E.dbf))
 
 let read_file path =
   let ic = open_in_bin path in

@@ -109,10 +109,10 @@ let test_seeds_differ () =
 
 let test_pinned_failure_link () =
   let cfg = { quick with seed = 3 } in
-  let module R = Convergence.Runner.Make (Protocols.Dbf) in
   (* Pin both endpoints and the failed link for a fully controlled scenario. *)
   let r =
-    R.run ~src:0 ~dst:24 ~fail_link:(0, 1) cfg Protocols.Dbf.default_config
+    Convergence.Engine_registry.run ~src:0 ~dst:24 ~fail_link:(0, 1) cfg
+      Convergence.Engine_registry.dbf
   in
   Alcotest.(check (option (pair int int))) "pinned" (Some (0, 1))
     r.Convergence.Metrics.failed_link;
@@ -123,10 +123,9 @@ let test_restore_after () =
   (* Fail the first-hop link and restore it 20 s later: the pre-failure
      shortest path must be back in force at the end. *)
   let cfg = { quick with seed = 3 } in
-  let module R = Convergence.Runner.Make (Protocols.Dbf) in
   let r =
-    R.run ~src:0 ~dst:24 ~fail_link:(0, 1) ~restore_after:20. cfg
-      Protocols.Dbf.default_config
+    Convergence.Engine_registry.run ~src:0 ~dst:24 ~fail_link:(0, 1)
+      ~restore_after:20. cfg Convergence.Engine_registry.dbf
   in
   Alcotest.(check bool) "delivers at end" true r.Convergence.Metrics.final_path_complete;
   (* With the link restored, the final path length equals the topological
@@ -194,15 +193,16 @@ let test_custom_topology () =
       ~edges:((7, 0) :: List.init 7 (fun i -> (i, i + 1)))
   in
   let cfg = { quick with seed = 1 } in
-  let module R = Convergence.Runner.Make (Protocols.Bgp) in
-  let r = R.run ~topology:topo ~src:0 ~dst:4 cfg Protocols.Bgp.fast_config in
+  let r =
+    Convergence.Engine_registry.run ~topology:topo ~src:0 ~dst:4 cfg
+      Convergence.Engine_registry.bgp3
+  in
   Alcotest.(check bool) "delivered some" true (r.Convergence.Metrics.delivered > 0);
   Alcotest.(check bool) "final path ok" true r.Convergence.Metrics.final_path_complete
 
 let test_invalid_config_rejected () =
   let cfg = { quick with sim_end = 0. } in
-  let module R = Convergence.Runner.Make (Protocols.Dbf) in
-  (match R.run cfg Protocols.Dbf.default_config with
+  (match Convergence.Engine_registry.run cfg Convergence.Engine_registry.dbf with
   | (_ : Convergence.Metrics.run) -> Alcotest.fail "expected rejection"
   | exception Invalid_argument _ -> ())
 

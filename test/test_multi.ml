@@ -71,6 +71,42 @@ let test_pinned_and_random_failures () =
   | [ (0, 1); other ] -> Alcotest.(check bool) "other link" true (other <> (0, 1))
   | l -> Alcotest.failf "unexpected failed links (%d)" (List.length l)
 
+(* One link failed twice: at t (healed 2 s later) and at t + 1 s (never
+   healed). The link is held down by the second failure when the first heals,
+   so it must stay down to the end: failed and reported once, absent from the
+   surviving topology, and routed around by every router. *)
+let test_same_link_failed_twice engine () =
+  let cfg = { quick with rows = 4; cols = 4; sim_end = 700. } in
+  let t = cfg.Convergence.Config.failure_time in
+  let link = Convergence.Runner.Link (0, 1) in
+  let failures =
+    [
+      { Convergence.Runner.fail_at = t; target = link; heal_after = Some 2. };
+      { Convergence.Runner.fail_at = t +. 1.; target = link; heal_after = None };
+    ]
+  in
+  let flow =
+    { Convergence.Runner.default_flow with flow_src = Some 0; flow_dst = Some 15 }
+  in
+  let max_metric =
+    match Convergence.Engine_registry.name engine with
+    | "RIP" | "DBF" ->
+      Some Protocols.Dv_core.default_config.Protocols.Dv_core.infinity_metric
+    | _ -> None
+  in
+  let up = ref true and mismatches = ref [] in
+  let m =
+    Convergence.Engine_registry.run_multi
+      ~on_quiesce:(fun view ->
+        up := Netsim.Topology.has_edge view.Convergence.Runner.rv_topology 0 1;
+        mismatches := Check.Oracle.check ?max_metric view)
+      ~flows:[ flow ] ~failures cfg engine
+  in
+  Alcotest.(check bool) "link still down at the end" false !up;
+  Alcotest.(check (list (pair int int))) "failed once" [ (0, 1) ]
+    m.Convergence.Metrics.m_failed_links;
+  Alcotest.(check int) "oracle mismatches" 0 (List.length !mismatches)
+
 let test_nonexistent_pinned_link_rejected () =
   let failures =
     [
@@ -86,12 +122,15 @@ let test_nonexistent_pinned_link_rejected () =
 
 let test_flow_rate_and_start_respected () =
   let flow_fast =
-    { Convergence.Runner.default_flow with flow_rate = Some 100. }
+    {
+      Convergence.Runner.default_flow with
+      flow_traffic = Convergence.Runner.Cbr (Some 100.);
+    }
   in
   let flow_late =
     {
       Convergence.Runner.default_flow with
-      flow_rate = Some 50.;
+      flow_traffic = Convergence.Runner.Cbr (Some 50.);
       flow_start = Some (quick.Convergence.Config.traffic_start +. 50.);
     }
   in
@@ -223,6 +262,14 @@ let () =
         [
           Alcotest.test_case "overlapping" `Quick test_two_overlapping_failures;
           Alcotest.test_case "pinned and random" `Quick test_pinned_and_random_failures;
+          Alcotest.test_case "same link twice (RIP)" `Quick
+            (test_same_link_failed_twice Convergence.Engine_registry.rip);
+          Alcotest.test_case "same link twice (DBF)" `Quick
+            (test_same_link_failed_twice Convergence.Engine_registry.dbf);
+          Alcotest.test_case "same link twice (BGP)" `Quick
+            (test_same_link_failed_twice Convergence.Engine_registry.bgp);
+          Alcotest.test_case "same link twice (BGP-3)" `Quick
+            (test_same_link_failed_twice Convergence.Engine_registry.bgp3);
           Alcotest.test_case "nonexistent link" `Quick test_nonexistent_pinned_link_rejected;
           Alcotest.test_case "bad flow index" `Quick test_failure_flow_index_validated;
           Alcotest.test_case "no failures" `Quick test_no_failures_means_no_convergence_metrics;

@@ -219,44 +219,6 @@ let test_topology_diameter_avg () =
   (* Pairs at distance: 1 x6? line 0-1-2-3: dists 1,2,3,1,2,1 -> mean 10/6 both ways. *)
   check_float "avg path" (10. /. 6.) (Netsim.Topology.average_path_length t)
 
-let test_topology_dijkstra_unit_matches_bfs () =
-  let t = Netsim.Mesh.generate ~rows:5 ~cols:5 ~degree:4 in
-  let dist, _ = Netsim.Topology.dijkstra t ~cost:(fun _ _ -> 1.) 0 in
-  let bfs = Netsim.Topology.bfs_distances t 0 in
-  Array.iteri
-    (fun i d -> Alcotest.(check (float 1e-9)) (Printf.sprintf "node %d" i)
-        (float_of_int bfs.(i)) d)
-    dist
-
-let test_topology_dijkstra_weighted () =
-  (* 0-1 cost 10; 0-2-1 cost 2+3: prefer the two-hop route. *)
-  let t = Netsim.Topology.create ~nodes:3 ~edges:[ (0, 1); (0, 2); (2, 1) ] in
-  let cost u v =
-    match (min u v, max u v) with
-    | 0, 1 -> 10.
-    | 0, 2 -> 2.
-    | 1, 2 -> 3.
-    | _ -> assert false
-  in
-  let dist, parent = Netsim.Topology.dijkstra t ~cost 0 in
-  check_float "dist to 1" 5. dist.(1);
-  Alcotest.(check (option int)) "parent of 1" (Some 2) parent.(1)
-
-let prop_dijkstra_equals_bfs_on_random =
-  QCheck.Test.make ~name:"dijkstra(unit) = bfs on random graphs" ~count:50
-    QCheck.(pair small_nat small_nat)
-    (fun (seed, extra) ->
-      let rng = Dessim.Rng.create (seed + 1) in
-      let nodes = 8 + (extra mod 10) in
-      let t = Netsim.Random_topo.erdos_renyi rng ~nodes ~p:0.3 in
-      let dist, _ = Netsim.Topology.dijkstra t ~cost:(fun _ _ -> 1.) 0 in
-      let bfs = Netsim.Topology.bfs_distances t 0 in
-      Array.for_all Fun.id
-        (Array.mapi
-           (fun i d ->
-             if bfs.(i) = max_int then d = infinity else d = float_of_int bfs.(i))
-           dist))
-
 (* ---------- Mesh ---------- *)
 
 let test_mesh_degree_4_is_grid () =
@@ -450,10 +412,7 @@ let () =
           Alcotest.test_case "connectivity" `Quick test_topology_connectivity;
           Alcotest.test_case "remove/add edge" `Quick test_topology_remove_add_edge;
           Alcotest.test_case "diameter/avg" `Quick test_topology_diameter_avg;
-          Alcotest.test_case "dijkstra=bfs" `Quick test_topology_dijkstra_unit_matches_bfs;
-          Alcotest.test_case "dijkstra weighted" `Quick test_topology_dijkstra_weighted;
-        ]
-        @ qsuite [ prop_dijkstra_equals_bfs_on_random ] );
+        ] );
       ( "mesh",
         [
           Alcotest.test_case "degree 4 grid" `Quick test_mesh_degree_4_is_grid;

@@ -316,12 +316,26 @@ let test_replay_frr_report () =
 
 (* Replay the full event stream of a run and require the reconstructed packet
    totals to equal the runner's own accounting exactly — same sent, same
-   delivered, same count per drop cause, same residual in-flight. *)
-let check_conservation engine =
+   delivered, same count per drop cause, same residual in-flight. The run is
+   the paper scenario (one flow, one failure on its path) with the flow
+   carrying [traffic]. *)
+let check_conservation ?(traffic = Convergence.Runner.Cbr None) engine =
   let sink, got = Obs.Sink.memory () in
   let trace = Obs.Trace.create sink in
   let cfg = Convergence.Config.with_degree 4 { quick with seed = 5 } in
-  let r = Convergence.Engine_registry.run ~trace cfg engine in
+  let flow = { Convergence.Runner.default_flow with flow_traffic = traffic } in
+  let failure =
+    {
+      Convergence.Runner.fail_at = cfg.Convergence.Config.failure_time;
+      target = Convergence.Runner.Flow_path 0;
+      heal_after = None;
+    }
+  in
+  let r =
+    Convergence.Metrics.run_of_multi
+      (Convergence.Engine_registry.run_multi ~trace ~flows:[ flow ]
+         ~failures:[ failure ] cfg engine)
+  in
   Obs.Trace.close trace;
   let name = Convergence.Engine_registry.name engine in
   let t = Obs.Replay.totals (got ()) in
@@ -343,6 +357,20 @@ let check_conservation engine =
 let test_conservation_rip () = check_conservation Convergence.Engine_registry.rip
 let test_conservation_dbf () = check_conservation Convergence.Engine_registry.dbf
 let test_conservation_bgp () = check_conservation Convergence.Engine_registry.bgp
+
+(* A transfer's data packets are accounted like CBR packets; its ACKs are
+   neither counted nor traced. 3000 packets at window 16 cross the failure,
+   so the drop and retransmission paths are both exercised. *)
+let test_conservation_transfer () =
+  check_conservation
+    ~traffic:
+      (Convergence.Runner.Transfer
+         {
+           Convergence.Runner.default_transport with
+           rto = 0.5;
+           total_packets = 3000;
+         })
+    Convergence.Engine_registry.dbf
 
 (* The same property must survive a JSONL serialization round trip. *)
 let test_conservation_through_jsonl () =
@@ -424,6 +452,7 @@ let () =
           Alcotest.test_case "RIP" `Quick test_conservation_rip;
           Alcotest.test_case "DBF" `Quick test_conservation_dbf;
           Alcotest.test_case "BGP" `Quick test_conservation_bgp;
+          Alcotest.test_case "DBF transfer" `Quick test_conservation_transfer;
           Alcotest.test_case "through JSONL" `Quick
             test_conservation_through_jsonl;
           Alcotest.test_case "no perturbation" `Quick

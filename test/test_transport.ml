@@ -1,11 +1,25 @@
 (* Tests for the sliding-window reliable transport running over the simulated
-   network and routing protocols. *)
+   network and routing protocols: one [Transfer] flow per run. *)
 
 let quick = Convergence.Config.quick
 
-module R = Convergence.Runner.Make (Protocols.Dbf)
+module E = Convergence.Engine_registry
+module M = Convergence.Metrics
 
-let dbf = Protocols.Dbf.default_config
+let run ?(engine = E.dbf) ~failures tc =
+  let flow =
+    {
+      Convergence.Runner.default_flow with
+      flow_traffic = Convergence.Runner.Transfer tc;
+    }
+  in
+  E.run_multi ~flows:[ flow ] ~failures quick engine
+
+(* The transfer's own outcome. *)
+let transfer ?engine ~failures tc =
+  match (run ?engine ~failures tc).M.m_flows with
+  | [ { M.f_transfer = Some o; _ } ] -> o
+  | _ -> Alcotest.fail "expected one transfer flow"
 
 let tc ?(window = 8) ?(rto = 0.5) ?(total = 1000) () =
   { Convergence.Runner.default_transport with window; rto; total_packets = total }
@@ -18,18 +32,18 @@ let failure_on_path =
   }
 
 let test_lossless_transfer_completes () =
-  let o = R.run_transport ~failures:[] (tc ()) quick dbf in
-  Alcotest.(check int) "all packets acked" 1000 o.Convergence.Runner.t_completed;
-  Alcotest.(check int) "no retransmissions" 0 o.Convergence.Runner.t_retransmissions;
-  Alcotest.(check int) "no duplicates" 0 o.Convergence.Runner.t_duplicates;
-  Alcotest.(check bool) "finished" true (o.Convergence.Runner.t_completed_at <> None)
+  let o = transfer ~failures:[] (tc ()) in
+  Alcotest.(check int) "all packets acked" 1000 o.M.t_completed;
+  Alcotest.(check int) "no retransmissions" 0 o.M.t_retransmissions;
+  Alcotest.(check int) "no duplicates" 0 o.M.t_duplicates;
+  Alcotest.(check bool) "finished" true (o.M.t_completed_at <> None)
 
 let test_window_limits_rate () =
   (* With a window of 1 the transfer is one packet per RTT; with 8 it is
      roughly eight times faster. *)
   let time_with window =
-    let o = R.run_transport ~failures:[] (tc ~window ~total:200 ()) quick dbf in
-    match o.Convergence.Runner.t_completed_at with
+    let o = transfer ~failures:[] (tc ~window ~total:200 ()) in
+    match o.M.t_completed_at with
     | Some t -> t -. quick.Convergence.Config.traffic_start
     | None -> Alcotest.fail "transfer did not finish"
   in
@@ -41,21 +55,20 @@ let test_window_limits_rate () =
     (t8 < t1 /. 4.)
 
 let test_failure_recovered_by_retransmission () =
-  let o = R.run_transport ~failures:[ failure_on_path ] (tc ~total:8000 ()) quick dbf in
-  Alcotest.(check int) "all packets acked" 8000 o.Convergence.Runner.t_completed;
+  let o = transfer ~failures:[ failure_on_path ] (tc ~total:8000 ()) in
+  Alcotest.(check int) "all packets acked" 8000 o.M.t_completed;
   Alcotest.(check bool) "retransmitted something" true
-    (o.Convergence.Runner.t_retransmissions > 0);
+    (o.M.t_retransmissions > 0);
   Alcotest.(check bool) "finished despite failure" true
-    (o.Convergence.Runner.t_completed_at <> None)
+    (o.M.t_completed_at <> None)
 
 let test_failure_recorded_in_multi () =
-  let o = R.run_transport ~failures:[ failure_on_path ] (tc ()) quick dbf in
-  Alcotest.(check int) "one failed link" 1
-    (List.length o.Convergence.Runner.t_multi.Convergence.Metrics.m_failed_links)
+  let m = run ~failures:[ failure_on_path ] (tc ()) in
+  Alcotest.(check int) "one failed link" 1 (List.length m.M.m_failed_links)
 
 let test_goodput_accounts_everything () =
-  let o = R.run_transport ~failures:[] (tc ~total:500 ()) quick dbf in
-  let g = o.Convergence.Runner.t_goodput in
+  let o = transfer ~failures:[] (tc ~total:500 ()) in
+  let g = o.M.t_goodput in
   let total = ref 0 in
   for i = 0 to Dessim.Series.buckets g - 1 do
     total := !total + Dessim.Series.count g i
@@ -63,30 +76,30 @@ let test_goodput_accounts_everything () =
   Alcotest.(check int) "goodput sums to transfer size" 500 !total
 
 let test_unlimited_transfer_saturates () =
-  let o = R.run_transport ~failures:[] (tc ~total:0 ()) quick dbf in
+  let o = transfer ~failures:[] (tc ~total:0 ()) in
   Alcotest.(check bool) "never 'finishes'" true
-    (o.Convergence.Runner.t_completed_at = None);
+    (o.M.t_completed_at = None);
   Alcotest.(check bool) "moves a lot of data" true
-    (o.Convergence.Runner.t_completed > 1000)
+    (o.M.t_completed > 1000)
 
 let test_bad_transport_config_rejected () =
   let bad_window = { (tc ()) with Convergence.Runner.window = 0 } in
-  (match R.run_transport ~failures:[] bad_window quick dbf with
-  | (_ : Convergence.Runner.transport_outcome) -> Alcotest.fail "expected rejection"
+  (match transfer ~failures:[] bad_window with
+  | (_ : M.transfer) -> Alcotest.fail "expected rejection"
   | exception Invalid_argument _ -> ());
   let bad_rto = { (tc ()) with Convergence.Runner.rto = 0. } in
-  match R.run_transport ~failures:[] bad_rto quick dbf with
-  | (_ : Convergence.Runner.transport_outcome) -> Alcotest.fail "expected rejection"
+  match transfer ~failures:[] bad_rto with
+  | (_ : M.transfer) -> Alcotest.fail "expected rejection"
   | exception Invalid_argument _ -> ()
 
 let test_transport_determinism () =
-  let key (o : Convergence.Runner.transport_outcome) =
-    ( o.Convergence.Runner.t_completed,
-      o.Convergence.Runner.t_retransmissions,
-      o.Convergence.Runner.t_completed_at )
+  let key (o : M.transfer) =
+    ( o.M.t_completed,
+      o.M.t_retransmissions,
+      o.M.t_completed_at )
   in
-  let a = R.run_transport ~failures:[ failure_on_path ] (tc ~total:3000 ()) quick dbf in
-  let b = R.run_transport ~failures:[ failure_on_path ] (tc ~total:3000 ()) quick dbf in
+  let a = transfer ~failures:[ failure_on_path ] (tc ~total:3000 ()) in
+  let b = transfer ~failures:[ failure_on_path ] (tc ~total:3000 ()) in
   Alcotest.(check bool) "same outcome" true (key a = key b)
 
 let test_rip_stalls_longer_than_dbf () =
@@ -94,10 +107,9 @@ let test_rip_stalls_longer_than_dbf () =
      long goodput stall and hence a later completion. *)
   let finish engine =
     let o =
-      Convergence.Engine_registry.run_transport ~failures:[ failure_on_path ]
-        (tc ~total:8000 ~rto:0.5 ()) quick engine
+      transfer ~engine ~failures:[ failure_on_path ] (tc ~total:8000 ~rto:0.5 ())
     in
-    match o.Convergence.Runner.t_completed_at with
+    match o.M.t_completed_at with
     | Some t -> t
     | None -> quick.Convergence.Config.sim_end
   in
