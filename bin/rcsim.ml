@@ -1261,70 +1261,76 @@ let campaign_cmd =
   let section_cmd (section : Campaign.Sections.t) =
     let action quick full jobs out runs degrees seed quiet cell_budget retries
         hang_cell die_cell backend cache_dir journal_path stop_after prof =
-      match Campaign.Sections.fixed_axis section with
-      | Some axis when runs <> None || degrees <> None ->
-        `Error
-          ( true,
-            Printf.sprintf
-              "campaign %s takes neither --degrees nor --runs; its axis is fixed: %s"
-              section.Campaign.Sections.name axis )
-      | Some _ | None ->
-        if quick && full then `Error (true, "--quick and --full are exclusive")
-        else if jobs < 1 then `Error (true, "--jobs must be at least 1")
-        else if retries < 0 then `Error (true, "--retries must be >= 0")
-        else if stop_after <> None && stop_after < Some 1 then
-          `Error (true, "--stop-after-cells must be >= 1")
-        else if die_cell <> None && backend <> `Proc then
-          `Error (true, "--die-cell requires --backend proc")
-        else begin
-          match (hang_of hang_cell, cell_key_of ~flag:"--die-cell" die_cell) with
-          | Error e, _ | _, Error e -> `Error (true, e)
-          | Ok (Some _), _ when cell_budget = None ->
-            `Error (true, "--hang-cell requires --cell-budget")
-          | Ok hang, Ok _ ->
-            let mode = if quick then "quick" else if full then "full" else "standard" in
-            let sweep = sweep_of ~quick ~full ~runs ~degrees ~seed in
-            let sweep = Campaign.Sections.sweep_for section ~full sweep in
-            let backend =
-              match backend with
-              | `Domains -> Campaign.Driver.Domains
-              | `Proc ->
-                Campaign.Driver.Proc
+      let fixed_axis_error =
+        match Campaign.Sections.fixed_axis section with
+        | Some axis when runs <> None || degrees <> None ->
+          Some
+            (Printf.sprintf
+               "campaign %s takes neither --degrees nor --runs; its axis is \
+                fixed: %s"
+               section.Campaign.Sections.name axis)
+        | Some _ | None -> None
+      in
+      if quick && full then `Error (true, "--quick and --full are exclusive")
+      else if jobs < 1 then `Error (true, "--jobs must be at least 1")
+      else if retries < 0 then `Error (true, "--retries must be >= 0")
+      else if stop_after <> None && stop_after < Some 1 then
+        `Error (true, "--stop-after-cells must be >= 1")
+      else if die_cell <> None && backend <> `Proc then
+        `Error (true, "--die-cell requires --backend proc")
+      else begin
+        match
+          ( fixed_axis_error,
+            hang_of hang_cell,
+            cell_key_of ~flag:"--die-cell" die_cell )
+        with
+        | Some e, _, _ | _, Error e, _ | _, _, Error e -> `Error (true, e)
+        | None, Ok (Some _), _ when cell_budget = None ->
+          `Error (true, "--hang-cell requires --cell-budget")
+        | None, Ok hang, Ok _ ->
+          let mode = if quick then "quick" else if full then "full" else "standard" in
+          let sweep = sweep_of ~quick ~full ~runs ~degrees ~seed in
+          let sweep = Campaign.Sections.sweep_for section ~full sweep in
+          let backend =
+            match backend with
+            | `Domains -> Campaign.Driver.Domains
+            | `Proc ->
+              Campaign.Driver.Proc
+                {
+                  argv =
+                    worker_argv ~section_name:section.Campaign.Sections.name
+                      ~mode ~runs ~degrees ~seed ~cell_budget ~hang_cell
+                      ~die_cell;
+                }
+          in
+          let cache =
+            cache_of ~dir:cache_dir ~family:section.Campaign.Sections.family
+              ~mode ~runs ~degrees ~seed
+          in
+          let journal =
+            Option.map
+              (fun jp ->
+                Campaign.Journal.create ~path:jp
                   {
-                    argv =
-                      worker_argv ~section_name:section.Campaign.Sections.name
-                        ~mode ~runs ~degrees ~seed ~cell_budget ~hang_cell
-                        ~die_cell;
-                  }
-            in
-            let cache =
-              cache_of ~dir:cache_dir ~family:section.Campaign.Sections.family
-                ~mode ~runs ~degrees ~seed
-            in
-            let journal =
-              Option.map
-                (fun jp ->
-                  Campaign.Journal.create ~path:jp
-                    {
-                      Campaign.Journal.h_section = section.Campaign.Sections.name;
-                      h_mode = mode;
-                      h_jobs = jobs;
-                      h_out = out;
-                      h_total = Array.length (section.Campaign.Sections.tasks sweep);
-                      h_runs = runs;
-                      h_degrees = degrees;
-                      h_seed = seed;
-                    })
-                journal_path
-            in
-            if Option.is_some journal then install_stop_handlers ();
-            if prof then Obs.Prof.set_enabled true;
-            render_result section ~out
-              (run_section ~jobs ~quiet ?cell_budget ~retries ?hang ?stop_after
-                 ?journal ?journal_path ?cache ~backend ~mode section sweep);
-            if prof then Fmt.epr "hot scopes:@.%a" Obs.Prof.pp_report ();
-            `Ok ()
-        end
+                    Campaign.Journal.h_section = section.Campaign.Sections.name;
+                    h_mode = mode;
+                    h_jobs = jobs;
+                    h_out = out;
+                    h_total = Array.length (section.Campaign.Sections.tasks sweep);
+                    h_runs = runs;
+                    h_degrees = degrees;
+                    h_seed = seed;
+                  })
+              journal_path
+          in
+          if Option.is_some journal then install_stop_handlers ();
+          if prof then Obs.Prof.set_enabled true;
+          render_result section ~out
+            (run_section ~jobs ~quiet ?cell_budget ~retries ?hang ?stop_after
+               ?journal ?journal_path ?cache ~backend ~mode section sweep);
+          if prof then Fmt.epr "hot scopes:@.%a" Obs.Prof.pp_report ();
+          `Ok ()
+      end
     in
     let term =
       Term.(

@@ -7,7 +7,7 @@
     overlapping, possibly transient) link failures. The paper's scenario —
     one CBR flow from the first row to the last, one failure on its path at
     [failure_time] — is the one-flow, one-failure case that
-    {!Engine_registry.run} builds.
+    [Engine_registry.run] builds.
 
     Timeline of the paper scenario (defaults in parentheses):
     - [t = 0]: protocols start, warm up, and converge;
@@ -111,9 +111,10 @@ type routing_view = {
       configuration. Defaults to {!Fault.Spec.none}, in which case the run's
       traces and metrics are bit-identical to a run without fault support:
       no perturbation draws, no [Rtx] sessions, and link failures take the
-      same refcounted down/up path a flap does. When faults are active the registry additionally gains
-      [fault.injected_data_drops], [fault.injected_ctrl_drops],
-      [rtx.retransmissions], [rtx.timeouts], and [rtx.session_resets].
+      same refcounted down/up path a flap does. When faults are active the
+      registry additionally gains [fault.injected_data_drops],
+      [fault.injected_ctrl_drops], [rtx.retransmissions], [rtx.timeouts],
+      and [rtx.session_resets].
     - [?frr] — enable the fast-reroute layer: every router precomputes a
       loop-free backup next hop per destination ({!Frr}) and degrades
       gracefully onto it whenever its primary route is unusable — aimed at a

@@ -2,10 +2,10 @@
     payloads.
 
     Payloads are immediates (the scheduler queues pool indices instead of
-    event records), so every array here is unboxed — sift moves execute no write barrier and the GC never scans the
-    queue. Ordered by time first and, for equal times, by the sequence
-    number, which keeps simultaneous events FIFO and simulations
-    deterministic. It pops exactly the sequence of the pre-rewrite boxed
+    event records), so every array here is unboxed — sift moves execute no
+    write barrier and the GC never scans the queue. Ordered by time first
+    and, for equal times, by the sequence number, which keeps simultaneous
+    events FIFO and simulations deterministic. It pops exactly the sequence of the pre-rewrite boxed
     heap kept as an oracle in [test/reference_heap.ml] (checked by the
     differential suite in [test/test_differential.ml]). *)
 
