@@ -1,10 +1,11 @@
 (** The full fault specification a run can be subjected to.
 
     [none] (the default everywhere) is the contract that makes fault
-    injection safe to wire through the runner: with [is_none spec] true, the
-    runner takes exactly its pre-fault code paths — no extra RNG draws, no
-    wrapper closures on the delivery path that alter event order — so every
-    committed benchmark artifact and golden trace stays bit-identical. *)
+    injection safe to wire through the runner: with [is_none spec] true, a
+    run's traces and metrics are bit-identical to a run without fault
+    support — no extra RNG draws, no wrapper closures on the delivery path
+    that alter event order — so every committed benchmark artifact and
+    golden trace stays bit-identical. *)
 
 type t = {
   noise : Perturb.t option;  (** per-link probabilistic perturbation *)
