@@ -165,20 +165,31 @@ let test_report_scalar_table () =
 
 (* ---------- Loop analysis ---------- *)
 
-let test_cycle_of_path () =
-  let looping nodes =
-    Convergence.Loop_analysis.cycle_of_path (Convergence.Observer.Looping nodes)
-  in
+(* A packet's visit list, in travel order, as the observer reports it when
+   the packet is caught in a loop. *)
+let cycle_of_packet nodes =
+  Convergence.Loop_analysis.cycle_of_path (Convergence.Observer.Looping nodes)
+
+let test_cycle_of_packet () =
   Alcotest.(check (option (list int))) "simple cycle" (Some [ 1; 2 ])
-    (looping [ 0; 1; 2; 1 ]);
+    (cycle_of_packet [ 0; 1; 2; 1 ]);
   Alcotest.(check (option (list int))) "3-cycle" (Some [ 1; 2; 3 ])
-    (looping [ 0; 1; 2; 3; 1 ]);
-  Alcotest.(check (option (list int))) "no repeat" None (looping [ 0; 1; 2; 3 ]);
+    (cycle_of_packet [ 0; 1; 2; 3; 1 ]);
+  Alcotest.(check (option (list int))) "no cycle" None
+    (cycle_of_packet [ 0; 1; 2; 3 ]);
   Alcotest.(check (option (list int))) "normalized rotation" (Some [ 2; 7; 12 ])
-    (looping [ 5; 7; 12; 2; 7 ]);
+    (cycle_of_packet [ 5; 7; 12; 2; 7 ])
+
+let test_cycle_of_path () =
+  Alcotest.(check (option (list int))) "looping" (Some [ 1; 2 ])
+    (Convergence.Loop_analysis.cycle_of_path
+       (Convergence.Observer.Looping [ 0; 1; 2; 1 ]));
   Alcotest.(check (option (list int))) "complete" None
     (Convergence.Loop_analysis.cycle_of_path
-       (Convergence.Observer.Complete [ 0; 1; 2 ]))
+       (Convergence.Observer.Complete [ 0; 1; 2 ]));
+  Alcotest.(check (option (list int))) "broken" None
+    (Convergence.Loop_analysis.cycle_of_path
+       (Convergence.Observer.Broken [ 0; 1; 2 ]))
 
 (* ---------- Engine registry ---------- *)
 
@@ -273,6 +284,7 @@ let () =
         ] );
       ( "loop analysis",
         [
+          Alcotest.test_case "packet cycles" `Quick test_cycle_of_packet;
           Alcotest.test_case "path cycles" `Quick test_cycle_of_path;
         ] );
       ( "registry",
