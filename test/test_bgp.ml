@@ -198,6 +198,95 @@ let test_batch_flush_on_event () =
   Alcotest.(check (option (list int))) "stale 1 purged" None p1;
   Alcotest.(check (option (list int))) "stale 2 purged" None p2
 
+(* One router driven by hand: its sends are recorded rather than
+   delivered, and its MRAI timers run on a private scheduler. *)
+let lone_router ~config ~id ~neighbors =
+  let sched = Dessim.Scheduler.create () in
+  let sent = ref [] in
+  let actions =
+    {
+      Protocols.Proto_intf.now = (fun () -> Dessim.Scheduler.now sched);
+      send =
+        (fun neighbor msg ->
+          sent := (Dessim.Scheduler.now sched, neighbor, msg) :: !sent);
+      after = (fun delay fn -> Dessim.Scheduler.after sched ~delay fn);
+      route_changed = (fun _ -> ());
+      note = (fun _ -> ());
+    }
+  in
+  let r =
+    Protocols.Bgp.create config ~rng:(Dessim.Rng.create 1) ~id ~neighbors ~actions
+  in
+  (r, sched, sent)
+
+let test_withdrawn_then_readvertised_while_gated () =
+  (* Router 1's gates close at start. Destination 30 queues behind the
+     closed gate to 0, is withdrawn (dropping it from the pending set) and
+     is re-advertised before the timer expires: the flush sends it once. *)
+  let config = { Protocols.Bgp.default_config with mrai_mean = 10.; mrai_jitter = 0. } in
+  let r, sched, sent = lone_router ~config ~id:1 ~neighbors:[ 0; 2 ] in
+  Protocols.Bgp.start r;
+  let update () =
+    Protocols.Bgp.on_message r ~from:2 (Protocols.Bgp.Update { dst = 30; path = [ 2; 30 ] })
+  in
+  update ();
+  ignore
+    (Dessim.Scheduler.after sched ~delay:1. (fun () ->
+         Protocols.Bgp.on_message r ~from:2 (Protocols.Bgp.Withdraw { dsts = [ 30 ] })));
+  ignore (Dessim.Scheduler.after sched ~delay:2. update);
+  Dessim.Scheduler.run ~until:30. sched;
+  let to_0 =
+    List.filter_map
+      (fun (at, n, msg) ->
+        match msg with
+        | Protocols.Bgp.Update { dst = 30; path } when n = 0 -> Some (at, path)
+        | Protocols.Bgp.Update _ | Protocols.Bgp.Withdraw _ -> None)
+      (List.rev !sent)
+  in
+  Alcotest.(check (list (pair (float 1e-9) (list int))))
+    "one update, at the flush" [ (10., [ 1; 2; 30 ]) ] to_0;
+  Alcotest.(check bool) "withdrawal went out at once" true
+    (List.exists
+       (fun (at, n, msg) ->
+         n = 0 && at = 1.
+         && match msg with
+            | Protocols.Bgp.Withdraw { dsts } -> dsts = [ 30 ]
+            | Protocols.Bgp.Update _ -> false)
+       !sent)
+
+let test_non_neighbor_messages_ignored () =
+  (* Router 1 peers with 0 and 4. Messages claiming to come from 2 (an id
+     between the neighbors) or 99 (above every neighbor) touch nothing. *)
+  let r, sched, sent = lone_router ~config:fast ~id:1 ~neighbors:[ 0; 4 ] in
+  Protocols.Bgp.start r;
+  Protocols.Bgp.on_message r ~from:0 (Protocols.Bgp.Update { dst = 0; path = [ 0 ] });
+  Protocols.Bgp.on_message r ~from:4 (Protocols.Bgp.Update { dst = 7; path = [ 4; 7 ] });
+  Dessim.Scheduler.run ~until:20. sched;
+  let snapshot () =
+    ( Protocols.Bgp.known_destinations r,
+      List.map
+        (fun dst ->
+          ( Protocols.Bgp.best_path r ~dst,
+            Protocols.Bgp.metric r ~dst,
+            Protocols.Bgp.next_hop r ~dst,
+            List.map
+              (fun neighbor -> Protocols.Bgp.rib_in_path r ~neighbor ~dst)
+              [ 0; 2; 4; 99 ] ))
+        [ 0; 1; 5; 7; 99 ] )
+  in
+  let before = snapshot () in
+  let sends = List.length !sent in
+  List.iter
+    (fun from ->
+      Protocols.Bgp.on_message r ~from (Protocols.Bgp.Update { dst = 5; path = [ from; 5 ] });
+      Protocols.Bgp.on_message r ~from (Protocols.Bgp.Withdraw { dsts = [ 0; 7 ] }))
+    [ 2; 99 ];
+  Dessim.Scheduler.run ~until:40. sched;
+  Alcotest.(check bool) "tables unchanged" true (before = snapshot ());
+  Alcotest.(check int) "nothing sent" sends (List.length !sent);
+  Alcotest.(check (option int)) "route via 4 kept" (Some 4)
+    (Protocols.Bgp.next_hop r ~dst:7)
+
 let test_message_sizes () =
   let u = Protocols.Bgp.Update { dst = 5; path = [ 1; 2; 5 ] } in
   let w = Protocols.Bgp.Withdraw { dsts = [ 1; 2; 3 ] } in
@@ -348,6 +437,8 @@ let () =
           Alcotest.test_case "partition" `Quick test_partition_withdraws_everywhere;
           Alcotest.test_case "reconvergence" `Quick test_reconverges_after_failure;
           Alcotest.test_case "session re-establish" `Quick test_link_up_session_reestablish;
+          Alcotest.test_case "non-neighbor messages ignored" `Quick
+            test_non_neighbor_messages_ignored;
         ] );
       ( "mrai",
         [
@@ -355,6 +446,8 @@ let () =
           Alcotest.test_case "per-destination scope" `Quick test_mrai_per_destination_scope;
           Alcotest.test_case "withdrawals bypass" `Quick test_withdrawals_bypass_mrai;
           Alcotest.test_case "batch flush" `Quick test_batch_flush_on_event;
+          Alcotest.test_case "withdrawn then re-advertised while gated" `Quick
+            test_withdrawn_then_readvertised_while_gated;
           Alcotest.test_case "message sizes" `Quick test_message_sizes;
         ] );
       ( "route flap damping",
