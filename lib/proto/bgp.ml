@@ -69,13 +69,15 @@ let pp_message ppf = function
   | Withdraw { dsts } ->
     Fmt.pf ppf "withdraw %a" Fmt.(list ~sep:(any ",") int) dsts
 
-(* The best route to a destination: which neighbor it came from and the path
-   exactly as that neighbor advertised it (neighbor first, dst last). *)
-type best = { via : Netsim.Types.node_id; path_rx : Netsim.Types.node_id list }
-
+(* An MRAI gate. While [closed], changed destinations wait in its pending
+   set: a bitset for membership plus the list of members. Dropping a pending
+   destination clears only its bit, so the list may hold stale or repeated
+   entries; the flush takes each member whose bit is still set, clearing the
+   bit as it goes, so every pending destination goes out once. *)
 type gate = {
   mutable closed : bool;
-  pending : (Netsim.Types.node_id, unit) Hashtbl.t;
+  queued : Route_table.Bitset.t;
+  mutable members : Netsim.Types.node_id list;
 }
 
 (* Route-flap-damping bookkeeping, per (neighbor, destination): an
@@ -87,142 +89,192 @@ type rfd_entry = {
   mutable suppressed : bool;
 }
 
+(* The session with one topology neighbor. Its Adj-RIB-in is dense by
+   destination: the path exactly as the neighbor advertised it (neighbor
+   first, dst last) and that path's length, -1 meaning no entry. *)
+type peer = {
+  peer_id : Netsim.Types.node_id;
+  mutable up : bool;
+  rib_path : Netsim.Types.node_id list Route_table.Vec.t;
+  rib_len : Route_table.Int_vec.t;
+  mutable rib_hi : int;  (* 1 + highest destination ever stored *)
+  mutable gate : gate;  (* Per_neighbor scope *)
+}
+
 type t = {
   cfg : config;
   rng : Dessim.Rng.t;
   id : Netsim.Types.node_id;
   actions : message Proto_intf.actions;
-  mutable up : Netsim.Types.node_id list;
-  rib_in :
-    (Netsim.Types.node_id, (Netsim.Types.node_id, Netsim.Types.node_id list) Hashtbl.t)
-    Hashtbl.t;
-  best : (Netsim.Types.node_id, best) Hashtbl.t;
+  peers : peer array;  (* ascending neighbor id; fixed for the instance *)
+  slot_of : Route_table.Int_vec.t;  (* neighbor id -> index in [peers], or -1 *)
   fib : Route_table.t;
-      (* dense mirror of [best] (metric = received path length, next hop =
-         [via]), maintained by [recompute] so the per-hop forwarding query
-         never hashes *)
-  gates : (Netsim.Types.node_id, gate) Hashtbl.t;  (* Per_neighbor scope *)
+      (* the selected route: metric = received path length (-1: no route),
+         next hop = the neighbor it came from *)
+  best_rx : Netsim.Types.node_id list Route_table.Vec.t;
+      (* the selected path as that neighbor advertised it *)
   pd_gates : (Netsim.Types.node_id * Netsim.Types.node_id, gate) Hashtbl.t;
       (* Per_destination scope, keyed by (neighbor, dst) *)
   rfd_table : (Netsim.Types.node_id * Netsim.Types.node_id, rfd_entry) Hashtbl.t;
   mutable started : bool;
 }
 
+let new_gate () =
+  { closed = false; queued = Route_table.Bitset.create (); members = [] }
+
 let create cfg ~rng ~id ~neighbors ~actions =
+  let ids = Array.of_list (List.sort_uniq Int.compare neighbors) in
+  let slot_of = Route_table.Int_vec.create ~default:(-1) in
+  Array.iteri (fun s n -> Route_table.Int_vec.set slot_of n s) ids;
+  let peer n =
+    {
+      peer_id = n;
+      up = true;
+      rib_path = Route_table.Vec.create ~default:[];
+      rib_len = Route_table.Int_vec.create ~default:(-1);
+      rib_hi = 0;
+      gate = new_gate ();
+    }
+  in
   {
     cfg;
     rng;
     id;
     actions;
-    up = List.sort compare neighbors;
-    rib_in = Hashtbl.create 8;
-    best = Hashtbl.create 64;
+    peers = Array.map peer ids;
+    slot_of;
     fib = Route_table.create ();
-    gates = Hashtbl.create 8;
+    best_rx = Route_table.Vec.create ~default:[];
     pd_gates = Hashtbl.create 64;
     rfd_table = Hashtbl.create 64;
     started = false;
   }
 
-let neighbor_rib t neighbor =
-  match Hashtbl.find_opt t.rib_in neighbor with
-  | Some tbl -> tbl
-  | None ->
-    let tbl = Hashtbl.create 64 in
-    Hashtbl.replace t.rib_in neighbor tbl;
-    tbl
+let slot t n = Route_table.Int_vec.get t.slot_of n
+
+let has_route t dst = Route_table.metric t.fib dst >= 0
+
+(* The length of [path], or -1 when it passes through [id]. *)
+let rec length_unless_through (id : Netsim.Types.node_id) n = function
+  | [] -> n
+  | hop :: rest -> if hop = id then -1 else length_unless_through id (n + 1) rest
+
+let same_path (a : Netsim.Types.node_id list) b = a == b || List.equal Int.equal a b
 
 let rib_in_path t ~neighbor ~dst =
-  match Hashtbl.find_opt t.rib_in neighbor with
-  | None -> None
-  | Some tbl -> Hashtbl.find_opt tbl dst
-
-let best_path t ~dst =
-  if dst = t.id then Some [ t.id ]
-  else
-    match Hashtbl.find_opt t.best dst with
-    | Some b -> Some (t.id :: b.path_rx)
-    | None -> None
+  let s = slot t neighbor in
+  if s < 0 || Route_table.Int_vec.get t.peers.(s).rib_len dst < 0 then None
+  else Some (Route_table.Vec.get t.peers.(s).rib_path dst)
 
 let my_path t dst =
-  match best_path t ~dst with
-  | Some p -> p
-  | None -> invalid_arg "Bgp.my_path: no route"
+  if dst = t.id then [ t.id ]
+  else if has_route t dst then t.id :: Route_table.Vec.get t.best_rx dst
+  else invalid_arg "Bgp.my_path: no route"
+
+let best_path t ~dst =
+  if dst = t.id || has_route t dst then Some (my_path t dst) else None
 
 let mrai_delay t =
   let lo = t.cfg.mrai_mean *. (1. -. t.cfg.mrai_jitter) in
   let hi = t.cfg.mrai_mean *. (1. +. t.cfg.mrai_jitter) in
   Dessim.Rng.uniform t.rng lo hi
 
-let gate_for t neighbor dst =
-  let find_or_create tbl key =
-    match Hashtbl.find_opt tbl key with
-    | Some g -> g
-    | None ->
-      let g = { closed = false; pending = Hashtbl.create 8 } in
-      Hashtbl.replace tbl key g;
-      g
+let pd_gate t neighbor dst =
+  match Hashtbl.find_opt t.pd_gates (neighbor, dst) with
+  | Some g -> g
+  | None ->
+    let g = new_gate () in
+    Hashtbl.replace t.pd_gates (neighbor, dst) g;
+    g
+
+let enqueue g dst =
+  if not (Route_table.Bitset.mem g.queued dst) then begin
+    Route_table.Bitset.add g.queued dst;
+    g.members <- dst :: g.members
+  end
+
+(* Queue [dsts] behind [g]; returns how many there were. *)
+let rec enqueue_all g n = function
+  | [] -> n
+  | dst :: rest ->
+    enqueue g dst;
+    enqueue_all g (n + 1) rest
+
+(* Empty [g]'s pending set, returning it ascending. *)
+let take_pending g =
+  let rec still_queued acc = function
+    | [] -> acc
+    | dst :: rest ->
+      if Route_table.Bitset.mem g.queued dst then begin
+        Route_table.Bitset.remove g.queued dst;
+        still_queued (dst :: acc) rest
+      end
+      else still_queued acc rest
   in
-  match t.cfg.mrai_scope with
-  | Per_neighbor -> find_or_create t.gates neighbor
-  | Per_destination -> find_or_create t.pd_gates (neighbor, dst)
+  let pending = still_queued [] g.members in
+  g.members <- [];
+  List.sort Int.compare pending
 
 let send_update_now t neighbor dst =
   t.actions.Proto_intf.send neighbor (Update { dst; path = my_path t dst })
 
-(* Advertise a batch of changed destinations to [neighbor], subject to the
+(* Advertise a batch of changed destinations to peer [p], subject to the
    MRAI gate. Following the paper's Section 4.3: a router that has just
    processed an event sends updates for *all* the paths that changed, then
    turns the (per-neighbor) timer on; destinations changing while the timer
    runs accumulate and flush in one batch (with then-current state) when it
    expires, which closes it again. *)
-let rec advertise_batch t neighbor dsts =
-  if dsts <> [] && List.mem neighbor t.up then begin
+let rec advertise_batch t p dsts =
+  match dsts with
+  | [] -> ()
+  | _ :: _ when not p.up -> ()
+  | _ :: _ -> (
+    let neighbor = p.peer_id in
     match t.cfg.mrai_scope with
     | Per_neighbor ->
-      let g = gate_for t neighbor 0 in
-      if g.closed then begin
-        List.iter (fun d -> Hashtbl.replace g.pending d ()) dsts;
+      let g = p.gate in
+      if g.closed then
         t.actions.Proto_intf.note
-          (Proto_intf.Mrai_deferred { neighbor; dsts = List.length dsts })
-      end
+          (Proto_intf.Mrai_deferred { neighbor; dsts = enqueue_all g 0 dsts })
       else begin
         List.iter (send_update_now t neighbor) dsts;
-        close_gate t neighbor g
+        close_gate t p g
       end
     | Per_destination ->
       let per_dst dst =
-        let g = gate_for t neighbor dst in
+        let g = pd_gate t neighbor dst in
         if g.closed then begin
-          Hashtbl.replace g.pending dst ();
+          enqueue g dst;
           t.actions.Proto_intf.note
             (Proto_intf.Mrai_deferred { neighbor; dsts = 1 })
         end
         else begin
           send_update_now t neighbor dst;
-          close_gate t neighbor g
+          close_gate t p g
         end
       in
-      List.iter per_dst dsts
-  end
+      List.iter per_dst dsts)
 
-and close_gate t neighbor g =
+(* The timer closes over [g] itself: a session reset installs a fresh gate
+   for the peer, and a timer already in flight still reopens and flushes the
+   old one, through the peer's current gate. *)
+and close_gate t p g =
   g.closed <- true;
   ignore
     (t.actions.Proto_intf.after (mrai_delay t) (fun () ->
          g.closed <- false;
-         let pend =
-           Hashtbl.fold (fun d () acc -> d :: acc) g.pending [] |> List.sort compare
-         in
-         Hashtbl.reset g.pending;
-         if List.mem neighbor t.up then begin
-           let live = List.filter (fun d -> d = t.id || Hashtbl.mem t.best d) pend in
-           advertise_batch t neighbor live
-         end))
+         let pending = take_pending g in
+         if p.up then
+           advertise_batch t p
+             (List.filter (fun d -> d = t.id || has_route t d) pending)))
 
-let drop_pending t neighbor dst =
-  let g = gate_for t neighbor dst in
-  Hashtbl.remove g.pending dst
+let drop_pending t p dst =
+  match t.cfg.mrai_scope with
+  | Per_neighbor -> Route_table.Bitset.remove p.gate.queued dst
+  | Per_destination -> (
+    match Hashtbl.find_opt t.pd_gates (p.peer_id, dst) with
+    | Some g -> Route_table.Bitset.remove g.queued dst
+    | None -> ())
 
 let rfd_decayed (c : rfd_config) (e : rfd_entry) ~now =
   e.penalty *. (0.5 ** ((now -. e.stamp) /. c.half_life))
@@ -245,59 +297,71 @@ type transition = Unchanged | Changed | Lost
 let recompute t dst =
   if dst = t.id then Unchanged
   else begin
-    let incumbent = Hashtbl.find_opt t.best dst in
-    let ordered_neighbors = t.up in
-    let consider acc neighbor =
-      match rib_in_path t ~neighbor ~dst with
-      | None -> acc
-      | Some _ when rfd_suppressed t ~neighbor ~dst -> acc
-      | Some path ->
-        let len = List.length path in
-        (match acc with
-        | Some (best_len, _, _) when best_len <= len -> acc
-        | Some _ | None -> Some (len, neighbor, path))
-    in
-    let winner = List.fold_left consider None ordered_neighbors in
-    match (incumbent, winner) with
-    | None, None -> Unchanged
-    | Some old, Some (_, via, path) when old.via = via && old.path_rx = path ->
-      Unchanged
-    | _, Some (len, via, path) ->
-      Hashtbl.replace t.best dst { via; path_rx = path };
-      Route_table.set t.fib ~dst ~metric:len ~next_hop:via;
-      t.actions.Proto_intf.route_changed dst;
-      Changed
-    | Some _, None ->
-      Hashtbl.remove t.best dst;
-      Route_table.set t.fib ~dst ~metric:(-1) ~next_hop:(-1);
-      t.actions.Proto_intf.route_changed dst;
-      Lost
+    let winner = ref (-1) and winner_len = ref max_int in
+    for s = 0 to Array.length t.peers - 1 do
+      let p = t.peers.(s) in
+      let len = Route_table.Int_vec.get p.rib_len dst in
+      if p.up && len >= 0 && len < !winner_len
+         && not (rfd_suppressed t ~neighbor:p.peer_id ~dst)
+      then begin
+        winner := s;
+        winner_len := len
+      end
+    done;
+    if !winner < 0 then
+      if has_route t dst then begin
+        Route_table.Vec.set t.best_rx dst [];
+        Route_table.set t.fib ~dst ~metric:(-1) ~next_hop:(-1);
+        t.actions.Proto_intf.route_changed dst;
+        Lost
+      end
+      else Unchanged
+    else begin
+      let via = t.peers.(!winner).peer_id in
+      let path = Route_table.Vec.get t.peers.(!winner).rib_path dst in
+      if has_route t dst
+         && Route_table.next_hop_id t.fib dst = via
+         && same_path (Route_table.Vec.get t.best_rx dst) path
+      then Unchanged
+      else begin
+        Route_table.Vec.set t.best_rx dst path;
+        Route_table.set t.fib ~dst ~metric:!winner_len ~next_hop:via;
+        t.actions.Proto_intf.route_changed dst;
+        Changed
+      end
+    end
   end
 
 (* Push the consequences of recomputed destinations to all up neighbors:
    lost destinations produce one immediate batched withdrawal; changed ones
    go through the MRAI gate. *)
 let propagate t ~lost ~updated =
-  let to_neighbor neighbor =
-    (match lost with
-    | [] -> ()
-    | dsts ->
-      List.iter (fun d -> drop_pending t neighbor d) dsts;
-      t.actions.Proto_intf.send neighbor (Withdraw { dsts })
-    );
-    advertise_batch t neighbor updated
-  in
-  if lost <> [] || updated <> [] then List.iter to_neighbor t.up
+  match (lost, updated) with
+  | [], [] -> ()
+  | _ ->
+    for s = 0 to Array.length t.peers - 1 do
+      let p = t.peers.(s) in
+      if p.up then begin
+        (match lost with
+        | [] -> ()
+        | dsts ->
+          List.iter (drop_pending t p) dsts;
+          t.actions.Proto_intf.send p.peer_id (Withdraw { dsts }));
+        advertise_batch t p updated
+      end
+    done
 
-let recompute_and_propagate t dsts =
-  let classify (lost, updated) dst =
+let rec recompute_all t ~lost ~updated = function
+  | [] ->
+    propagate t ~lost:(List.sort Int.compare lost)
+      ~updated:(List.sort Int.compare updated)
+  | dst :: rest -> (
     match recompute t dst with
-    | Unchanged -> (lost, updated)
-    | Changed -> (lost, dst :: updated)
-    | Lost -> (dst :: lost, updated)
-  in
-  let lost, updated = List.fold_left classify ([], []) dsts in
-  propagate t ~lost:(List.sort compare lost) ~updated:(List.sort compare updated)
+    | Unchanged -> recompute_all t ~lost ~updated rest
+    | Changed -> recompute_all t ~lost ~updated:(dst :: updated) rest
+    | Lost -> recompute_all t ~lost:(dst :: lost) ~updated rest)
+
+let recompute_and_propagate t dsts = recompute_all t ~lost:[] ~updated:[] dsts
 
 (* Charge a flap penalty against (neighbor, dst) and suppress the entry when
    the penalty crosses the cutoff; a timer releases it once the exponential
@@ -334,76 +398,87 @@ let rfd_penalize t ~neighbor ~dst amount =
              end))
     end
 
+let forget p dst =
+  Route_table.Int_vec.set p.rib_len dst (-1);
+  Route_table.Vec.set p.rib_path dst []
+
+(* An explicit withdrawal of [p]'s entry for [dst], or an implicit one (a
+   looped path). *)
+let withdraw t p dst =
+  if Route_table.Int_vec.get p.rib_len dst >= 0 then begin
+    forget p dst;
+    match t.cfg.rfd with
+    | Some c -> rfd_penalize t ~neighbor:p.peer_id ~dst c.withdrawal_penalty
+    | None -> ()
+  end
+
 let start t =
   if t.started then invalid_arg "Bgp.start: already started";
   t.started <- true;
-  List.iter (fun n -> advertise_batch t n [ t.id ]) t.up
+  let self = [ t.id ] in
+  Array.iter (fun p -> advertise_batch t p self) t.peers
 
 let on_message t ~from msg =
-  if List.mem from t.up then begin
+  let s = slot t from in
+  if s >= 0 && t.peers.(s).up then begin
+    let p = t.peers.(s) in
     match msg with
     | Update { dst; path } ->
-      let rib = neighbor_rib t from in
-      let previous = Hashtbl.find_opt rib dst in
       (* Loop detection: a path through ourselves is unusable; the paper
          treats it as an implicit withdrawal. *)
-      if List.mem t.id path then begin
-        Hashtbl.remove rib dst;
-        (match t.cfg.rfd with
-        | Some c when previous <> None ->
-          rfd_penalize t ~neighbor:from ~dst c.withdrawal_penalty
-        | Some _ | None -> ())
-      end
+      let len = length_unless_through t.id 0 path in
+      if len < 0 then withdraw t p dst
       else begin
-        Hashtbl.replace rib dst path;
-        match (t.cfg.rfd, previous) with
-        | Some c, Some old when old <> path ->
+        let existed = Route_table.Int_vec.get p.rib_len dst >= 0 in
+        let old = Route_table.Vec.get p.rib_path dst in
+        Route_table.Vec.set p.rib_path dst path;
+        Route_table.Int_vec.set p.rib_len dst len;
+        if dst >= p.rib_hi then p.rib_hi <- dst + 1;
+        match t.cfg.rfd with
+        | Some c when existed && not (same_path old path) ->
           rfd_penalize t ~neighbor:from ~dst c.update_penalty
-        | (Some _ | None), _ -> ()
+        | Some _ | None -> ()
       end;
       recompute_and_propagate t [ dst ]
     | Withdraw { dsts } ->
-      let rib = neighbor_rib t from in
-      let withdraw_one dst =
-        let existed = Hashtbl.mem rib dst in
-        Hashtbl.remove rib dst;
-        match t.cfg.rfd with
-        | Some c when existed ->
-          rfd_penalize t ~neighbor:from ~dst c.withdrawal_penalty
-        | Some _ | None -> ()
-      in
-      List.iter withdraw_one dsts;
+      List.iter (withdraw t p) dsts;
       recompute_and_propagate t dsts
   end
 
 let on_link_down t ~neighbor =
-  t.up <- List.filter (fun n -> n <> neighbor) t.up;
-  (* The session is gone: discard Adj-RIB-in and rate-limiter state. *)
-  let affected =
-    match Hashtbl.find_opt t.rib_in neighbor with
-    | None -> []
-    | Some tbl ->
-      let dsts = Hashtbl.fold (fun d _ acc -> d :: acc) tbl [] in
-      Hashtbl.remove t.rib_in neighbor;
-      List.sort compare dsts
-  in
-  Hashtbl.remove t.gates neighbor;
-  Hashtbl.iter
-    (fun (n, d) _ -> if n = neighbor then Hashtbl.remove t.pd_gates (n, d))
-    (Hashtbl.copy t.pd_gates);
-  recompute_and_propagate t affected
+  let s = slot t neighbor in
+  if s >= 0 then begin
+    let p = t.peers.(s) in
+    p.up <- false;
+    (* The session is gone: discard Adj-RIB-in and rate-limiter state. *)
+    let affected = ref [] in
+    for dst = p.rib_hi - 1 downto 0 do
+      if Route_table.Int_vec.get p.rib_len dst >= 0 then begin
+        forget p dst;
+        affected := dst :: !affected
+      end
+    done;
+    p.gate <- new_gate ();
+    Hashtbl.filter_map_inplace
+      (fun (n, _) g -> if n = neighbor then None else Some g)
+      t.pd_gates;
+    recompute_and_propagate t !affected
+  end
 
 let on_link_up t ~neighbor =
-  if not (List.mem neighbor t.up) then begin
-    t.up <- List.sort compare (neighbor :: t.up);
+  let s = slot t neighbor in
+  if s >= 0 && not t.peers.(s).up then begin
+    let p = t.peers.(s) in
+    p.up <- true;
     (* Session (re)establishment: the initial table exchange is not subject
        to the MRAI timer. *)
-    let dsts =
-      t.id :: (Hashtbl.fold (fun d _ acc -> d :: acc) t.best [] |> List.sort compare)
+    List.iter (send_update_now t neighbor) (t.id :: Route_table.destinations t.fib);
+    let g =
+      match t.cfg.mrai_scope with
+      | Per_neighbor -> p.gate
+      | Per_destination -> pd_gate t neighbor t.id
     in
-    List.iter (send_update_now t neighbor) dsts;
-    let g = gate_for t neighbor t.id in
-    if not g.closed then close_gate t neighbor g
+    if not g.closed then close_gate t p g
   end
 
 let next_hop t ~dst =
@@ -416,5 +491,8 @@ let metric t ~dst =
     if m < 0 then None else Some m
 
 let known_destinations t =
-  let dsts = Hashtbl.fold (fun d _ acc -> d :: acc) t.best [] in
-  List.sort compare (t.id :: dsts)
+  let rec with_self = function
+    | dst :: rest when dst < t.id -> dst :: with_self rest
+    | dsts -> t.id :: dsts
+  in
+  with_self (Route_table.destinations t.fib)

@@ -22,7 +22,8 @@ let message_size_bits msg = Dv_core.message_size_bits Dv_core.default_config msg
 type neighbor_cache = {
   heard : Route_table.Int_vec.t;
   ctimeout : Route_table.Deadline_vec.t;
-  fire_fns : Route_table.Fn_vec.t;  (* memoised per-destination fire actions *)
+  fire_fns : (unit -> unit) Route_table.Vec.t;
+      (* memoised per-destination fire actions *)
 }
 
 type t = {
@@ -63,7 +64,7 @@ let neighbor_cache t neighbor =
       {
         heard = Route_table.Int_vec.create ~default:(infinity_of t);
         ctimeout = Route_table.Deadline_vec.create ();
-        fire_fns = Route_table.Fn_vec.create ();
+        fire_fns = Route_table.Vec.create ~default:Route_table.nop;
       }
     in
     set_cache_slot t neighbor (Some nc);
@@ -205,11 +206,11 @@ let rec cache_timer_fire t nc dst () =
 (* The fire closure for this cache entry, built once and reused for every
    subsequent refresh of the same (neighbor, dst) slot. *)
 and cache_fire_fn t nc dst =
-  let f = Route_table.Fn_vec.get nc.fire_fns dst in
-  if f != Route_table.Fn_vec.nop then f
+  let f = Route_table.Vec.get nc.fire_fns dst in
+  if f != Route_table.nop then f
   else begin
     let f = cache_timer_fire t nc dst in
-    Route_table.Fn_vec.set nc.fire_fns dst f;
+    Route_table.Vec.set nc.fire_fns dst f;
     f
   end
 

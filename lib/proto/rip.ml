@@ -20,7 +20,8 @@ type t = {
   mutable up : Netsim.Types.node_id list;
   table : Route_table.t;
   timeouts : Route_table.Deadline_vec.t;  (* per-destination route timeouts *)
-  fire_fns : Route_table.Fn_vec.t;  (* memoised per-destination fire actions *)
+  fire_fns : (unit -> unit) Route_table.Vec.t;
+      (* memoised per-destination fire actions *)
   order : (Netsim.Types.node_id, unit) Hashtbl.t;
       (* Destinations in hash-table iteration order. The dense table has no
          insertion order, but the order in which [on_link_down] invalidates
@@ -112,11 +113,11 @@ let rec timer_fire t dst () =
    hop, so a fresh closure per reset would dominate the control plane's
    allocation. *)
 and fire_fn t dst =
-  let f = Route_table.Fn_vec.get t.fire_fns dst in
-  if f != Route_table.Fn_vec.nop then f
+  let f = Route_table.Vec.get t.fire_fns dst in
+  if f != Route_table.nop then f
   else begin
     let f = timer_fire t dst in
-    Route_table.Fn_vec.set t.fire_fns dst f;
+    Route_table.Vec.set t.fire_fns dst f;
     f
   end
 
@@ -178,7 +179,7 @@ let create cfg ~rng ~id ~neighbors ~actions =
       up = List.sort compare neighbors;
       table = Route_table.create ();
       timeouts = Route_table.Deadline_vec.create ();
-      fire_fns = Route_table.Fn_vec.create ();
+      fire_fns = Route_table.Vec.create ~default:Route_table.nop;
       order = Hashtbl.create 64;
       changed = Hashtbl.create 16;
       trigger = None;

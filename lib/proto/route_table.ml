@@ -29,6 +29,39 @@ module Int_vec = struct
     v.a.(i) <- x
 end
 
+(* Growable set of small non-negative ints, one bit each: a timer slot's
+   "armed" flag, a BGP MRAI gate's pending destinations. *)
+module Bitset = struct
+  type t = { mutable b : Bytes.t }
+
+  let create () = { b = Bytes.empty }
+
+  let mem v i =
+    let byte = i lsr 3 in
+    byte < Bytes.length v.b
+    && Char.code (Bytes.unsafe_get v.b byte) land (1 lsl (i land 7)) <> 0
+
+  let grow v byte =
+    let cap = Bytes.length v.b in
+    let cap' = max 16 (max (byte + 1) (2 * cap)) in
+    let bigger = Bytes.make cap' '\000' in
+    Bytes.blit v.b 0 bigger 0 cap;
+    v.b <- bigger
+
+  let add v i =
+    let byte = i lsr 3 in
+    if byte >= Bytes.length v.b then grow v byte;
+    Bytes.unsafe_set v.b byte
+      (Char.unsafe_chr (Char.code (Bytes.unsafe_get v.b byte) lor (1 lsl (i land 7))))
+
+  let remove v i =
+    let byte = i lsr 3 in
+    if byte < Bytes.length v.b then
+      Bytes.unsafe_set v.b byte
+        (Char.unsafe_chr
+           (Char.code (Bytes.unsafe_get v.b byte) land lnot (1 lsl (i land 7))))
+end
+
 (* Per-slot re-armable timer deadlines. Scheduler cancellation is lazy (a
    cancelled event stays queued until its fire time), so the old
    cancel-and-reschedule idiom for the 180 s route timeouts left one
@@ -48,10 +81,10 @@ module Deadline_vec = struct
 
   type t = {
     mutable d : float array;  (* absolute expiry time, or [inactive] *)
-    mutable armed : Bytes.t;  (* bitset: a scheduler event is outstanding *)
+    armed : Bitset.t;  (* a scheduler event is outstanding *)
   }
 
-  let create () = { d = [||]; armed = Bytes.empty }
+  let create () = { d = [||]; armed = Bitset.create () }
 
   let get v i = if i < Array.length v.d then v.d.(i) else inactive
 
@@ -68,49 +101,33 @@ module Deadline_vec = struct
 
   let cancel v i = if i < Array.length v.d then v.d.(i) <- inactive
 
-  let armed v i =
-    let byte = i lsr 3 in
-    byte < Bytes.length v.armed
-    && Char.code (Bytes.unsafe_get v.armed byte) land (1 lsl (i land 7)) <> 0
+  let armed v i = Bitset.mem v.armed i
 
-  let grow_armed v byte =
-    let cap = Bytes.length v.armed in
-    let cap' = max 16 (max (byte + 1) (2 * cap)) in
-    let bigger = Bytes.make cap' '\000' in
-    Bytes.blit v.armed 0 bigger 0 cap;
-    v.armed <- bigger
-
-  let set_armed v i b =
-    let byte = i lsr 3 in
-    if byte >= Bytes.length v.armed then grow_armed v byte;
-    let cur = Char.code (Bytes.get v.armed byte) in
-    let bit = 1 lsl (i land 7) in
-    Bytes.set v.armed byte
-      (Char.chr (if b then cur lor bit else cur land lnot bit))
+  let set_armed v i b = if b then Bitset.add v.armed i else Bitset.remove v.armed i
 end
 
-(* Per-slot memoised thunks (e.g. a destination's timeout-expiry action), so
-   re-arming a timer reuses the closure built the first time. Absence is the
-   shared [nop], compared physically. *)
-module Fn_vec = struct
-  let nop () = ()
+(* Growable vector with a sentinel default: per-destination memoised thunks
+   (a timeout's expiry action, absent = [nop], compared physically) and
+   BGP's selected and heard AS paths (absent = []). *)
+let nop () = ()
 
-  type t = { mutable a : (unit -> unit) array }
+module Vec = struct
+  type 'a t = { mutable a : 'a array; default : 'a }
 
-  let create () = { a = [||] }
+  let create ~default = { a = [||]; default }
 
-  let get v i = if i < Array.length v.a then v.a.(i) else nop
+  let get v i = if i < Array.length v.a then v.a.(i) else v.default
 
   let grow v i =
     let cap = Array.length v.a in
     let cap' = max 16 (max (i + 1) (2 * cap)) in
-    let bigger = Array.make cap' nop in
+    let bigger = Array.make cap' v.default in
     Array.blit v.a 0 bigger 0 cap;
     v.a <- bigger
 
-  let set v i f =
+  let set v i x =
     if i >= Array.length v.a then grow v i;
-    v.a.(i) <- f
+    v.a.(i) <- x
 end
 
 type t = {

@@ -90,17 +90,35 @@ module Deadline_vec : sig
   val set_armed : t -> int -> bool -> unit
 end
 
-(** Growable vector of memoised [unit -> unit] thunks (timeout-expiry
-    actions), so re-arming a timer reuses the closure built on first use.
-    Absence is the shared sentinel {!Fn_vec.nop} (compare physically). *)
-module Fn_vec : sig
-  type t
+(** Growable vector with a sentinel default: memoised [unit -> unit]
+    thunks (timeout-expiry actions, absent = {!nop}, compared physically),
+    so re-arming a timer reuses the closure built on first use; BGP's
+    selected and heard AS paths (absent = [[]]). *)
+module Vec : sig
+  type 'a t
 
-  val nop : unit -> unit
+  val create : default:'a -> 'a t
+
+  val get : 'a t -> int -> 'a
+  (** [get v i] is the stored value, or the default. *)
+
+  val set : 'a t -> int -> 'a -> unit
+end
+
+val nop : unit -> unit
+(** The absent entry of a thunk {!Vec}. *)
+
+(** Growable bitset over small non-negative ints: a timer slot's "armed"
+    flag, a BGP MRAI gate's pending destinations. *)
+module Bitset : sig
+  type t
 
   val create : unit -> t
 
-  val get : t -> int -> unit -> unit
+  val mem : t -> int -> bool
 
-  val set : t -> int -> (unit -> unit) -> unit
+  val add : t -> int -> unit
+
+  val remove : t -> int -> unit
+  (** Never grows the set. *)
 end
