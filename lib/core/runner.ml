@@ -654,8 +654,9 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
         Protocols.Proto_intf.now = (fun () -> Dessim.Scheduler.now st.sched);
         send =
           (fun neighbor msg ->
+            let bits = P.message_size_bits msg in
             st.ctrl_messages <- st.ctrl_messages + 1;
-            st.ctrl_bytes <- st.ctrl_bytes + (P.message_size_bits msg / 8);
+            st.ctrl_bytes <- st.ctrl_bytes + (bits / 8);
             if trace_control then
               emit st
                 (Obs.Event.Ctrl_sent
@@ -664,14 +665,13 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
                      src = id;
                      dst = neighbor;
                      kind = msg_kind_of (P.message_kind msg);
-                     bits = P.message_size_bits msg;
+                     bits;
                    });
             if st.rtx_on then Fault.Rtx.send (rtx_session st id neighbor) msg
             else
               ignore
                 (Netsim.Link.send (link st id neighbor)
-                   ~reliable:P.uses_reliable_transport
-                   ~size_bits:(P.message_size_bits msg)
+                   ~reliable:P.uses_reliable_transport ~size_bits:bits
                    (Ctrl { from = id; msg })));
         after = after_action;
         route_changed = (fun dst -> on_route_changed st id dst);
