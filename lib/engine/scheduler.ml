@@ -5,12 +5,6 @@ type handle = { mutable cancelled : bool }
    it, so no caller can cancel it. *)
 let live = { cancelled = false }
 
-(* Exported placeholder for callers that need "a handle" before they have
-   scheduled anything (e.g. a record field initialized before its first real
-   event). Attached to no event; cancelling it does nothing. Distinct from
-   [live] so a stray [cancel inert_handle] cannot kill shared events. *)
-let inert_handle = { cancelled = false }
-
 type 'a tag = int
 
 (* One queued event. Cells live in a per-scheduler pool array and are

@@ -62,12 +62,6 @@ val after_tag_h : t -> delay:float -> 'a tag -> 'a -> handle
 
     @raise Invalid_argument if [delay] is negative. *)
 
-val inert_handle : handle
-(** A handle attached to no event, for initializing mutable handle fields
-    before the first real event exists. {!cancel} on it is a harmless no-op
-    and {!is_cancelled} reports whatever was last done to it — it guards
-    nothing. *)
-
 val cancel : handle -> unit
 (** [cancel h] prevents the event behind [h] from firing. Cancelling an event
     that already fired (or was already cancelled) is a no-op. *)
