@@ -795,8 +795,10 @@ let fuzz_cmd =
   in
   let protocol_arg =
     let doc =
-      "Fuzz only this protocol (RIP, DBF, BGP, BGP-3, LS). Default: the \
-       paper's four."
+      Printf.sprintf
+        "Fuzz only this engine, named in any case: %s. Default: the paper's four."
+        (String.concat ", "
+           (List.map Convergence.Engine_registry.name Convergence.Engine_registry.all))
     in
     Arg.(value & opt (some string) None & info [ "p"; "protocol" ] ~docv:"PROTO" ~doc)
   in
