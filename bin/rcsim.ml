@@ -1,14 +1,14 @@
 (* rcsim: the routing-convergence study CLI.
 
    Subcommands:
-     run       one scenario under one protocol, with optional event tracing
+     run       one scenario under one protocol: the paper's single flow and
+               failure, or several flows, failures and go-back-N transfers
      fig       regenerate one of the paper's figures (3, 4, 5, 6, 7)
      topo      inspect/export the regular-mesh topology family
      anatomy   narrated single-failure walkthrough (the paper's Figure 1)
      compare   all protocols side by side on one configuration
-     multiflow several flows and overlapping failures (paper future work)
-     transfer  a reliable go-back-N transfer across the failure
      loops     run a scenario and report transient forwarding-loop episodes
+     trace     replay a JSONL event trace offline
      fuzz      property-based fuzzing against invariant monitors and the
                differential shortest-path oracle
      perf      one-shot local profiling: hot-scope report, ns/event
@@ -43,32 +43,48 @@ let rate_arg =
   let doc = "CBR sending rate in packets per second." in
   Arg.(value & opt float 200. & info [ "rate" ] ~docv:"PPS" ~doc)
 
+(* Every name [--protocol] accepts, for help and error texts. *)
+let engine_names =
+  String.concat ", "
+    (List.map Convergence.Engine_registry.name Convergence.Engine_registry.all)
+
 let protocol_arg =
-  let doc = "Routing protocol: RIP, DBF, BGP, BGP-3, BGP-pd, or LS." in
+  let doc =
+    Printf.sprintf "Routing protocol, named in any case: %s." engine_names
+  in
   Arg.(value & opt string "DBF" & info [ "p"; "protocol" ] ~docv:"PROTO" ~doc)
 
 let degrees_arg =
   let doc = "Node degrees to sweep." in
   Arg.(value & opt (list int) [ 3; 4; 5; 6; 7; 8 ] & info [ "degrees" ] ~docv:"D,D,..." ~doc)
 
-let config_of ~rows ~cols ~degree ~seed ~rate =
-  {
-    Convergence.Config.default with
-    rows;
-    cols;
-    degree;
-    seed;
-    send_rate_pps = rate;
-  }
+(* The scenario the shared flags describe, checked as the runner would check
+   it (and at every degree in [degrees], for sweeps), so a bad flag is a
+   usage error naming the value rather than a crash or a quarantined cell. *)
+let config_of ?(degrees = []) ~rows ~cols ~degree ~seed ~rate () =
+  let cfg =
+    {
+      Convergence.Config.default with
+      rows;
+      cols;
+      degree;
+      seed;
+      send_rate_pps = rate;
+    }
+  in
+  List.fold_left
+    (fun acc d ->
+      Result.bind acc (fun () ->
+          Convergence.Config.validate (Convergence.Config.with_degree d cfg)))
+    (Convergence.Config.validate cfg)
+    degrees
+  |> Result.map (fun () -> cfg)
 
 let engine_of_name name =
   match Convergence.Engine_registry.find name with
   | Some e -> Ok e
   | None ->
-    Error
-      (Printf.sprintf "unknown protocol %S (try: %s)" name
-         (String.concat ", "
-            (List.map Convergence.Engine_registry.name Convergence.Engine_registry.all)))
+    Error (Printf.sprintf "unknown protocol %S (try: %s)" name engine_names)
 
 (* ---------- tracing options (shared by run) ---------- *)
 
@@ -203,44 +219,146 @@ let frr_arg =
   in
   Arg.(value & flag & info [ "frr" ] ~doc)
 
+(* [c] restricted to the values [ok] accepts; any other value is a usage
+   error naming the flag, the value and what was [expected]. *)
+let checked c ~expected ok =
+  let parse s =
+    match Arg.conv_parser c s with
+    | Ok v when not (ok v) ->
+      Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+    | result -> result
+  in
+  Arg.conv (parse, Arg.conv_printer c)
+
+let at_least n =
+  checked Arg.int (fun v -> v >= n)
+    ~expected:(Printf.sprintf "an integer >= %d" n)
+
+let flows_arg =
+  let doc = "Number of concurrent first-row to last-row flows." in
+  Arg.(value & opt (at_least 1) 1 & info [ "flows" ] ~docv:"N" ~doc)
+
+let failures_arg =
+  let doc =
+    "Number of link failures. Failure $(i,i) (counting from 0) fires 5$(i,i) \
+     s after the configured failure time, on a random link of the current \
+     path of flow $(i,i) mod $(b,--flows)."
+  in
+  Arg.(value & opt (at_least 0) 1 & info [ "failures" ] ~docv:"N" ~doc)
+
+let packets_arg =
+  let doc =
+    "Make every flow a reliable go-back-N transfer of $(docv) packets \
+     instead of CBR traffic."
+  in
+  Arg.(value & opt (some (at_least 1)) None & info [ "packets" ] ~docv:"N" ~doc)
+
+let window_arg =
+  let doc =
+    "Sliding-window size of each transfer; applies only with $(b,--packets)."
+  in
+  Arg.(value & opt (at_least 1) 16 & info [ "window" ] ~docv:"W" ~doc)
+
+let rto_arg =
+  let doc =
+    "Retransmission timeout of each transfer in seconds; applies only with \
+     $(b,--packets)."
+  in
+  let positive =
+    checked Arg.float ~expected:"a positive number" (fun v -> v > 0.)
+  in
+  Arg.(value & opt positive 0.5 & info [ "rto" ] ~docv:"SECONDS" ~doc)
+
+let show_transfer (cfg : Convergence.Config.t) ~size
+    (o : Convergence.Metrics.transfer) =
+  let finish =
+    match o.t_completed_at with
+    | Some t ->
+      Printf.sprintf "%.1f s after transfer start"
+        (t -. cfg.Convergence.Config.traffic_start)
+    | None -> "not finished by sim_end"
+  in
+  Fmt.pr
+    "transfer: %d/%d packets acknowledged; completion %s;@ retransmissions \
+     %d, duplicates at receiver %d@."
+    o.t_completed size finish o.t_retransmissions o.t_duplicates
+
 let run_cmd =
   let action protocol degree rows cols seed rate trace_file trace_filter stats
-      csv loss loss_scope no_rtx fault_seed frr =
-    match engine_of_name protocol with
+      csv loss loss_scope no_rtx fault_seed frr nflows nfailures packets window
+      rto =
+    let ( let* ) = Result.bind in
+    match
+      let* engine = engine_of_name protocol in
+      let* cfg = config_of ~rows ~cols ~degree ~seed ~rate () in
+      let* faults = faults_of ~loss ~loss_scope ~no_rtx ~fault_seed in
+      let* trace = make_trace ~file:trace_file ~filter:trace_filter in
+      Ok (engine, cfg, faults, trace)
+    with
     | Error e -> `Error (false, e)
-    | Ok engine -> (
-      match faults_of ~loss ~loss_scope ~no_rtx ~fault_seed with
-      | Error e -> `Error (false, e)
-      | Ok faults -> (
-        match make_trace ~file:trace_file ~filter:trace_filter with
-        | Error e -> `Error (false, e)
-        | Ok trace ->
-          let cfg = config_of ~rows ~cols ~degree ~seed ~rate in
-          let metrics = if stats then Some (Obs.Registry.create ()) else None in
-          let run =
-            Convergence.Engine_registry.run ~faults ~frr ~trace ?metrics cfg
-              engine
-          in
-          Obs.Trace.close trace;
-          Fmt.pr "%a@." Convergence.Report.run_details run;
-          (match metrics with
-          | Some m -> Fmt.pr "@.run metrics:@.%a@." Obs.Registry.pp m
-          | None -> ());
-          (match csv with
-          | Some path ->
-            Convergence.Export.to_file (Convergence.Export.run_csv [ run ]) ~path
-          | None -> ());
-          `Ok ()))
+    | Ok (engine, cfg, faults, trace) ->
+      let traffic =
+        match packets with
+        | None -> Convergence.Runner.Cbr None
+        | Some total_packets ->
+          Convergence.Runner.Transfer
+            {
+              Convergence.Runner.default_transport with
+              window;
+              rto;
+              total_packets;
+            }
+      in
+      let flows =
+        List.init nflows (fun _ ->
+            { Convergence.Runner.default_flow with flow_traffic = traffic })
+      in
+      let failures =
+        List.init nfailures (fun i ->
+            {
+              Convergence.Runner.fail_at =
+                cfg.Convergence.Config.failure_time +. (float_of_int i *. 5.);
+              target = Convergence.Runner.Flow_path (i mod nflows);
+              heal_after = None;
+            })
+      in
+      let metrics = if stats then Some (Obs.Registry.create ()) else None in
+      let m =
+        Convergence.Engine_registry.run_multi ~faults ~frr ~trace ?metrics
+          ~flows ~failures cfg engine
+      in
+      Obs.Trace.close trace;
+      Option.iter
+        (fun size ->
+          List.iter
+            (fun (f : Convergence.Metrics.flow) ->
+              Option.iter (show_transfer cfg ~size) f.f_transfer)
+            m.Convergence.Metrics.m_flows)
+        packets;
+      Fmt.pr "%a@." Convergence.Metrics.pp_multi m;
+      (match metrics with
+      | Some m -> Fmt.pr "@.run metrics:@.%a@." Obs.Registry.pp m
+      | None -> ());
+      (match csv with
+      | Some path ->
+        Convergence.Export.to_file (Convergence.Export.run_csv [ m ]) ~path
+      | None -> ());
+      `Ok ()
   in
   let term =
     Term.(
       ret
         (const action $ protocol_arg $ degree_arg $ rows_arg $ cols_arg $ seed_arg
        $ rate_arg $ trace_file_arg $ trace_filter_arg $ stats_arg $ csv_arg
-       $ loss_arg $ loss_scope_arg $ no_rtx_arg $ fault_seed_arg $ frr_arg))
+       $ loss_arg $ loss_scope_arg $ no_rtx_arg $ fault_seed_arg $ frr_arg
+       $ flows_arg $ failures_arg $ packets_arg $ window_arg $ rto_arg))
   in
   Cmd.v
-    (Cmd.info "run" ~doc:"Run one failure scenario under one routing protocol")
+    (Cmd.info "run"
+       ~doc:
+         "Run one failure scenario under one routing protocol: the paper's \
+          single CBR flow by default, or several flows, overlapping failures \
+          and reliable transfers")
     term
 
 (* ---------- sweep execution (shared by fig, compare and campaign) ---------- *)
@@ -328,10 +446,13 @@ let fig_cmd =
     Arg.(required & pos 0 (some int) None & info [] ~docv:"FIGURE" ~doc)
   in
   let action which runs degrees rows cols seed rate =
-    match Campaign.Sections.find (Printf.sprintf "fig%d" which) with
-    | None -> `Error (false, "figure must be 3, 4, 5, 6 or 7")
-    | Some section ->
-      let base = config_of ~rows ~cols ~degree:4 ~seed ~rate in
+    match
+      ( Campaign.Sections.find (Printf.sprintf "fig%d" which),
+        config_of ~degrees ~rows ~cols ~degree:4 ~seed ~rate () )
+    with
+    | None, _ -> `Error (false, "figure must be 3, 4, 5, 6 or 7")
+    | _, Error e -> `Error (false, e)
+    | Some section, Ok base ->
       let sweep = Convergence.Experiments.{ degrees; runs; base } in
       show_artifact section (run_section ~mode:"custom" section sweep);
       `Ok ()
@@ -457,8 +578,8 @@ let anatomy_cmd =
         Obs.Trace.create ~categories:[ Obs.Event.Env ]
           (Obs.Sink.callback narrate)
       in
-      let run = Convergence.Engine_registry.run ~trace cfg engine in
-      Fmt.pr "@.%a@." Convergence.Report.run_details run;
+      let m = Convergence.Engine_registry.run ~trace cfg engine in
+      Fmt.pr "@.%a@." Convergence.Metrics.pp_multi m;
       `Ok ()
   in
   let term = Term.(ret (const action $ protocol_arg $ seed_arg)) in
@@ -488,17 +609,19 @@ let pp_aggregate_line ppf (g : Campaign.Artifact.aggregate) =
 
 let compare_cmd =
   let action degree rows cols seed rate runs =
-    let base = config_of ~rows ~cols ~degree ~seed ~rate in
-    let sweep = Convergence.Experiments.{ degrees = [ degree ]; runs; base } in
-    let section =
-      Campaign.Sections.grid ~name:"compare"
-        ~engines:Convergence.Engine_registry.all ()
-    in
-    let artifact = run_section ~mode:"custom" section sweep in
-    List.iter
-      (Fmt.pr "%a@." pp_aggregate_line)
-      artifact.Campaign.Artifact.aggregates;
-    `Ok ()
+    match config_of ~rows ~cols ~degree ~seed ~rate () with
+    | Error e -> `Error (false, e)
+    | Ok base ->
+      let sweep = Convergence.Experiments.{ degrees = [ degree ]; runs; base } in
+      let section =
+        Campaign.Sections.grid ~name:"compare"
+          ~engines:Convergence.Engine_registry.all ()
+      in
+      let artifact = run_section ~mode:"custom" section sweep in
+      List.iter
+        (Fmt.pr "%a@." pp_aggregate_line)
+        artifact.Campaign.Artifact.aggregates;
+      `Ok ()
   in
   let term =
     Term.(
@@ -508,132 +631,15 @@ let compare_cmd =
     (Cmd.info "compare" ~doc:"All seven protocol engines side by side on one setup")
     term
 
-(* ---------- multiflow ---------- *)
-
-let multiflow_cmd =
-  let flows_arg =
-    let doc = "Number of concurrent first-row to last-row CBR flows." in
-    Arg.(value & opt int 4 & info [ "flows" ] ~docv:"N" ~doc)
-  in
-  let failures_arg =
-    let doc = "Number of link failures (5 s apart, one per flow round-robin)." in
-    Arg.(value & opt int 2 & info [ "failures" ] ~docv:"N" ~doc)
-  in
-  let action protocol degree rows cols seed rate nflows nfailures =
-    match engine_of_name protocol with
-    | Error e -> `Error (false, e)
-    | Ok engine ->
-      let cfg = config_of ~rows ~cols ~degree ~seed ~rate in
-      let flows = List.init nflows (fun _ -> Convergence.Runner.default_flow) in
-      let failures =
-        List.init nfailures (fun i ->
-            {
-              Convergence.Runner.fail_at =
-                cfg.Convergence.Config.failure_time +. (float_of_int i *. 5.);
-              target = Convergence.Runner.Flow_path (i mod nflows);
-              heal_after = None;
-            })
-      in
-      let m = Convergence.Engine_registry.run_multi ~flows ~failures cfg engine in
-      Fmt.pr "%a@." Convergence.Metrics.pp_multi m;
-      `Ok ()
-  in
-  let term =
-    Term.(
-      ret
-        (const action $ protocol_arg $ degree_arg $ rows_arg $ cols_arg $ seed_arg
-       $ rate_arg $ flows_arg $ failures_arg))
-  in
-  Cmd.v
-    (Cmd.info "multiflow"
-       ~doc:"Several flows and overlapping failures (the paper's future work)")
-    term
-
-(* ---------- transfer ---------- *)
-
-let transfer_cmd =
-  let size_arg =
-    let doc = "Transfer size in packets." in
-    Arg.(value & opt int 8000 & info [ "packets" ] ~docv:"N" ~doc)
-  in
-  let window_arg =
-    let doc = "Sliding-window size." in
-    Arg.(value & opt int 16 & info [ "window" ] ~docv:"W" ~doc)
-  in
-  let rto_arg =
-    let doc = "Retransmission timeout in seconds." in
-    Arg.(value & opt float 0.5 & info [ "rto" ] ~docv:"SECONDS" ~doc)
-  in
-  let action protocol degree rows cols seed size window rto =
-    match engine_of_name protocol with
-    | Error e -> `Error (false, e)
-    | Ok engine ->
-      let cfg = config_of ~rows ~cols ~degree ~seed ~rate:200. in
-      let failures =
-        [
-          {
-            Convergence.Runner.fail_at = cfg.Convergence.Config.failure_time;
-            target = Convergence.Runner.Flow_path 0;
-            heal_after = None;
-          };
-        ]
-      in
-      let tc =
-        {
-          Convergence.Runner.default_transport with
-          window;
-          rto;
-          total_packets = size;
-        }
-      in
-      let flow =
-        {
-          Convergence.Runner.default_flow with
-          flow_traffic = Convergence.Runner.Transfer tc;
-        }
-      in
-      let m =
-        Convergence.Engine_registry.run_multi ~flows:[ flow ] ~failures cfg
-          engine
-      in
-      let show_transfer (o : Convergence.Metrics.transfer) =
-        let finish =
-          match o.t_completed_at with
-          | Some t ->
-            Printf.sprintf "%.1f s after transfer start"
-              (t -. cfg.Convergence.Config.traffic_start)
-          | None -> "not finished by sim_end"
-        in
-        Fmt.pr
-          "transfer: %d/%d packets acknowledged; completion %s;@ \
-           retransmissions %d, duplicates at receiver %d@."
-          o.t_completed size finish o.t_retransmissions o.t_duplicates
-      in
-      List.iter
-        (fun (f : Convergence.Metrics.flow) -> Option.iter show_transfer f.f_transfer)
-        m.Convergence.Metrics.m_flows;
-      Fmt.pr "%a@." Convergence.Metrics.pp_multi m;
-      `Ok ()
-  in
-  let term =
-    Term.(
-      ret
-        (const action $ protocol_arg $ degree_arg $ rows_arg $ cols_arg $ seed_arg
-       $ size_arg $ window_arg $ rto_arg))
-  in
-  Cmd.v
-    (Cmd.info "transfer"
-       ~doc:"A reliable go-back-N transfer across the failure (future work)")
-    term
-
 (* ---------- loops ---------- *)
 
 let loops_cmd =
   let action protocol degree rows cols seed rate =
-    match engine_of_name protocol with
-    | Error e -> `Error (false, e)
-    | Ok engine ->
-      let cfg = config_of ~rows ~cols ~degree ~seed ~rate in
+    match
+      (engine_of_name protocol, config_of ~rows ~cols ~degree ~seed ~rate ())
+    with
+    | Error e, _ | _, Error e -> `Error (false, e)
+    | Ok engine, Ok cfg ->
       let loop_events = ref [] in
       let collect (r : Obs.Sink.record) =
         match r.event with
@@ -645,7 +651,7 @@ let loops_cmd =
         Obs.Trace.create ~categories:[ Obs.Event.Data ]
           (Obs.Sink.callback collect)
       in
-      let run = Convergence.Engine_registry.run ~trace cfg engine in
+      let m = Convergence.Engine_registry.run ~trace cfg engine in
       (* The same episode pairing and rendering as [rcsim trace]. *)
       (match Obs.Replay.loop_report (List.rev !loop_events) with
       | [] -> Fmt.pr "no transient forwarding loops on the flow's path@."
@@ -654,8 +660,11 @@ let loops_cmd =
         List.iter
           (fun e -> Fmt.pr "  %a@." Obs.Replay.pp_loop_episode e)
           episodes);
-      Fmt.pr "TTL expirations: %d; packets that escaped a loop: %d@."
-        run.Convergence.Metrics.drops_ttl run.Convergence.Metrics.looped_delivered;
+      List.iter
+        (fun (f : Convergence.Metrics.flow) ->
+          Fmt.pr "TTL expirations: %d; packets that escaped a loop: %d@."
+            f.f_drops_ttl f.f_looped_delivered)
+        m.Convergence.Metrics.m_flows;
       `Ok ()
   in
   let term =
@@ -797,8 +806,7 @@ let fuzz_cmd =
     let doc =
       Printf.sprintf
         "Fuzz only this engine, named in any case: %s. Default: the paper's four."
-        (String.concat ", "
-           (List.map Convergence.Engine_registry.name Convergence.Engine_registry.all))
+        engine_names
     in
     Arg.(value & opt (some string) None & info [ "p"; "protocol" ] ~docv:"PROTO" ~doc)
   in
@@ -876,8 +884,10 @@ let perf_cmd =
   in
   let proto_opt_arg =
     let doc =
-      "Profile only this protocol (RIP, DBF, BGP, BGP-3, LS). Default: the \
-       paper's four."
+      Printf.sprintf
+        "Profile only this engine, named in any case: %s. Default: the \
+         paper's four."
+        engine_names
     in
     Arg.(value & opt (some string) None & info [ "p"; "protocol" ] ~docv:"PROTO" ~doc)
   in
@@ -942,10 +952,9 @@ let perf_cmd =
         | None -> Ok Convergence.Engine_registry.paper_four
         | Some p -> Result.map (fun e -> [ e ]) (engine_of_name p)
       in
-      match engines with
-      | Error e -> `Error (false, e)
-      | Ok engines ->
-        let cfg = config_of ~rows ~cols ~degree ~seed ~rate in
+      match (engines, config_of ~rows ~cols ~degree ~seed ~rate ()) with
+      | Error e, _ | _, Error e -> `Error (false, e)
+      | Ok engines, Ok cfg ->
         Obs.Prof.set_enabled true;
         List.iter (profile ~cfg ~repeat) engines;
         `Ok ()
@@ -1791,8 +1800,6 @@ let () =
             topo_cmd;
             anatomy_cmd;
             compare_cmd;
-            multiflow_cmd;
-            transfer_cmd;
             loops_cmd;
             trace_cmd;
             fuzz_cmd;

@@ -51,12 +51,12 @@ let () =
   let trace =
     Obs.Trace.create ~categories:[ Obs.Event.Env ] (Obs.Sink.callback narrate)
   in
-  let run =
+  let m =
     Convergence.Engine_registry.run ~src:0 ~dst:15 ~trace cfg
       Convergence.Engine_registry.dbf
   in
   Fmt.pr "@.Packet accounting over the whole run:@.%a@.@."
-    Convergence.Report.run_details run;
+    Convergence.Metrics.pp_multi m;
   Fmt.pr
     "Note how packets were only lost in stage (b): between the failure and@.\
      its detection %.1f s later (plus anything queued on the dead link).@.\

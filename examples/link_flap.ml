@@ -13,12 +13,14 @@
 let run_engine name (engine : Convergence.Engine_registry.t) =
   let cfg = { Convergence.Config.quick with send_rate_pps = 100. } in
   let restore_after = 40. in
-  let r = Convergence.Engine_registry.run ~restore_after cfg engine in
+  let m = Convergence.Engine_registry.run ~restore_after cfg engine in
+  (* The scenario's one flow. *)
+  let f = List.hd m.Convergence.Metrics.m_flows in
   Fmt.pr "@.%s, link restored %.0f s after the failure:@." name restore_after;
   Fmt.pr "  drops: no-route %d, link %d; final path %a@."
-    r.Convergence.Metrics.drops_no_route r.Convergence.Metrics.drops_link
-    Netsim.Types.pp_path r.Convergence.Metrics.final_path;
-  let tput = r.Convergence.Metrics.throughput in
+    f.Convergence.Metrics.f_drops_no_route f.Convergence.Metrics.f_drops_link
+    Netsim.Types.pp_path f.Convergence.Metrics.f_final_path;
+  let tput = f.Convergence.Metrics.f_throughput in
   let failure_bucket = 10 in
   Fmt.pr "  throughput around the failure (t normalized to warmup end):@.";
   for i = failure_bucket - 2 to failure_bucket + 45 do

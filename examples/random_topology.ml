@@ -29,12 +29,14 @@ let run_on alpha seed =
   let src, dst = most_distant_pair topo in
   let cfg = { Convergence.Config.quick with seed; send_rate_pps = 100. } in
   let one engine =
-    let r = Convergence.Engine_registry.run ~topology:topo ~src ~dst cfg engine in
+    let m = Convergence.Engine_registry.run ~topology:topo ~src ~dst cfg engine in
+    (* The scenario's one flow. *)
+    let f = List.hd m.Convergence.Metrics.m_flows in
     Fmt.pr
       "  %-6s drops: no-route %4d, ttl %3d | fwd conv %5.2f s | routing conv %6.2f s@."
-      r.Convergence.Metrics.protocol r.Convergence.Metrics.drops_no_route
-      r.Convergence.Metrics.drops_ttl r.Convergence.Metrics.fwd_convergence
-      r.Convergence.Metrics.routing_convergence
+      m.Convergence.Metrics.m_protocol f.Convergence.Metrics.f_drops_no_route
+      f.Convergence.Metrics.f_drops_ttl f.Convergence.Metrics.f_fwd_convergence
+      m.Convergence.Metrics.m_routing_convergence
   in
   Fmt.pr "Waxman alpha=%.2f seed=%d: %d links, avg degree %.1f, flow %d->%d@."
     alpha seed

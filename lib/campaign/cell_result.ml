@@ -30,38 +30,11 @@ type t = {
   events : int;
 }
 
-let of_run ?(extras = []) ?(axes = []) ?(series = []) (r : Convergence.Metrics.run) =
-  {
-    protocol = r.Convergence.Metrics.protocol;
-    degree = r.Convergence.Metrics.degree;
-    seed = r.Convergence.Metrics.seed;
-    sent = r.Convergence.Metrics.sent;
-    delivered = r.Convergence.Metrics.delivered;
-    drops_no_route = r.Convergence.Metrics.drops_no_route;
-    drops_ttl = r.Convergence.Metrics.drops_ttl;
-    drops_queue = r.Convergence.Metrics.drops_queue;
-    drops_link = r.Convergence.Metrics.drops_link;
-    looped_delivered = r.Convergence.Metrics.looped_delivered;
-    looped_dropped = r.Convergence.Metrics.looped_dropped;
-    ctrl_messages = r.Convergence.Metrics.ctrl_messages;
-    ctrl_bytes = r.Convergence.Metrics.ctrl_bytes;
-    fwd_convergence = r.Convergence.Metrics.fwd_convergence;
-    routing_convergence = r.Convergence.Metrics.routing_convergence;
-    transient_paths = r.Convergence.Metrics.transient_paths;
-    extras;
-    axes;
-    series;
-    wall_s = 0.;
-    perf = [];
-    events = r.Convergence.Metrics.sched_events;
-  }
-
-let of_multi ?(extras = []) ?(axes = []) (m : Convergence.Metrics.multi) =
+let of_multi ?(extras = []) ?(axes = []) ?(series = [])
+    (m : Convergence.Metrics.multi) =
   let flows = m.Convergence.Metrics.m_flows in
   let sum f = List.fold_left (fun acc fl -> acc + f fl) 0 flows in
-  let mean f =
-    Dessim.Stat.mean (List.map f flows)
-  in
+  let mean f = Dessim.Stat.mean (List.map f flows) in
   {
     protocol = m.Convergence.Metrics.m_protocol;
     degree = m.Convergence.Metrics.m_degree;
@@ -81,7 +54,7 @@ let of_multi ?(extras = []) ?(axes = []) (m : Convergence.Metrics.multi) =
     transient_paths = sum (fun f -> f.Convergence.Metrics.f_transient_paths);
     extras;
     axes;
-    series = [];
+    series;
     wall_s = 0.;
     perf = [];
     events = m.Convergence.Metrics.m_sched_events;

@@ -70,17 +70,13 @@ type t = {
           events/sec heartbeat *)
 }
 
-val of_run : ?extras:(string * float) list -> ?axes:(string * string) list ->
-  ?series:(string * series) list -> Convergence.Metrics.run -> t
-(** [of_run run] lifts a single-flow run result into a cell row; [wall_s] is
-    [0.] until the driver stamps it. *)
-
 val of_multi : ?extras:(string * float) list -> ?axes:(string * string) list ->
-  Convergence.Metrics.multi -> t
-(** [of_multi m] lifts a multi-flow outcome: packet counters are summed over
-    the flows, [fwd_convergence] is the per-flow mean, and
+  ?series:(string * series) list -> Convergence.Metrics.multi -> t
+(** [of_multi m] lifts a run outcome into a cell row: packet counters are
+    summed over the flows, [fwd_convergence] is the per-flow mean, and
     [routing_convergence] spans all failures (as {!Convergence.Metrics}
-    defines it). *)
+    defines it). A one-flow outcome (the paper's scenario) carries its
+    flow's values unchanged. [wall_s] is [0.] until the driver stamps it. *)
 
 val metrics : t -> (string * float) list
 (** [metrics t] is every scalar of the row as an ordered [(name, value)]

@@ -53,18 +53,25 @@ let grid_tasks ?(with_series = false) ~engines sweep =
   sweep_tasks sweep ~engines (fun cfg engine ->
       let r = E.run cfg engine in
       let series =
-        if with_series then
+        match r.M.m_flows with
+        | [ f ] when with_series ->
           let windowed s =
             Cell_result.windowed ~warmup:cfg.C.warmup ~lo:window_lo
               ~hi:window_hi s
           in
           [
-            ("throughput", windowed r.M.throughput);
-            ("delay", windowed r.M.delay);
+            ("throughput", windowed f.M.f_throughput);
+            ("delay", windowed f.M.f_delay);
           ]
-        else []
+        | _ -> []
       in
-      Cell_result.of_run ~series r)
+      Cell_result.of_multi ~series r)
+
+(* Delivered over sent across the run's flows; NaN when nothing was sent. *)
+let delivery_ratio m =
+  let sent = M.multi_sent m in
+  if sent = 0 then Float.nan
+  else float_of_int (M.multi_delivered m) /. float_of_int sent
 
 (* ---------- render helpers ---------- *)
 
@@ -224,7 +231,7 @@ let scenarios_tasks (sweep : X.sweep) =
                  | Some (Obs.Registry.Gauge_value v) -> v
                  | Some _ | None -> Float.nan
                in
-               Cell_result.of_run
+               Cell_result.of_multi
                  ~extras:
                    [
                      ("sched_events", gauge "scheduler.events_fired");
@@ -557,14 +564,11 @@ let faults_cell axis cfg engine =
     | Some (Obs.Registry.Gauge_value v) -> v
     | Some _ | None -> 0.
   in
-  let ratio =
-    if r.M.sent = 0 then Float.nan
-    else float_of_int r.M.delivered /. float_of_int r.M.sent
-  in
+  let ratio = delivery_ratio r in
   (* The cell's degree field carries the fault-axis code, not the (constant)
      mesh degree — it is the cell key's sweep dimension here. *)
   {
-    (Cell_result.of_run
+    (Cell_result.of_multi
        ~extras:
          [
            ("delivery_ratio", ratio);
@@ -704,7 +708,7 @@ let perf_cell (sweep : X.sweep) ~rows ~cols engine =
     else []
   in
   {
-    (Cell_result.of_run
+    (Cell_result.of_multi
        ~extras:
          [
            ("sched_events", events);
@@ -906,15 +910,11 @@ let topo_cell (sweep : X.sweep) ~family ~family_idx ~nodes engine i =
       float_of_int (List.length (Check.Oracle.check ?max_metric ?dests view))
   in
   let r = E.run ~topology:topo ~src ~dst ~on_quiesce cfg engine in
-  let ratio =
-    if r.M.sent = 0 then Float.nan
-    else float_of_int r.M.delivered /. float_of_int r.M.sent
-  in
   {
-    (Cell_result.of_run
+    (Cell_result.of_multi
        ~extras:
          [
-           ("delivery_ratio", ratio);
+           ("delivery_ratio", delivery_ratio r);
            ("oracle_mismatches", !mismatches);
            ("edges", float_of_int (Netsim.Topology.edge_count topo));
          ]

@@ -58,11 +58,20 @@ let duration_after_warmup t = t.sim_end -. t.warmup
 let validate t =
   let check cond msg = if cond then Ok () else Error msg in
   let ( let* ) = Result.bind in
-  let* () = check (t.rows >= 3 && t.cols >= 3) "mesh must be at least 3x3" in
+  (* Messages naming the value are formatted only on failure: every run
+     validates its config. *)
   let* () =
-    check
-      (t.degree >= Netsim.Mesh.min_degree && t.degree <= Netsim.Mesh.max_degree)
-      "degree out of range"
+    if t.rows >= 3 && t.cols >= 3 then Ok ()
+    else
+      Error (Printf.sprintf "mesh must be at least 3x3, not %dx%d" t.rows t.cols)
+  in
+  let* () =
+    if t.degree >= Netsim.Mesh.min_degree && t.degree <= Netsim.Mesh.max_degree
+    then Ok ()
+    else
+      Error
+        (Printf.sprintf "degree %d out of range %d..%d" t.degree
+           Netsim.Mesh.min_degree Netsim.Mesh.max_degree)
   in
   let* () = check (t.bandwidth_bps > 0.) "bandwidth must be positive" in
   let* () = check (t.prop_delay >= 0.) "propagation delay must be >= 0" in
@@ -70,7 +79,12 @@ let validate t =
   let* () = check (t.detection_delay >= 0.) "detection delay must be >= 0" in
   let* () = check (t.data_packet_bytes > 0) "packet size must be positive" in
   let* () = check (t.ttl > 0) "ttl must be positive" in
-  let* () = check (t.send_rate_pps > 0.) "send rate must be positive" in
+  let* () =
+    if t.send_rate_pps > 0. then Ok ()
+    else
+      Error
+        (Printf.sprintf "send rate must be positive, not %g pps" t.send_rate_pps)
+  in
   let* () =
     check
       (0. <= t.traffic_start && t.traffic_start <= t.failure_time)

@@ -54,6 +54,5 @@ let run ?topology ?faults ?frr ?src ?dst ?trace ?monitors ?metrics ?on_quiesce
       heal_after = restore_after;
     }
   in
-  Metrics.run_of_multi
-    (run_multi ?topology ?faults ?frr ?trace ?monitors ?metrics ?on_quiesce
-       ~flows:[ flow ] ~failures:[ failure ] cfg engine)
+  run_multi ?topology ?faults ?frr ?trace ?monitors ?metrics ?on_quiesce
+    ~flows:[ flow ] ~failures:[ failure ] cfg engine

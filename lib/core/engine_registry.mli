@@ -69,7 +69,7 @@ val run :
   ?restore_after:float ->
   Config.t ->
   t ->
-  Metrics.run
+  Metrics.multi
 (** The paper's single-flow scenario: {!run_multi} with one CBR flow
     ([?src]/[?dst], random first-row and last-row routers by default) and one
     failure at [cfg.failure_time] on that flow's path (or on [?fail_link]),

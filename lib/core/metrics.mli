@@ -1,67 +1,15 @@
 (** Per-run outcomes.
 
-    A {!run} captures everything the paper reports for a single simulation:
-    packet fates broken down by drop reason, the receiver's throughput and
-    delay time series, convergence delays, and the forwarding-path history.
-    Campaign cells ([Campaign.Cell_result]) lift runs into rows, and their
-    artifacts aggregate the seeds of one (protocol, degree) point. *)
-
-type run = {
-  protocol : string;
-  degree : int;
-  seed : int;
-  src : Netsim.Types.node_id;
-  dst : Netsim.Types.node_id;
-  sent : int;
-  delivered : int;
-  drops_no_route : int;
-  drops_ttl : int;
-  drops_queue : int;
-  drops_link : int;  (** dropped on/over the failed link before detection *)
-  drops_injected : int;  (** discarded or corrupted by fault injection *)
-  looped_delivered : int;  (** delivered packets that escaped a loop *)
-  looped_dropped : int;  (** dropped packets that had looped *)
-  ctrl_messages : int;
-  ctrl_bytes : int;
-  ctrl_lost : int;  (** control messages lost to the link failure *)
-  throughput : Dessim.Series.t;  (** received packets per 1 s bucket *)
-  delay : Dessim.Series.t;  (** per-bucket mean end-to-end delay *)
-  fwd_convergence : float;
-      (** forwarding-path convergence delay: failure -> sender/receiver path
-          permanently equal to its final value (paper Fig. 6a) *)
-  routing_convergence : float;
-      (** network routing convergence: failure -> last best-route change at
-          any router (paper Fig. 6b) *)
-  transient_paths : int;
-      (** distinct sender->receiver forwarding paths observed between failure
-          and forwarding convergence *)
-  failed_link : (Netsim.Types.node_id * Netsim.Types.node_id) option;
-  pre_failure_path : Netsim.Types.node_id list;
-  final_path : Netsim.Types.node_id list;
-  final_path_complete : bool;
-  sched_events : int;
-      (** scheduler events fired during the run — the denominator for
-          events/sec and allocations/event in the perf harness *)
-}
-
-val total_drops : run -> int
-
-val conservation_ok : run -> bool
-(** [sent = delivered + drops + in-flight-at-end]; in-flight is inferred, so
-    this checks the other counters are consistent (non-negative residue no
-    larger than what the pipe could hold). *)
-
-val in_flight : run -> int
-
-val pp_run : run Fmt.t
-
-(** {2 Multi-flow, multi-failure outcomes}
-
-    The paper's future work (Section 6) extends the study to "multiple pairs
-    of data sources and destinations, as well as multiple failures which can
-    potentially overlay with each other in time". A {!multi} captures one
-    such run: per-flow delivery outcomes plus run-global control-plane
-    accounting. *)
+    A {!multi} captures everything one simulation reports: per-flow packet
+    fates broken down by drop reason, the receiver's throughput and delay
+    time series, forwarding convergence and the forwarding-path history,
+    plus run-global control-plane accounting. The paper's scenario (one CBR
+    flow, one link failure) is the one-flow case; its Section 6 future work —
+    "multiple pairs of data sources and destinations, as well as multiple
+    failures which can potentially overlay with each other in time" — is the
+    general one. Campaign cells ([Campaign.Cell_result]) lift outcomes into
+    rows, and their artifacts aggregate the seeds of one (protocol, degree)
+    point. *)
 
 type transfer = {
   t_completed : int;  (** packets acknowledged in order *)
@@ -82,14 +30,18 @@ type flow = {
   f_drops_no_route : int;
   f_drops_ttl : int;
   f_drops_queue : int;
-  f_drops_link : int;
-  f_drops_injected : int;
-  f_looped_delivered : int;
-  f_looped_dropped : int;
-  f_throughput : Dessim.Series.t;
-  f_delay : Dessim.Series.t;
+  f_drops_link : int;  (** dropped on/over a failed link before detection *)
+  f_drops_injected : int;  (** discarded or corrupted by fault injection *)
+  f_looped_delivered : int;  (** delivered packets that escaped a loop *)
+  f_looped_dropped : int;  (** dropped packets that had looped *)
+  f_throughput : Dessim.Series.t;  (** received packets per 1 s bucket *)
+  f_delay : Dessim.Series.t;  (** per-bucket mean end-to-end delay *)
   f_fwd_convergence : float;
+      (** forwarding-path convergence delay: first failure -> sender/receiver
+          path permanently equal to its final value (paper Fig. 6a) *)
   f_transient_paths : int;
+      (** distinct sender->receiver forwarding paths observed between the
+          failure and forwarding convergence *)
   f_pre_failure_path : Netsim.Types.node_id list;
   f_final_path : Netsim.Types.node_id list;
   f_final_path_complete : bool;
@@ -103,11 +55,14 @@ type multi = {
   m_flows : flow list;
   m_ctrl_messages : int;
   m_ctrl_bytes : int;
-  m_ctrl_lost : int;
+  m_ctrl_lost : int;  (** control messages lost to link failures *)
   m_routing_convergence : float;
-      (** measured from the {e first} failure to the last route change *)
+      (** network routing convergence, measured from the {e first} failure to
+          the last best-route change at any router (paper Fig. 6b) *)
   m_failed_links : (Netsim.Types.node_id * Netsim.Types.node_id) list;
-  m_sched_events : int;  (** scheduler events fired during the run *)
+  m_sched_events : int;
+      (** scheduler events fired during the run — the denominator for
+          events/sec and allocations/event in the perf harness *)
 }
 
 val flow_delivery_ratio : flow -> float
@@ -115,15 +70,20 @@ val flow_delivery_ratio : flow -> float
 
 val flow_total_drops : flow -> int
 
+val flow_in_flight : flow -> int
+(** [sent - delivered - drops]: the flow's packets still queued or
+    propagating when the run ended. A negative value means the counters are
+    inconsistent. *)
+
 val multi_sent : multi -> int
 
 val multi_delivered : multi -> int
 
 val pp_flow : flow Fmt.t
+(** One flow: endpoints, packet fates (in flight included), forwarding
+    convergence, transient paths, loop escapees, and the pre-failure and
+    final forwarding paths. *)
 
 val pp_multi : multi Fmt.t
-
-val run_of_multi : multi -> run
-(** Flatten a single-flow, at-most-one-failure [multi] into the classic
-    {!run} shape. @raise Invalid_argument when there is not exactly one
-    flow. *)
+(** The run report: protocol, degree, seed, failed links, routing
+    convergence and control-plane volume once, then {!pp_flow} per flow. *)

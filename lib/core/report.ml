@@ -29,5 +29,3 @@ let scalar_table ~title ~unit_label ppf data =
   List.iter row degrees;
   rule ppf width;
   Fmt.pf ppf "@]"
-
-let run_details ppf (r : Metrics.run) = Metrics.pp_run ppf r

@@ -8,6 +8,3 @@ val scalar_table :
 (** Render a degree-indexed projection (per protocol, [(degree, value)]
     points, as campaign sections project an artifact metric): rows are
     degrees, columns are protocols. *)
-
-val run_details : Metrics.run Fmt.t
-(** A narrative rendering of a single run (used by examples and the CLI). *)

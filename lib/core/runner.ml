@@ -206,7 +206,7 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
 
   let prof_timer = Obs.Prof.scope ("proto." ^ P.name ^ ".timer")
 
-  let prof_run = Obs.Prof.scope "engine.run"
+  let prof_engine_run = Obs.Prof.scope "engine.run"
 
   let emit st ev =
     Obs.Trace.emit st.trace ~time:(Dessim.Scheduler.now st.sched) ev
@@ -1182,9 +1182,9 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
   let run_scheduler st =
     let gc0 = Gc.quick_stat () in
     let cpu0 = Sys.time () in
-    Obs.Prof.enter prof_run;
+    Obs.Prof.enter prof_engine_run;
     Dessim.Scheduler.run ~until:st.cfg.Config.sim_end st.sched;
-    Obs.Prof.exit prof_run;
+    Obs.Prof.exit prof_engine_run;
     let cpu_s = Sys.time () -. cpu0 in
     let gc1 = Gc.quick_stat () in
     let events = Dessim.Scheduler.events_processed st.sched in

@@ -441,7 +441,8 @@ let frr_arm ~frr =
     Convergence.Engine_registry.run ~frr ~monitors:[ Check.Monitor.sink mon ]
       frr_cfg Convergence.Engine_registry.rip
   in
-  (List.length (Check.Monitor.finish mon), r.Convergence.Metrics.drops_no_route)
+  ( List.length (Check.Monitor.finish mon),
+    (One_flow.get r).Convergence.Metrics.f_drops_no_route )
 
 let test_frr_run_reduces_drops () =
   let violations_off, drops_off = frr_arm ~frr:false in

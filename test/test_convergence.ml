@@ -106,49 +106,62 @@ let test_observer_equal_and_helpers () =
 
 let series () = Dessim.Series.create ~start:0. ~width:1. ~buckets:5
 
-let sample_run ?(protocol = "X") ?(degree = 4) ?(seed = 1) ?(sent = 100)
-    ?(delivered = 90) ?(no_route = 5) ?(ttl = 3) () =
+let sample_flow ?(src = 0) ?(sent = 100) () =
   {
-    Convergence.Metrics.protocol;
-    degree;
-    seed;
-    src = 0;
-    dst = 1;
-    sent;
-    delivered;
-    drops_no_route = no_route;
-    drops_ttl = ttl;
-    drops_queue = 0;
-    drops_link = 2;
-    drops_injected = 0;
-    looped_delivered = 1;
-    looped_dropped = ttl;
-    ctrl_messages = 10;
-    ctrl_bytes = 1000;
-    ctrl_lost = 0;
-    throughput = series ();
-    delay = series ();
-    fwd_convergence = 1.5;
-    routing_convergence = 2.5;
-    transient_paths = 2;
-    failed_link = Some (0, 1);
-    pre_failure_path = [ 0; 1 ];
-    final_path = [ 0; 2; 1 ];
-    final_path_complete = true;
-    sched_events = 0;
+    Convergence.Metrics.f_src = src;
+    f_dst = 1;
+    f_sent = sent;
+    f_delivered = 90;
+    f_drops_no_route = 5;
+    f_drops_ttl = 3;
+    f_drops_queue = 0;
+    f_drops_link = 2;
+    f_drops_injected = 0;
+    f_looped_delivered = 1;
+    f_looped_dropped = 3;
+    f_throughput = series ();
+    f_delay = series ();
+    f_fwd_convergence = 1.5;
+    f_transient_paths = 2;
+    f_pre_failure_path = [ 0; 1 ];
+    f_final_path = [ 0; 2; 1 ];
+    f_final_path_complete = true;
+    f_transfer = None;
+  }
+
+let sample_multi flows =
+  {
+    Convergence.Metrics.m_protocol = "X";
+    m_degree = 4;
+    m_seed = 1;
+    m_flows = flows;
+    m_ctrl_messages = 10;
+    m_ctrl_bytes = 1000;
+    m_ctrl_lost = 0;
+    m_routing_convergence = 2.5;
+    m_failed_links = [ (0, 1) ];
+    m_sched_events = 0;
   }
 
 let test_metrics_accounting () =
-  let r = sample_run () in
-  Alcotest.(check int) "total drops" 10 (Convergence.Metrics.total_drops r);
-  Alcotest.(check int) "in flight" 0 (Convergence.Metrics.in_flight r);
-  Alcotest.(check bool) "conserved" true (Convergence.Metrics.conservation_ok r)
+  let f = sample_flow () in
+  Alcotest.(check int) "total drops" 10 (Convergence.Metrics.flow_total_drops f);
+  Alcotest.(check int) "in flight" 0 (Convergence.Metrics.flow_in_flight f);
+  Alcotest.(check int) "in flight after later sends" 3
+    (Convergence.Metrics.flow_in_flight (sample_flow ~sent:103 ()))
 
 let test_metrics_pp_smoke () =
-  let r = sample_run () in
-  let s = Fmt.str "%a" Convergence.Metrics.pp_run r in
-  Alcotest.(check bool) "mentions protocol" true
-    (Astring_contains.contains s "X degree=4")
+  let s =
+    Fmt.str "%a" Convergence.Metrics.pp_multi
+      (sample_multi [ sample_flow ~sent:103 () ])
+  in
+  let mentions what needle =
+    Alcotest.(check bool) what true (Astring_contains.contains s needle)
+  in
+  mentions "protocol" "X degree=4";
+  mentions "in-flight count" "in-flight=3";
+  mentions "final path" "final [0 -> 2 -> 1]";
+  mentions "failed link" "0-1"
 
 (* tiny substring helper without external deps *)
 
@@ -230,20 +243,38 @@ let test_experiments_scale () =
 let lines s = String.split_on_char '\n' (String.trim s)
 
 let test_export_run_csv () =
-  let csv = Convergence.Export.run_csv [ sample_run (); sample_run ~seed:2 () ] in
+  let csv =
+    Convergence.Export.run_csv
+      [ sample_multi [ sample_flow (); sample_flow ~src:3 () ] ]
+  in
   match lines csv with
   | header :: rows ->
     Alcotest.(check bool) "header" true
       (Astring_contains.contains header "protocol,degree,seed");
-    Alcotest.(check int) "two rows" 2 (List.length rows);
-    Alcotest.(check bool) "protocol cell" true
-      (Astring_contains.contains (List.hd rows) "X,4,1");
+    Alcotest.(check int) "one row per flow" 2 (List.length rows);
+    Alcotest.(check (list bool)) "flow endpoints" [ true; true ]
+      (List.map2 Astring_contains.contains rows [ "X,4,1,0,1,"; "X,4,1,3,1," ]);
     (* Every row has as many cells as the header. *)
     let cells ln = List.length (String.split_on_char ',' ln) in
     List.iter
       (fun r -> Alcotest.(check int) "cell count" (cells header) (cells r))
       rows
   | [] -> Alcotest.fail "empty csv"
+
+(* The paper scenario's CSV on the quick configuration, pinned byte for
+   byte: a change to the run, to the row layout or to number formatting
+   shows here. *)
+let test_export_quick_dbf_csv () =
+  Alcotest.(check string) "csv"
+    "protocol,degree,seed,src,dst,sent,delivered,drops_no_route,drops_ttl,\
+     drops_queue,drops_link,looped_delivered,looped_dropped,ctrl_messages,\
+     ctrl_bytes,ctrl_lost,fwd_convergence,routing_convergence,transient_paths\n\
+     DBF,4,1,2,23,7501,7473,0,0,0,25,0,0,1638,706916,0,0.542144,0.542144,2\n"
+    (Convergence.Export.run_csv
+       [
+         Convergence.Engine_registry.run Convergence.Config.quick
+           Convergence.Engine_registry.dbf;
+       ])
 
 let test_export_to_file () =
   let path = Filename.temp_file "rcsim" ".csv" in
@@ -300,6 +331,7 @@ let () =
       ( "export",
         [
           Alcotest.test_case "run csv" `Quick test_export_run_csv;
+          Alcotest.test_case "quick dbf csv" `Quick test_export_quick_dbf_csv;
           Alcotest.test_case "to_file" `Quick test_export_to_file;
         ] );
     ]

@@ -331,7 +331,7 @@ let test_rtx_wire_transparent_at_zero_loss () =
         t_off t_on;
       Alcotest.(check int)
         (Printf.sprintf "delivered identical (seed %d)" seed)
-        r_off.M.delivered r_on.M.delivered)
+        (One_flow.get r_off).M.f_delivered (One_flow.get r_on).M.f_delivered)
     [ 7; 11 ]
 
 (* A 4x4 mesh where seed 18 makes the difference stark: at 10% control-plane
@@ -367,7 +367,7 @@ let test_bgp_converges_through_loss_with_rtx () =
       ~faults:(Fault.Spec.control_loss 0.1)
       ~metrics ~monitors:[ mon ] loss_cfg E.bgp
   in
-  let ratio = float_of_int r.M.delivered /. float_of_int r.M.sent in
+  let ratio = M.flow_delivery_ratio (One_flow.get r) in
   Alcotest.(check bool)
     (Printf.sprintf "delivery survives loss (%.3f)" ratio)
     true (ratio > 0.95);
@@ -389,7 +389,7 @@ let test_bgp_stalls_through_loss_without_rtx () =
   let r =
     E.run ~faults:(Fault.Spec.control_loss ~rtx:false 0.1) loss_cfg E.bgp
   in
-  let ratio = float_of_int r.M.delivered /. float_of_int r.M.sent in
+  let ratio = M.flow_delivery_ratio (One_flow.get r) in
   Alcotest.(check bool)
     (Printf.sprintf "delivery collapses without rtx (%.3f)" ratio)
     true (ratio < 0.5)

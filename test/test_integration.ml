@@ -2,6 +2,8 @@
    checking packet conservation, determinism, steady-state delivery, and the
    runner's failure machinery for every protocol engine. *)
 
+module M = Convergence.Metrics
+
 let quick = Convergence.Config.quick
 
 let engines = Convergence.Engine_registry.all
@@ -19,32 +21,31 @@ let for_all_engines f =
 
 let test_packet_conservation () =
   for_all_engines (fun name e ->
-      let r = run_quick e in
-      if not (Convergence.Metrics.conservation_ok r) then
+      let f = One_flow.get (run_quick e) in
+      if M.flow_in_flight f < 0 then
         Alcotest.failf "%s: sent=%d delivered=%d drops=%d (negative in-flight)" name
-          r.Convergence.Metrics.sent r.Convergence.Metrics.delivered
-          (Convergence.Metrics.total_drops r);
+          f.M.f_sent f.M.f_delivered (M.flow_total_drops f);
       (* At the end of a quiet period, at most a couple of packets can still
          sit in queues/flight. *)
-      let residue = Convergence.Metrics.in_flight r in
+      let residue = M.flow_in_flight f in
       if residue > 10 then Alcotest.failf "%s: %d packets unaccounted" name residue)
 
 let test_sent_count_matches_rate () =
   for_all_engines (fun name e ->
-      let r = run_quick e in
+      let f = One_flow.get (run_quick e) in
       let expected =
         quick.Convergence.Config.send_rate_pps
         *. (quick.Convergence.Config.sim_end -. quick.Convergence.Config.traffic_start)
       in
-      let got = float_of_int r.Convergence.Metrics.sent in
+      let got = float_of_int f.M.f_sent in
       if abs_float (got -. expected) > 2. then
         Alcotest.failf "%s: sent %f, expected ~%f" name got expected)
 
 let test_failure_is_injected () =
   for_all_engines (fun name e ->
-      let r = run_quick e in
-      match r.Convergence.Metrics.failed_link with
-      | Some (u, v) ->
+      let m = run_quick e in
+      match m.M.m_failed_links with
+      | [ (u, v) ] ->
         if u = v then Alcotest.failf "%s: degenerate failed link" name;
         (* The failed link must lie on the pre-failure forwarding path. *)
         let rec adjacent_in_path = function
@@ -55,16 +56,16 @@ let test_failure_is_injected () =
         Alcotest.(check bool)
           (name ^ ": failed link on path")
           true
-          (adjacent_in_path r.Convergence.Metrics.pre_failure_path)
-      | None -> Alcotest.failf "%s: no failure recorded" name)
+          (adjacent_in_path (One_flow.get m).M.f_pre_failure_path)
+      | _ -> Alcotest.failf "%s: not exactly one failure recorded" name)
 
 let test_delivery_resumes_after_failure () =
   for_all_engines (fun name e ->
-      let r = run_quick e in
-      if not r.Convergence.Metrics.final_path_complete then
+      let f = One_flow.get (run_quick e) in
+      if not f.M.f_final_path_complete then
         Alcotest.failf "%s: no final path" name;
       (* The last 10 seconds of the run must be at (nearly) full rate. *)
-      let tput = r.Convergence.Metrics.throughput in
+      let tput = f.M.f_throughput in
       let buckets = Dessim.Series.buckets tput in
       let tail_rate = Dessim.Series.rate tput (buckets - 2) in
       if tail_rate < 45. then
@@ -72,10 +73,10 @@ let test_delivery_resumes_after_failure () =
 
 let test_full_rate_before_failure () =
   for_all_engines (fun name e ->
-      let r = run_quick e in
+      let f = One_flow.get (run_quick e) in
       (* quick: warmup=320, failure=330; bucket at normalized t=3..4 is
          pre-failure and must carry the full 50 pps. *)
-      let tput = r.Convergence.Metrics.throughput in
+      let tput = f.M.f_throughput in
       let rate = Dessim.Series.rate tput 3 in
       if rate < 49. || rate > 51. then
         Alcotest.failf "%s: pre-failure rate %.1f" name rate)
@@ -84,13 +85,14 @@ let test_determinism () =
   for_all_engines (fun name e ->
       let a = run_quick ~seed:7 e in
       let b = run_quick ~seed:7 e in
-      let key (r : Convergence.Metrics.run) =
-        ( r.Convergence.Metrics.sent,
-          r.Convergence.Metrics.delivered,
-          Convergence.Metrics.total_drops r,
-          r.Convergence.Metrics.fwd_convergence,
-          r.Convergence.Metrics.routing_convergence,
-          r.Convergence.Metrics.final_path )
+      let key (m : M.multi) =
+        let f = One_flow.get m in
+        ( f.M.f_sent,
+          f.M.f_delivered,
+          M.flow_total_drops f,
+          f.M.f_fwd_convergence,
+          m.M.m_routing_convergence,
+          f.M.f_final_path )
       in
       if key a <> key b then Alcotest.failf "%s: nondeterministic" name)
 
@@ -98,42 +100,44 @@ let test_seeds_differ () =
   (* Different seeds must (in general) pick different src/dst/failures. *)
   let distinct = ref false in
   for seed = 1 to 5 do
+    let scenario (m : M.multi) =
+      let f = One_flow.get m in
+      (f.M.f_src, f.M.f_dst, m.M.m_failed_links)
+    in
     let a = run_quick ~seed Convergence.Engine_registry.dbf in
     let b = run_quick ~seed:(seed + 50) Convergence.Engine_registry.dbf in
-    if
-      (a.Convergence.Metrics.src, a.Convergence.Metrics.dst, a.Convergence.Metrics.failed_link)
-      <> (b.Convergence.Metrics.src, b.Convergence.Metrics.dst, b.Convergence.Metrics.failed_link)
-    then distinct := true
+    if scenario a <> scenario b then distinct := true
   done;
   Alcotest.(check bool) "some variety across seeds" true !distinct
 
 let test_pinned_failure_link () =
   let cfg = { quick with seed = 3 } in
   (* Pin both endpoints and the failed link for a fully controlled scenario. *)
-  let r =
+  let m =
     Convergence.Engine_registry.run ~src:0 ~dst:24 ~fail_link:(0, 1) cfg
       Convergence.Engine_registry.dbf
   in
-  Alcotest.(check (option (pair int int))) "pinned" (Some (0, 1))
-    r.Convergence.Metrics.failed_link;
-  Alcotest.(check int) "src" 0 r.Convergence.Metrics.src;
-  Alcotest.(check int) "dst" 24 r.Convergence.Metrics.dst
+  let f = One_flow.get m in
+  Alcotest.(check (list (pair int int))) "pinned" [ (0, 1) ] m.M.m_failed_links;
+  Alcotest.(check int) "src" 0 f.M.f_src;
+  Alcotest.(check int) "dst" 24 f.M.f_dst
 
 let test_restore_after () =
   (* Fail the first-hop link and restore it 20 s later: the pre-failure
      shortest path must be back in force at the end. *)
   let cfg = { quick with seed = 3 } in
-  let r =
-    Convergence.Engine_registry.run ~src:0 ~dst:24 ~fail_link:(0, 1)
-      ~restore_after:20. cfg Convergence.Engine_registry.dbf
+  let f =
+    One_flow.get
+      (Convergence.Engine_registry.run ~src:0 ~dst:24 ~fail_link:(0, 1)
+         ~restore_after:20. cfg Convergence.Engine_registry.dbf)
   in
-  Alcotest.(check bool) "delivers at end" true r.Convergence.Metrics.final_path_complete;
+  Alcotest.(check bool) "delivers at end" true f.M.f_final_path_complete;
   (* With the link restored, the final path length equals the topological
      shortest distance again. *)
   let topo = Netsim.Mesh.generate ~rows:5 ~cols:5 ~degree:4 in
   let dist = (Netsim.Topology.bfs_distances topo 0).(24) in
   Alcotest.(check int) "shortest again" dist
-    (List.length r.Convergence.Metrics.final_path - 1)
+    (List.length f.M.f_final_path - 1)
 
 let test_heal_before_detection () =
   (* A failure that heals before the detection delay must be invisible to
@@ -193,35 +197,36 @@ let test_custom_topology () =
       ~edges:((7, 0) :: List.init 7 (fun i -> (i, i + 1)))
   in
   let cfg = { quick with seed = 1 } in
-  let r =
-    Convergence.Engine_registry.run ~topology:topo ~src:0 ~dst:4 cfg
-      Convergence.Engine_registry.bgp3
+  let f =
+    One_flow.get
+      (Convergence.Engine_registry.run ~topology:topo ~src:0 ~dst:4 cfg
+         Convergence.Engine_registry.bgp3)
   in
-  Alcotest.(check bool) "delivered some" true (r.Convergence.Metrics.delivered > 0);
-  Alcotest.(check bool) "final path ok" true r.Convergence.Metrics.final_path_complete
+  Alcotest.(check bool) "delivered some" true (f.M.f_delivered > 0);
+  Alcotest.(check bool) "final path ok" true f.M.f_final_path_complete
 
 let test_invalid_config_rejected () =
   let cfg = { quick with sim_end = 0. } in
   (match Convergence.Engine_registry.run cfg Convergence.Engine_registry.dbf with
-  | (_ : Convergence.Metrics.run) -> Alcotest.fail "expected rejection"
+  | (_ : M.multi) -> Alcotest.fail "expected rejection"
   | exception Invalid_argument _ -> ())
 
 let test_rip_recovers_within_period () =
   (* RIP's recovery is bounded by the periodic interval: 50 s after the
      failure (bucket 60, i.e. failure-normalized +50 s) the flow must be
      fully restored. *)
-  let r = run_quick ~seed:4 Convergence.Engine_registry.rip in
-  let tput = r.Convergence.Metrics.throughput in
+  let f = One_flow.get (run_quick ~seed:4 Convergence.Engine_registry.rip) in
+  let tput = f.M.f_throughput in
   let rate_at_60 = Dessim.Series.rate tput 60 in
   if rate_at_60 < 45. then
     Alcotest.failf "RIP not recovered: %.1f pps 50 s after failure" rate_at_60
 
 let test_ctrl_traffic_counted () =
   for_all_engines (fun name e ->
-      let r = run_quick e in
-      if r.Convergence.Metrics.ctrl_messages <= 0 then
+      let m = run_quick e in
+      if m.M.m_ctrl_messages <= 0 then
         Alcotest.failf "%s: no control messages counted" name;
-      if r.Convergence.Metrics.ctrl_bytes <= 0 then
+      if m.M.m_ctrl_bytes <= 0 then
         Alcotest.failf "%s: no control bytes counted" name)
 
 let test_bgp_sends_fewer_ctrl_bytes_than_rip () =
@@ -229,7 +234,7 @@ let test_bgp_sends_fewer_ctrl_bytes_than_rip () =
   let rip = run_quick Convergence.Engine_registry.rip in
   let bgp = run_quick Convergence.Engine_registry.bgp3 in
   Alcotest.(check bool) "bgp bytes < rip bytes" true
-    (bgp.Convergence.Metrics.ctrl_bytes < rip.Convergence.Metrics.ctrl_bytes)
+    (bgp.M.m_ctrl_bytes < rip.M.m_ctrl_bytes)
 
 let prop_conservation_random_scenarios =
   QCheck.Test.make ~name:"packet conservation over random seeds/degrees" ~count:12
@@ -239,9 +244,11 @@ let prop_conservation_random_scenarios =
       let seed = 1 + abs raw_seed in
       let degree = 3 + (abs raw_degree mod 6) in
       let cfg = Convergence.Config.with_degree degree { quick with seed } in
-      let r = Convergence.Engine_registry.run cfg Convergence.Engine_registry.dbf in
-      Convergence.Metrics.conservation_ok r
-      && Convergence.Metrics.in_flight r <= 10)
+      let f =
+        One_flow.get (Convergence.Engine_registry.run cfg Convergence.Engine_registry.dbf)
+      in
+      let in_flight = M.flow_in_flight f in
+      in_flight >= 0 && in_flight <= 10)
 
 let () =
   Alcotest.run "integration"

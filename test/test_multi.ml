@@ -176,12 +176,6 @@ let test_failure_flow_index_validated () =
   | (_ : Convergence.Metrics.multi) -> Alcotest.fail "expected rejection"
   | exception Invalid_argument _ -> ()
 
-let test_run_of_multi_requires_one_flow () =
-  let m = R.run_multi ~flows:(flows 2) ~failures:[] quick dbf in
-  match Convergence.Metrics.run_of_multi m with
-  | (_ : Convergence.Metrics.run) -> Alcotest.fail "expected rejection"
-  | exception Invalid_argument _ -> ()
-
 let test_multi_determinism () =
   let failures =
     [ one_failure ~flow:0 (); one_failure ~at:(quick.Convergence.Config.failure_time +. 3.) ~flow:1 () ]
@@ -276,7 +270,6 @@ let () =
         ] );
       ( "outcome",
         [
-          Alcotest.test_case "run_of_multi one flow" `Quick test_run_of_multi_requires_one_flow;
           Alcotest.test_case "determinism" `Quick test_multi_determinism;
           Alcotest.test_case "pp smoke" `Quick test_pp_multi_smoke;
           Alcotest.test_case "study shape" `Quick test_multi_failure_study_shape;

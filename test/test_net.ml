@@ -220,7 +220,7 @@ let test_protocol_oracle_at_scale () =
         (Printf.sprintf "%s: oracle clean at %d nodes" name nodes)
         0 !mismatches;
       Alcotest.(check bool) (name ^ ": delivered traffic") true
-        (r.Convergence.Metrics.delivered > 0))
+        ((One_flow.get r).Convergence.Metrics.f_delivered > 0))
     E.paper_four
 
 let () =

@@ -22,7 +22,7 @@ let seeds = [ 11; 12; 13 ]
 let mean_of f runs = Dessim.Stat.mean (List.map f runs)
 
 (* Memoize cells: several observations share (engine, degree) sweeps. *)
-let cell_cache : (string * int, Convergence.Metrics.run list) Hashtbl.t =
+let cell_cache : (string * int, Convergence.Metrics.multi list) Hashtbl.t =
   Hashtbl.create 16
 
 let runs_for engine degree =
@@ -41,9 +41,9 @@ let runs_for engine degree =
     Hashtbl.replace cell_cache key runs;
     runs
 
-let drops r = float_of_int r.Convergence.Metrics.drops_no_route
+let drops m = float_of_int (One_flow.get m).Convergence.Metrics.f_drops_no_route
 
-let ttl_drops r = float_of_int r.Convergence.Metrics.drops_ttl
+let ttl_drops m = float_of_int (One_flow.get m).Convergence.Metrics.f_drops_ttl
 
 (* Observation 1: packet drops decrease as node degree increases; at degree 6
    and above DBF/BGP/BGP-3 drop (virtually) nothing, while RIP improves only
@@ -83,8 +83,8 @@ let test_obs2_no_ttl_expirations_when_dense () =
    hole (almost) disappears for the caching protocols but not for RIP. *)
 
 (* Number of post-failure 1 s buckets below 80% of the sending rate. *)
-let hole_buckets (r : Convergence.Metrics.run) =
-  let tput = r.Convergence.Metrics.throughput in
+let hole_buckets m =
+  let tput = (One_flow.get m).Convergence.Metrics.f_throughput in
   let count = ref 0 in
   (* failure at 400 s = bucket 10 (warmup 390). *)
   for i = 10 to Dessim.Series.buckets tput - 1 do
@@ -110,7 +110,7 @@ let test_obs3_dense_network_closes_the_hole_for_dbf () =
 let test_obs4_mrai_speeds_convergence_not_delivery () =
   let bgp = runs_for Convergence.Engine_registry.bgp 6 in
   let bgp3 = runs_for Convergence.Engine_registry.bgp3 6 in
-  let conv r = r.Convergence.Metrics.routing_convergence in
+  let conv m = m.Convergence.Metrics.m_routing_convergence in
   let c = mean_of conv bgp and c3 = mean_of conv bgp3 in
   Alcotest.(check bool)
     (Printf.sprintf "BGP-3 routing convergence (%.1f) << BGP (%.1f)" c3 c)
@@ -126,8 +126,8 @@ let test_obs5_delay_spike_during_convergence () =
   let runs = runs_for Convergence.Engine_registry.dbf 3 in
   let spikes =
     List.map
-      (fun (r : Convergence.Metrics.run) ->
-        let d = r.Convergence.Metrics.delay in
+      (fun m ->
+        let d = (One_flow.get m).Convergence.Metrics.f_delay in
         let steady = Dessim.Series.mean d 5 in
         (* max mean delay in the 40 s after the failure (buckets 10..50) *)
         let worst = ref 0. in

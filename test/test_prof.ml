@@ -120,7 +120,7 @@ let test_prof_flag_does_not_change_outputs () =
     let row =
       Obs.Json.to_string
         (Campaign.Cell_result.to_json ~include_series:true
-           (Campaign.Cell_result.of_run r))
+           (Campaign.Cell_result.of_multi r))
     in
     (lines, row)
   in

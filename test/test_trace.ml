@@ -332,7 +332,7 @@ let check_conservation ?(traffic = Convergence.Runner.Cbr None) engine =
     }
   in
   let r =
-    Convergence.Metrics.run_of_multi
+    One_flow.get
       (Convergence.Engine_registry.run_multi ~trace ~flows:[ flow ]
          ~failures:[ failure ] cfg engine)
   in
@@ -340,18 +340,18 @@ let check_conservation ?(traffic = Convergence.Runner.Cbr None) engine =
   let name = Convergence.Engine_registry.name engine in
   let t = Obs.Replay.totals (got ()) in
   let drops reason = List.assoc reason t.Obs.Replay.drops in
-  Alcotest.(check int) (name ^ " sent") r.Convergence.Metrics.sent t.Obs.Replay.sent;
-  Alcotest.(check int) (name ^ " delivered") r.Convergence.Metrics.delivered
+  Alcotest.(check int) (name ^ " sent") r.Convergence.Metrics.f_sent t.Obs.Replay.sent;
+  Alcotest.(check int) (name ^ " delivered") r.Convergence.Metrics.f_delivered
     t.Obs.Replay.delivered;
-  Alcotest.(check int) (name ^ " no-route") r.Convergence.Metrics.drops_no_route
+  Alcotest.(check int) (name ^ " no-route") r.Convergence.Metrics.f_drops_no_route
     (drops Netsim.Types.No_route);
-  Alcotest.(check int) (name ^ " ttl") r.Convergence.Metrics.drops_ttl
+  Alcotest.(check int) (name ^ " ttl") r.Convergence.Metrics.f_drops_ttl
     (drops Netsim.Types.Ttl_expired);
-  Alcotest.(check int) (name ^ " queue") r.Convergence.Metrics.drops_queue
+  Alcotest.(check int) (name ^ " queue") r.Convergence.Metrics.f_drops_queue
     (drops Netsim.Types.Queue_overflow);
-  Alcotest.(check int) (name ^ " link") r.Convergence.Metrics.drops_link
+  Alcotest.(check int) (name ^ " link") r.Convergence.Metrics.f_drops_link
     (drops Netsim.Types.Link_down);
-  Alcotest.(check int) (name ^ " in flight") (Convergence.Metrics.in_flight r)
+  Alcotest.(check int) (name ^ " in flight") (Convergence.Metrics.flow_in_flight r)
     (Obs.Replay.in_flight t)
 
 let test_conservation_rip () = check_conservation Convergence.Engine_registry.rip
@@ -378,15 +378,18 @@ let test_conservation_through_jsonl () =
   let sink = Obs.Sink.jsonl_writer (fun line -> Buffer.add_string buf (line ^ "\n")) in
   let trace = Obs.Trace.create sink in
   let cfg = Convergence.Config.with_degree 4 { quick with seed = 5 } in
-  let r = Convergence.Engine_registry.run ~trace cfg Convergence.Engine_registry.dbf in
+  let r =
+    One_flow.get
+      (Convergence.Engine_registry.run ~trace cfg Convergence.Engine_registry.dbf)
+  in
   Obs.Trace.close trace;
   let records, stats = Obs.Replay.of_string (Buffer.contents buf) in
   Alcotest.(check int) "nothing skipped" 0 stats.Obs.Replay.skipped;
   let t = Obs.Replay.totals records in
-  Alcotest.(check int) "sent" r.Convergence.Metrics.sent t.Obs.Replay.sent;
-  Alcotest.(check int) "delivered" r.Convergence.Metrics.delivered
+  Alcotest.(check int) "sent" r.Convergence.Metrics.f_sent t.Obs.Replay.sent;
+  Alcotest.(check int) "delivered" r.Convergence.Metrics.f_delivered
     t.Obs.Replay.delivered;
-  Alcotest.(check int) "in flight" (Convergence.Metrics.in_flight r)
+  Alcotest.(check int) "in flight" (Convergence.Metrics.flow_in_flight r)
     (Obs.Replay.in_flight t)
 
 (* A trace must not perturb the simulation: the same seed with and without
@@ -399,15 +402,17 @@ let test_trace_does_not_perturb () =
   let traced =
     Convergence.Engine_registry.run ~trace cfg Convergence.Engine_registry.bgp
   in
-  Alcotest.(check int) "sent" bare.Convergence.Metrics.sent
-    traced.Convergence.Metrics.sent;
-  Alcotest.(check int) "delivered" bare.Convergence.Metrics.delivered
-    traced.Convergence.Metrics.delivered;
-  Alcotest.(check int) "ctrl msgs" bare.Convergence.Metrics.ctrl_messages
-    traced.Convergence.Metrics.ctrl_messages;
+  Alcotest.(check int) "sent"
+    (One_flow.get bare).Convergence.Metrics.f_sent
+    (One_flow.get traced).Convergence.Metrics.f_sent;
+  Alcotest.(check int) "delivered"
+    (One_flow.get bare).Convergence.Metrics.f_delivered
+    (One_flow.get traced).Convergence.Metrics.f_delivered;
+  Alcotest.(check int) "ctrl msgs" bare.Convergence.Metrics.m_ctrl_messages
+    traced.Convergence.Metrics.m_ctrl_messages;
   Alcotest.(check (float 1e-9)) "routing convergence"
-    bare.Convergence.Metrics.routing_convergence
-    traced.Convergence.Metrics.routing_convergence
+    bare.Convergence.Metrics.m_routing_convergence
+    traced.Convergence.Metrics.m_routing_convergence
 
 let () =
   Alcotest.run "trace"
