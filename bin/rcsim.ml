@@ -19,6 +19,21 @@ open Cmdliner
 
 (* ---------- shared options ---------- *)
 
+(* [c] restricted to the values [ok] accepts; any other value is a usage
+   error naming the flag, the value and what was [expected]. *)
+let checked c ~expected ok =
+  let parse s =
+    match Arg.conv_parser c s with
+    | Ok v when not (ok v) ->
+      Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+    | result -> result
+  in
+  Arg.conv (parse, Arg.conv_printer c)
+
+let at_least n =
+  checked Arg.int (fun v -> v >= n)
+    ~expected:(Printf.sprintf "an integer >= %d" n)
+
 let degree_arg =
   let doc = "Interior node degree of the mesh (3..12)." in
   Arg.(value & opt int 4 & info [ "d"; "degree" ] ~docv:"DEGREE" ~doc)
@@ -37,7 +52,7 @@ let seed_arg =
 
 let runs_arg =
   let doc = "Simulation runs per data point (the paper uses 10)." in
-  Arg.(value & opt int 10 & info [ "runs" ] ~docv:"N" ~doc)
+  Arg.(value & opt (at_least 1) 10 & info [ "runs" ] ~docv:"N" ~doc)
 
 let rate_arg =
   let doc = "CBR sending rate in packets per second." in
@@ -219,21 +234,6 @@ let frr_arg =
   in
   Arg.(value & flag & info [ "frr" ] ~doc)
 
-(* [c] restricted to the values [ok] accepts; any other value is a usage
-   error naming the flag, the value and what was [expected]. *)
-let checked c ~expected ok =
-  let parse s =
-    match Arg.conv_parser c s with
-    | Ok v when not (ok v) ->
-      Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
-    | result -> result
-  in
-  Arg.conv (parse, Arg.conv_printer c)
-
-let at_least n =
-  checked Arg.int (fun v -> v >= n)
-    ~expected:(Printf.sprintf "an integer >= %d" n)
-
 let flows_arg =
   let doc = "Number of concurrent first-row to last-row flows." in
   Arg.(value & opt (at_least 1) 1 & info [ "flows" ] ~docv:"N" ~doc)
@@ -279,8 +279,8 @@ let show_transfer (cfg : Convergence.Config.t) ~size
     | None -> "not finished by sim_end"
   in
   Fmt.pr
-    "transfer: %d/%d packets acknowledged; completion %s;@ retransmissions \
-     %d, duplicates at receiver %d@."
+    "transfer: %d/%d packets acknowledged; completion %s; retransmissions %d, \
+     duplicates at receiver %d@."
     o.t_completed size finish o.t_retransmissions o.t_duplicates
 
 let run_cmd =
@@ -1095,7 +1095,7 @@ let campaign_cmd =
   in
   let runs_opt_arg =
     let doc = "Override the number of seeds per (protocol, degree) cell." in
-    Arg.(value & opt (some int) None & info [ "runs" ] ~docv:"N" ~doc)
+    Arg.(value & opt (some (at_least 1)) None & info [ "runs" ] ~docv:"N" ~doc)
   in
   let degrees_opt_arg =
     let doc = "Override the node degrees swept." in

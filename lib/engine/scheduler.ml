@@ -63,12 +63,12 @@ type lane = {
 }
 
 (* Lanes are created on demand, for delays seen often enough to matter:
-   a delay >= [lane_min_delay] earns a candidate slot, and its
-   [lane_promote_count]-th occurrence promotes it to a lane (bounded by
-   [max_lanes]; excess recurring delays just stay on the heap, which is
-   merely slower, never wrong). Candidate slots evict the lowest count, so
-   one-off jittered delays churn the table without ever displacing a
-   recurring constant that is accumulating occurrences. *)
+   every delay earns a candidate slot, and its [lane_promote_count]-th
+   occurrence promotes it to a lane (bounded by [max_lanes]; excess
+   recurring delays just stay on the heap, which is merely slower, never
+   wrong). Candidate slots evict the lowest count, so one-off jittered
+   delays churn the table without ever displacing a recurring constant
+   that is accumulating occurrences. *)
 let max_lanes = 8
 
 let lane_promote_count = 64
@@ -325,6 +325,11 @@ let after t ~delay fn =
 let fire_at t ~at fn = push t ~at live (-1) (Obj.repr fn)
 
 let fire_after t ~delay fn = push_delayed t ~delay live (-1) (Obj.repr fn)
+
+let schedule_tag_h t ~at tag x =
+  let h = { cancelled = false } in
+  push t ~at h tag (Obj.repr x);
+  h
 
 let after_tag_h t ~delay tag x =
   let h = { cancelled = false } in

@@ -56,6 +56,12 @@ val register : t -> ('a -> unit) -> 'a tag
     Registration is cheap but not recycled: register per long-lived object
     (a link, a router), not per event. *)
 
+val schedule_tag_h : t -> at:float -> 'a tag -> 'a -> handle
+(** [schedule_tag_h t ~at tag x] arranges for [tag]'s handler to receive [x]
+    at absolute time [at], and returns the event's cancellation handle.
+
+    @raise Invalid_argument if [at] is earlier than [now t]. *)
+
 val after_tag_h : t -> delay:float -> 'a tag -> 'a -> handle
 (** [after_tag_h t ~delay tag x] arranges for [tag]'s handler to receive [x]
     at [now t +. delay], and returns the event's cancellation handle.

@@ -12,6 +12,9 @@
      [Reference_heap], for random schedule/cancel/step interleavings.
    - the GC: a fired event's closure must become collectable (weak-pointer
      check) once the scheduler recycles its cell.
+   - [Reference_link]: the hash-table link the FIFO ring replaced, kept
+     verbatim. Random send/fail/restore/run streams must produce the same
+     delivered/dropped logs and occupancy counters on both.
 
    Randomness discipline (repo idiom): QCheck2 generates plain integers and
    structures are built deterministically from them, so a failing case
@@ -309,6 +312,177 @@ let test_scheduler_cell_does_not_retain () =
   Gc.full_major ();
   Alcotest.(check bool) "closure env was collected" true (Weak.get w 0 = None)
 
+(* ---------- ring link vs reference link ---------- *)
+
+(* Link op streams: sends of a given size in bits (the bool is [~reliable]),
+   bursts of reliable sends (a control burst that bypasses the queue cap, so
+   hundreds of units can be outstanding at a [fail]), [fail], [restore], and
+   running both schedulers [k] ms further. *)
+type link_op =
+  | L_send of int * bool
+  | L_burst of int
+  | L_fail
+  | L_restore
+  | L_run of int
+
+let show_link_op = function
+  | L_send (size, reliable) ->
+    Printf.sprintf "send %d%s" size (if reliable then " reliable" else "")
+  | L_burst n -> Printf.sprintf "burst %d" n
+  | L_fail -> "fail"
+  | L_restore -> "restore"
+  | L_run ms -> Printf.sprintf "run %d ms" ms
+
+type link_event =
+  | Got of int * float
+  | Lost of int * Netsim.Types.drop_reason * float
+
+(* Drive [ops] through a [Netsim.Link] and a [Reference_link], each on its own
+   scheduler, with identical parameters and payloads (the send's index).
+   After every op the send results, occupancy counters and clocks must agree
+   and both logs must have grown alike; the final logs (payload, reason,
+   time, order) must be equal. Logs only grow, so equal final logs and equal
+   lengths after every op mean equal logs after every op. Returns the
+   reference log, oldest first, for callers that inspect it. *)
+let run_link_ops ops =
+  let s_new = Dessim.Scheduler.create () and s_ref = Dessim.Scheduler.create () in
+  let log_new = ref [] and log_ref = ref [] in
+  let n_new = ref 0 and n_ref = ref 0 in
+  let record log n s ev =
+    log := ev (Dessim.Scheduler.now s) :: !log;
+    incr n
+  in
+  let l_new =
+    Netsim.Link.create ~sched:s_new ~bandwidth_bps:1e6 ~prop_delay:0.01
+      ~queue_capacity:4
+      ~deliver:(fun x -> record log_new n_new s_new (fun t -> Got (x, t)))
+      ~dropped:(fun x r -> record log_new n_new s_new (fun t -> Lost (x, r, t)))
+      ()
+  in
+  let l_ref =
+    Reference_link.create ~sched:s_ref ~bandwidth_bps:1e6 ~prop_delay:0.01
+      ~queue_capacity:4
+      ~deliver:(fun x -> record log_ref n_ref s_ref (fun t -> Got (x, t)))
+      ~dropped:(fun x r -> record log_ref n_ref s_ref (fun t -> Lost (x, r, t)))
+      ()
+  in
+  let ok = ref true in
+  let next_id = ref 0 in
+  let send ~reliable size_bits =
+    let id = !next_id in
+    incr next_id;
+    let r_new =
+      match Netsim.Link.send l_new ~reliable ~size_bits id with
+      | Netsim.Link.Sent -> None
+      | Netsim.Link.Rejected r -> Some r
+    in
+    let r_ref =
+      match Reference_link.send l_ref ~reliable ~size_bits id with
+      | Reference_link.Sent -> None
+      | Reference_link.Rejected r -> Some r
+    in
+    if r_new <> r_ref then ok := false
+  in
+  let run_both ?until () =
+    Dessim.Scheduler.run ?until s_new;
+    Dessim.Scheduler.run ?until s_ref
+  in
+  let agree () =
+    !n_new = !n_ref
+    && Dessim.Scheduler.now s_new = Dessim.Scheduler.now s_ref
+    && Netsim.Link.is_up l_new = Reference_link.is_up l_ref
+    && Netsim.Link.queue_length l_new = Reference_link.queue_length l_ref
+    && Netsim.Link.in_flight l_new = Reference_link.in_flight l_ref
+    && Netsim.Link.utilization_busy_until l_new
+       = Reference_link.utilization_busy_until l_ref
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | L_send (size, reliable) -> send ~reliable size
+      | L_burst n ->
+        for i = 1 to n do
+          send ~reliable:true (400 * (1 + (i mod 5)))
+        done
+      | L_fail ->
+        Netsim.Link.fail l_new;
+        Reference_link.fail l_ref
+      | L_restore ->
+        Netsim.Link.restore l_new;
+        Reference_link.restore l_ref
+      | L_run ms ->
+        let until = Dessim.Scheduler.now s_new +. (float_of_int ms /. 1000.) in
+        run_both ~until ());
+      if not (agree ()) then ok := false)
+    ops;
+  run_both ();
+  (!ok && agree () && !log_new = !log_ref, List.rev !log_ref)
+
+let link_op_gen =
+  let open QCheck2.Gen in
+  frequency
+    [
+      ( 8,
+        map2
+          (fun size reliable -> L_send (size, reliable))
+          (int_range 0 12_000) bool );
+      (1, map (fun n -> L_burst n) (int_range 1 300));
+      (1, return L_fail);
+      (1, return L_restore);
+      (4, map (fun ms -> L_run ms) (int_range 0 60));
+    ]
+
+let link_differential_streams =
+  QCheck2.Test.make ~name:"ring link matches the reference link on random streams"
+    ~count:300
+    ~print:QCheck2.Print.(list show_link_op)
+    QCheck2.Gen.(list_size (int_range 0 120) link_op_gen)
+    (fun ops -> fst (run_link_ops ops))
+
+(* A reliable burst of 65..300 units, partly transmitted, then a failure: the
+   victims outnumber twice the reference table's 32 buckets (and mostly
+   twice 64), so the drop order crosses the table's doublings. *)
+let link_differential_bursts =
+  QCheck2.Test.make
+    ~name:"ring link drops a large burst in the reference order" ~count:100
+    ~print:QCheck2.Print.(list show_link_op)
+    QCheck2.Gen.(
+      map3
+        (fun prefix k ms ->
+          prefix
+          @ [ L_burst k; L_run ms; L_fail; L_restore; L_send (800, false) ])
+        (list_size (int_range 0 20) link_op_gen)
+        (int_range 65 300) (int_range 0 30))
+    (fun ops -> fst (run_link_ops ops))
+
+(* Pinned cases for the victim order: more than 64 and more than 128
+   outstanding units at a fail, a table grown by an earlier burst that has
+   since drained (the bucket count only shrinks at a fail), and one grown
+   again after a fail reset it. Drop order in the 129-unit case is not send
+   order, so a link that drops in send order fails here. *)
+let test_link_victim_order () =
+  let cases =
+    [
+      [ L_burst 65; L_fail ];
+      [ L_burst 129; L_run 5; L_fail ];
+      [ L_burst 300; L_run 50; L_fail ];
+      [ L_burst 200; L_run 10_000; L_burst 10; L_fail ];
+      [ L_burst 200; L_fail; L_restore; L_burst 70; L_run 3; L_fail ];
+    ]
+  in
+  List.iteri
+    (fun i ops ->
+      let same, _ = run_link_ops ops in
+      Alcotest.(check bool) (Printf.sprintf "case %d identical" i) true same)
+    cases;
+  let _, log = run_link_ops [ L_burst 129; L_run 5; L_fail ] in
+  let dropped =
+    List.filter_map (function Lost (x, _, _) -> Some x | Got _ -> None) log
+  in
+  Alcotest.(check int) "all 129 dropped" 129 (List.length dropped);
+  Alcotest.(check bool) "drop order is not send order" true
+    (dropped <> List.sort compare dropped)
+
 (* ---------- dense routing table vs Hashtbl model ---------- *)
 
 (* The hash-table route record the dense [Protocols.Route_table] replaced:
@@ -431,6 +605,12 @@ let () =
         @ [
             Alcotest.test_case "fired cell does not retain closure" `Quick
               test_scheduler_cell_does_not_retain;
+          ] );
+      ( "link",
+        qsuite [ link_differential_streams; link_differential_bursts ]
+        @ [
+            Alcotest.test_case "victim order across table doublings" `Quick
+              test_link_victim_order;
           ] );
       ("route_table", qsuite [ table_differential ]);
     ]

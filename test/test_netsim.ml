@@ -144,6 +144,60 @@ let test_link_fail_idempotent () =
   Netsim.Link.fail l;
   Alcotest.(check int) "dropped once" 1 (List.length !log)
 
+(* A hop costs one transmit-done and one arrival event, whether the link was
+   idle (a delay-relative event) or busy (an absolute one), and nothing is
+   scheduled only to be cancelled. *)
+let test_link_event_cost () =
+  let sched = Dessim.Scheduler.create () in
+  let log = ref [] in
+  let l = make_link ~capacity:100 sched log in
+  let burst k =
+    for i = 1 to k do
+      ignore (Netsim.Link.send l ~size_bits:(800 * i) i)
+    done
+  in
+  burst 10;
+  Dessim.Scheduler.run ~until:1. sched;
+  burst 1;
+  Dessim.Scheduler.run ~until:2. sched;
+  burst 25;
+  Dessim.Scheduler.run sched;
+  let n = 10 + 1 + 25 in
+  Alcotest.(check int) "all delivered" n (List.length !log);
+  Alcotest.(check int) "2n scheduled" (2 * n) (Dessim.Scheduler.events_scheduled sched);
+  Alcotest.(check int) "none skipped" 0 (Dessim.Scheduler.events_skipped sched)
+
+(* The link must let go of a payload once it is delivered, while still
+   holding the ones it has not delivered. *)
+let test_link_does_not_retain () =
+  let sched = Dessim.Scheduler.create () in
+  let l =
+    Netsim.Link.create ~sched ~bandwidth_bps:1e6 ~prop_delay:0.01
+      ~queue_capacity:10
+      ~deliver:(fun (_ : Bytes.t) -> ())
+      ~dropped:(fun _ _ -> ())
+      ()
+  in
+  let w = Weak.create 2 in
+  let send k =
+    let b = Bytes.create 128 in
+    Weak.set w k (Some b);
+    ignore (Netsim.Link.send l ~size_bits:8000 b)
+  in
+  send 0;
+  send 1;
+  (* The first arrives at 18 ms, the second at 26 ms. *)
+  Dessim.Scheduler.run ~until:0.02 sched;
+  Gc.full_major ();
+  Gc.full_major ();
+  Alcotest.(check bool) "delivered payload collected" true (Weak.get w 0 = None);
+  Alcotest.(check bool) "undelivered payload kept" true (Weak.get w 1 <> None);
+  Dessim.Scheduler.run sched;
+  Gc.full_major ();
+  Gc.full_major ();
+  Alcotest.(check bool) "last payload collected" true (Weak.get w 1 = None);
+  Alcotest.(check int) "link empty" 0 (Netsim.Link.in_flight l)
+
 let test_link_rejects_bad_args () =
   let sched = Dessim.Scheduler.create () in
   let mk ~bw ~prop ~cap () =
@@ -402,6 +456,9 @@ let () =
           Alcotest.test_case "restore" `Quick test_link_restore;
           Alcotest.test_case "fail idempotent" `Quick test_link_fail_idempotent;
           Alcotest.test_case "bad args" `Quick test_link_rejects_bad_args;
+          Alcotest.test_case "n sends cost 2n events" `Quick test_link_event_cost;
+          Alcotest.test_case "delivered payload not retained" `Quick
+            test_link_does_not_retain;
         ] );
       ( "topology",
         [
