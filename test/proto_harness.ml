@@ -9,6 +9,8 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
     topo : Netsim.Topology.t;
     mutable routers : P.t array;
     mutable down : (int * int) list;  (* failed links, canonical (u < v) *)
+    mutable silent : (int * int) list;  (* silenced links, canonical *)
+    heard : (int * int, float) Hashtbl.t;  (* (receiver, sender) -> last delivery *)
     mutable messages : int;
     mutable route_changes : (float * int * int) list;  (* time, router, dst *)
   }
@@ -20,7 +22,22 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
     let master = Dessim.Rng.create seed in
     let n = Netsim.Topology.node_count topo in
     let net =
-      { sched; topo; routers = [||]; down = []; messages = 0; route_changes = [] }
+      {
+        sched;
+        topo;
+        routers = [||];
+        down = [];
+        silent = [];
+        heard = Hashtbl.create 16;
+        messages = 0;
+        route_changes = [];
+      }
+    in
+    (* Neither a failed nor a silenced link carries messages; only a failed
+       one is reported to its ends. *)
+    let blocked u v =
+      let l = canonical u v in
+      List.mem l net.down || List.mem l net.silent
     in
     let routers =
       Array.init n (fun id ->
@@ -31,11 +48,14 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
               send =
                 (fun neighbor msg ->
                   net.messages <- net.messages + 1;
-                  if not (List.mem (canonical id neighbor) net.down) then
+                  if not (blocked id neighbor) then
                     ignore
                       (Dessim.Scheduler.after sched ~delay (fun () ->
-                           if not (List.mem (canonical id neighbor) net.down) then
-                             P.on_message net.routers.(neighbor) ~from:id msg)));
+                           if not (blocked id neighbor) then begin
+                             Hashtbl.replace net.heard (neighbor, id)
+                               (Dessim.Scheduler.now sched);
+                             P.on_message net.routers.(neighbor) ~from:id msg
+                           end)));
               after = (fun delay fn -> Dessim.Scheduler.after sched ~delay fn);
               route_changed =
                 (fun dst ->
@@ -70,6 +90,14 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
     net.down <- List.filter (fun l -> l <> canonical u v) net.down;
     P.on_link_up net.routers.(u) ~neighbor:v;
     P.on_link_up net.routers.(v) ~neighbor:u
+
+  (* Drop every message on link [u]-[v] from now on, including those in
+     flight, without notifying either end: to the routers the neighbor just
+     falls silent, so only their timeouts can notice. *)
+  let silence_link net u v = net.silent <- canonical u v :: net.silent
+
+  (* When [router] last received a message from [from], if ever. *)
+  let last_heard net router ~from = Hashtbl.find_opt net.heard (router, from)
 
   let messages net = net.messages
 

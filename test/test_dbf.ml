@@ -114,6 +114,30 @@ let test_cache_survives_unrelated_failure () =
   let after = Protocols.Dbf.cached_metric (H.router net 2) ~neighbor:3 ~dst:3 in
   Alcotest.(check (option int)) "cache untouched" before after
 
+let test_cache_entry_timeout () =
+  (* Line 0-1-2 with link 1-2 silenced at 120 s: neither end is told, so 1
+     keeps 2's cached vector until its entry for 2 times out, exactly 180 s
+     after the last update 1 heard from 2. With no alternate (0 poisons its
+     route to 2 back to 1) the route goes at that instant, and it is the only
+     route change at 1 after the silence. *)
+  let net = converge (line 3) in
+  H.silence_link net 1 2;
+  let heard =
+    match H.last_heard net 1 ~from:2 with
+    | Some t -> t
+    | None -> Alcotest.fail "1 never heard from 2"
+  in
+  H.run net ~until:400.;
+  let at_1 = List.filter (fun (t, r, _) -> r = 1 && t > 120.) (H.route_changes net) in
+  (match at_1 with
+  | [ (t, _, dst) ] ->
+    Alcotest.(check int) "changed destination" 2 dst;
+    Alcotest.(check (float 0.)) "expiry instant" (heard +. 180.) t
+  | l -> Alcotest.failf "expected one route change at 1, got %d" (List.length l));
+  Alcotest.(check (option int)) "entry expired" None
+    (Protocols.Dbf.cached_metric (H.router net 1) ~neighbor:2 ~dst:2);
+  Alcotest.(check (option int)) "route gone" None (H.next_hop net 1 ~dst:2)
+
 let prop_converges_on_random_connected_graphs =
   QCheck.Test.make ~name:"DBF converges to shortest paths on random graphs"
     ~count:20
@@ -169,6 +193,7 @@ let () =
           Alcotest.test_case "poison reverse" `Quick test_poison_reverse_in_cache;
           Alcotest.test_case "survives unrelated failure" `Quick
             test_cache_survives_unrelated_failure;
+          Alcotest.test_case "entry timeout" `Quick test_cache_entry_timeout;
         ] );
       ( "switch-over",
         [

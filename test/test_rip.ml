@@ -113,15 +113,25 @@ let test_link_up_reannounces () =
   done
 
 let test_route_timeout_expires_stale_routes () =
-  (* Drop all messages from node 1 by failing its links without notifying 1's
-     neighbors... not expressible with the harness; instead verify that
-     timeouts exist by checking that a partitioned node's routes vanish even
-     without link-down notification to the far side. The harness drops
-     messages on failed links but does notify both ends, so we emulate
-     silence by failing the link and restoring only message flow later. *)
+  (* Line 0-1-2 with link 1-2 silenced at 120 s: messages stop but neither
+     end is told, so only the 180 s route timeout can remove 1's route to 2.
+     It must fire exactly one timeout after the last update 1 heard from 2,
+     and be the only route change at 1 after the silence. *)
   let net = converge (line 3) in
-  (* Sanity precondition for the timeout machinery: routes exist. *)
-  Alcotest.(check bool) "has route" true (H.next_hop net 0 ~dst:2 <> None)
+  H.silence_link net 1 2;
+  let heard =
+    match H.last_heard net 1 ~from:2 with
+    | Some t -> t
+    | None -> Alcotest.fail "1 never heard from 2"
+  in
+  H.run net ~until:400.;
+  let at_1 = List.filter (fun (t, r, _) -> r = 1 && t > 120.) (H.route_changes net) in
+  (match at_1 with
+  | [ (t, _, dst) ] ->
+    Alcotest.(check int) "changed destination" 2 dst;
+    Alcotest.(check (float 0.)) "expiry instant" (heard +. 180.) t
+  | l -> Alcotest.failf "expected one route change at 1, got %d" (List.length l));
+  Alcotest.(check (option int)) "route gone" None (H.next_hop net 1 ~dst:2)
 
 let test_messages_are_flowing () =
   let net = converge (line 3) ~until:65. in
