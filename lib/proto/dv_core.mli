@@ -73,3 +73,18 @@ module Trigger : sig
   (** Inform the gate that a periodic full-table update just went out, so a
       pending triggered update is now redundant and can be forgotten. *)
 end
+
+(** {1 The two protocols}
+
+    RIP and DBF share one router (table, live neighbors, triggered updates,
+    split horizon, periodic cycle) and differ only in their rules for heard
+    vectors and timeouts. [Rip] and [Dbf] publish and document them. *)
+
+module Rip : Proto_intf.PROTOCOL with type config = config and type message = message
+
+module Dbf : sig
+  include Proto_intf.PROTOCOL with type config = config and type message = message
+
+  val cached_metric :
+    t -> neighbor:Netsim.Types.node_id -> dst:Netsim.Types.node_id -> int option
+end

@@ -10,6 +10,14 @@
    Arrays grow by doubling when a larger id appears; protocols never learn
    the network size up front, so the vectors discover it. *)
 
+(* [a] grown by doubling (to at least 16 and at least [i + 1] slots), the new
+   slots filled with [default]. Every array below grows through it. *)
+let grown a i default =
+  let cap = Array.length a in
+  let bigger = Array.make (max 16 (max (i + 1) (2 * cap))) default in
+  Array.blit a 0 bigger 0 cap;
+  bigger
+
 module Int_vec = struct
   type t = { mutable a : int array; default : int }
 
@@ -17,15 +25,23 @@ module Int_vec = struct
 
   let get v i = if i < Array.length v.a then v.a.(i) else v.default
 
-  let grow v i =
-    let cap = Array.length v.a in
-    let cap' = max 16 (max (i + 1) (2 * cap)) in
-    let bigger = Array.make cap' v.default in
-    Array.blit v.a 0 bigger 0 cap;
-    v.a <- bigger
+  let set v i x =
+    if i >= Array.length v.a then v.a <- grown v.a i v.default;
+    v.a.(i) <- x
+end
+
+(* Growable vector with a sentinel default: BGP's selected and heard AS
+   paths (absent = []), DBF's per-neighbor caches (absent = None), a
+   deadline vector's memoised fire closures (absent = [nop]). *)
+module Vec = struct
+  type 'a t = { mutable a : 'a array; default : 'a }
+
+  let create ~default = { a = [||]; default }
+
+  let get v i = if i < Array.length v.a then v.a.(i) else v.default
 
   let set v i x =
-    if i >= Array.length v.a then grow v i;
+    if i >= Array.length v.a then v.a <- grown v.a i v.default;
     v.a.(i) <- x
 end
 
@@ -62,72 +78,87 @@ module Bitset = struct
            (Char.code (Bytes.unsafe_get v.b byte) land lnot (1 lsl (i land 7))))
 end
 
-(* Per-slot re-armable timer deadlines. Scheduler cancellation is lazy (a
-   cancelled event stays queued until its fire time), so the old
-   cancel-and-reschedule idiom for the 180 s route timeouts left one
-   tombstone per refresh in the queue — a population of (refreshes per
-   sim-second x 180 s) dead events that became the binding memory constraint
-   at 4096 nodes (DESIGN.md 15). A slot now stores the absolute expiry
-   deadline plus one "armed" bit: refreshing writes the deadline in place,
-   and the single outstanding scheduler event re-arms itself on fire when the
-   deadline has moved. Cancellation writes the [inactive] sentinel; the
-   outstanding event (if any) sees it and falls silent. At most one queued
-   event per slot exists at any time, and expiry instants are preserved
-   exactly: the chain always lands on the latest written deadline because a
-   refresh never moves the deadline below the outstanding event's fire
-   time. *)
+(* Per-slot re-armable timeouts. Scheduler cancellation is lazy (a cancelled
+   event stays queued until its fire time), so the old cancel-and-reschedule
+   idiom for the 180 s route timeouts left one tombstone per refresh in the
+   queue — a population of (refreshes per sim-second x 180 s) dead events
+   that became the binding memory constraint at 4096 nodes (DESIGN.md 15).
+   A slot stores the absolute expiry deadline plus one "armed" bit:
+   [refresh] writes the deadline in place and schedules an event only when
+   none is outstanding, and that single event re-arms itself on fire for
+   whatever delay remains. [cancel] writes the [inactive] sentinel, which the
+   outstanding event (if any) falls silent on. At most one queued event per
+   slot exists at any time, and expiry instants are preserved exactly: a
+   refresh never moves the deadline below the outstanding event's fire time
+   (the timeout is constant), so the chain always lands on the latest
+   deadline. *)
 module Deadline_vec = struct
   let inactive = neg_infinity
+
+  let nop () = ()
 
   type t = {
     mutable d : float array;  (* absolute expiry time, or [inactive] *)
     armed : Bitset.t;  (* a scheduler event is outstanding *)
+    fires : (unit -> unit) Vec.t;  (* memoised per-slot fire closures *)
+    timeout : float;
+    now : unit -> float;
+    after : float -> (unit -> unit) -> Dessim.Scheduler.handle;
+    expire : int -> unit;
   }
 
-  let create () = { d = [||]; armed = Bitset.create () }
+  let create ~timeout ~now ~after ~expire =
+    {
+      d = [||];
+      armed = Bitset.create ();
+      fires = Vec.create ~default:nop;
+      timeout;
+      now;
+      after;
+      expire;
+    }
 
-  let get v i = if i < Array.length v.d then v.d.(i) else inactive
+  (* The slot's one outstanding event. On fire: a cancelled slot falls
+     silent; a deadline pushed into the future (the common case — the slot
+     was refreshed since this event was armed) re-arms for the remaining
+     delay; otherwise the timeout really expired. The [now + delay > now]
+     guard keeps a sub-ulp residue from chaining a zero-advance event at the
+     same instant forever. *)
+  let rec fire v i () =
+    Bitset.remove v.armed i;
+    let d = v.d.(i) in
+    if d <> inactive then begin
+      let now = v.now () in
+      let delay = d -. now in
+      if delay > 0. && now +. delay > now then arm v i delay
+      else begin
+        v.d.(i) <- inactive;
+        v.expire i
+      end
+    end
 
-  let grow v i =
-    let cap = Array.length v.d in
-    let cap' = max 16 (max (i + 1) (2 * cap)) in
-    let bigger = Array.make cap' inactive in
-    Array.blit v.d 0 bigger 0 cap;
-    v.d <- bigger
+  (* The fire closure is built once per slot and reused for its whole life:
+     refreshes happen for every entry of every heard vector, so a fresh
+     closure per re-arm would dominate the control plane's allocation. *)
+  and arm v i delay =
+    Bitset.add v.armed i;
+    let f = Vec.get v.fires i in
+    let f =
+      if f != nop then f
+      else begin
+        let f = fire v i in
+        Vec.set v.fires i f;
+        f
+      end
+    in
+    ignore (v.after delay f)
 
-  let set v i x =
-    if i >= Array.length v.d then grow v i;
-    v.d.(i) <- x
+  let refresh v i =
+    if i >= Array.length v.d then v.d <- grown v.d i inactive;
+    v.d.(i) <- v.now () +. v.timeout;
+    if not (Bitset.mem v.armed i) then arm v i v.timeout
 
   let cancel v i = if i < Array.length v.d then v.d.(i) <- inactive
-
-  let armed v i = Bitset.mem v.armed i
-
-  let set_armed v i b = if b then Bitset.add v.armed i else Bitset.remove v.armed i
-end
-
-(* Growable vector with a sentinel default: per-destination memoised thunks
-   (a timeout's expiry action, absent = [nop], compared physically) and
-   BGP's selected and heard AS paths (absent = []). *)
-let nop () = ()
-
-module Vec = struct
-  type 'a t = { mutable a : 'a array; default : 'a }
-
-  let create ~default = { a = [||]; default }
-
-  let get v i = if i < Array.length v.a then v.a.(i) else v.default
-
-  let grow v i =
-    let cap = Array.length v.a in
-    let cap' = max 16 (max (i + 1) (2 * cap)) in
-    let bigger = Array.make cap' v.default in
-    Array.blit v.a 0 bigger 0 cap;
-    v.a <- bigger
-
-  let set v i x =
-    if i >= Array.length v.a then grow v i;
-    v.a.(i) <- x
 end
 
 type t = {
@@ -160,13 +191,8 @@ let next_hop t dst =
 
 let set_next_hop t ~dst ~next_hop =
   Int_vec.set t.next_hop dst next_hop;
-  if dst >= Array.length t.next_hop_opt then begin
-    let cap = Array.length t.next_hop_opt in
-    let cap' = max 16 (max (dst + 1) (2 * cap)) in
-    let bigger = Array.make cap' None in
-    Array.blit t.next_hop_opt 0 bigger 0 cap;
-    t.next_hop_opt <- bigger
-  end;
+  if dst >= Array.length t.next_hop_opt then
+    t.next_hop_opt <- grown t.next_hop_opt dst None;
   t.next_hop_opt.(dst) <- (if next_hop < 0 then None else Some next_hop)
 
 let set_metric t ~dst ~metric =

@@ -51,49 +51,8 @@ module Int_vec : sig
   val set : t -> int -> int -> unit
 end
 
-(** Growable vector of re-armable timer deadlines, for per-route and
-    per-cache-entry timeouts.
-
-    Scheduler cancellation is lazy, so the cancel-and-reschedule idiom left
-    one tombstone event in the queue per timer refresh — the 4096-node
-    memory wall of DESIGN.md §15. A slot here stores the absolute expiry
-    deadline plus an "armed" bit; refreshing a timer writes the deadline in
-    place and the {e single} outstanding scheduler event re-arms itself on
-    fire whenever the deadline has moved, so the queue carries at most one
-    event per slot while expiry instants are preserved exactly. Protocols
-    own the fire protocol: on fire, clear the armed bit, then either fall
-    silent (deadline {!Deadline_vec.inactive}), re-arm for the remaining
-    delay (deadline still in the future), or run the expiry action. *)
-module Deadline_vec : sig
-  type t
-
-  val inactive : float
-  (** Sentinel deadline meaning "no live timer": the expiry action must not
-      run. Compares below every real simulation time. *)
-
-  val create : unit -> t
-
-  val get : t -> int -> float
-  (** [get v i] is the stored deadline, or {!inactive}. *)
-
-  val set : t -> int -> float -> unit
-
-  val cancel : t -> int -> unit
-  (** [cancel v i] resets slot [i] to {!inactive} without growing the
-      vector; any outstanding event disarms itself at its next fire. *)
-
-  val armed : t -> int -> bool
-  (** Whether a scheduler event is outstanding for slot [i]. Independent of
-      the deadline value: a cancelled slot stays armed until the outstanding
-      event fires and observes {!inactive}. *)
-
-  val set_armed : t -> int -> bool -> unit
-end
-
-(** Growable vector with a sentinel default: memoised [unit -> unit]
-    thunks (timeout-expiry actions, absent = {!nop}, compared physically),
-    so re-arming a timer reuses the closure built on first use; BGP's
-    selected and heard AS paths (absent = [[]]). *)
+(** Growable vector with a sentinel default: BGP's selected and heard AS
+    paths (absent = [[]]), DBF's per-neighbor caches (absent = [None]). *)
 module Vec : sig
   type 'a t
 
@@ -104,9 +63,6 @@ module Vec : sig
 
   val set : 'a t -> int -> 'a -> unit
 end
-
-val nop : unit -> unit
-(** The absent entry of a thunk {!Vec}. *)
 
 (** Growable bitset over small non-negative ints: a timer slot's "armed"
     flag, a BGP MRAI gate's pending destinations. *)
@@ -121,4 +77,36 @@ module Bitset : sig
 
   val remove : t -> int -> unit
   (** Never grows the set. *)
+end
+
+(** Growable vector of re-armable timeouts, one slot per small int: RIP's
+    route timeouts, DBF's cache-entry timeouts.
+
+    A slot holds its absolute deadline: {!refresh} rewrites it in place, and
+    the slot's one outstanding scheduler event re-arms itself on fire while
+    the deadline has moved. Scheduler cancellation is lazy, so this keeps
+    the queue at one event per slot where cancel-and-reschedule left a
+    tombstone per refresh (the memory wall of DESIGN.md §15), and [expire]
+    still runs at exactly the last refresh plus [timeout]. *)
+module Deadline_vec : sig
+  type t
+
+  val create :
+    timeout:float ->
+    now:(unit -> float) ->
+    after:(float -> (unit -> unit) -> Dessim.Scheduler.handle) ->
+    expire:(int -> unit) ->
+    t
+  (** [create ~timeout ~now ~after ~expire] is an empty vector on the clock
+      [now], scheduling through [after]. [expire i] runs when slot [i] goes
+      [timeout] seconds without a {!refresh}, once per lapse. *)
+
+  val refresh : t -> int -> unit
+  (** [refresh v i] (re)starts slot [i]'s timeout from now, scheduling an
+      event only when none is outstanding for the slot. *)
+
+  val cancel : t -> int -> unit
+  (** [cancel v i] stops slot [i]'s timeout without growing the vector; an
+      outstanding event falls silent when it fires, and a later {!refresh}
+      reuses it. *)
 end

@@ -156,6 +156,76 @@ let test_trigger_spacing_respects_bounds () =
   Alcotest.(check bool) "several flushes" true (List.length times >= 3);
   check_gaps times
 
+(* ---------- Deadline vector ---------- *)
+
+type deadline_env = {
+  dsched : Dessim.Scheduler.t;
+  expiries : (float * int) list ref;  (* (time, slot), latest first *)
+  deadlines : Protocols.Route_table.Deadline_vec.t;
+}
+
+let make_deadlines ?(timeout = 10.) () =
+  let dsched = Dessim.Scheduler.create () in
+  let expiries = ref [] in
+  let deadlines =
+    Protocols.Route_table.Deadline_vec.create ~timeout
+      ~now:(fun () -> Dessim.Scheduler.now dsched)
+      ~after:(fun delay fn -> Dessim.Scheduler.after dsched ~delay fn)
+      ~expire:(fun i -> expiries := (Dessim.Scheduler.now dsched, i) :: !expiries)
+  in
+  { dsched; expiries; deadlines }
+
+(* Advance the clock to [at] (firing whatever is due), then refresh [slot]. *)
+let refresh_at env ~at slot =
+  Dessim.Scheduler.run ~until:at env.dsched;
+  Protocols.Route_table.Deadline_vec.refresh env.deadlines slot
+
+let check_pending env n =
+  Alcotest.(check int) "events queued" n (Dessim.Scheduler.pending env.dsched)
+
+let test_deadline_refresh_keeps_one_event () =
+  (* Only the slot's own events are queued, so [pending] counts them. *)
+  let env = make_deadlines () in
+  for k = 0 to 999 do
+    refresh_at env ~at:(0.009 *. float_of_int k) 7;
+    check_pending env 1
+  done;
+  Dessim.Scheduler.run env.dsched;
+  Alcotest.(check int) "one expiry" 1 (List.length !(env.expiries))
+
+let test_deadline_expires_once_at_last_refresh () =
+  (* Refreshes 7 s apart span several timeouts, so the outstanding event
+     re-arms itself three times before the deadline finally lapses. *)
+  let env = make_deadlines () in
+  List.iter
+    (fun at ->
+      refresh_at env ~at 3;
+      check_pending env 1)
+    [ 0.; 7.; 14.; 21. ];
+  Dessim.Scheduler.run env.dsched;
+  Alcotest.(check (list (pair (float 0.) int))) "expired" [ (31., 3) ] !(env.expiries);
+  check_pending env 0
+
+let test_deadline_cancel_never_expires () =
+  let env = make_deadlines () in
+  refresh_at env ~at:0. 2;
+  refresh_at env ~at:4. 2;
+  Dessim.Scheduler.run ~until:6. env.dsched;
+  Protocols.Route_table.Deadline_vec.cancel env.deadlines 2;
+  Dessim.Scheduler.run env.dsched;
+  Alcotest.(check (list (pair (float 0.) int))) "no expiry" [] !(env.expiries);
+  check_pending env 0
+
+let test_deadline_cancel_then_refresh_reuses_event () =
+  let env = make_deadlines () in
+  refresh_at env ~at:0. 5;
+  Dessim.Scheduler.run ~until:3. env.dsched;
+  Protocols.Route_table.Deadline_vec.cancel env.deadlines 5;
+  Protocols.Route_table.Deadline_vec.refresh env.deadlines 5;
+  check_pending env 1;
+  Dessim.Scheduler.run env.dsched;
+  Alcotest.(check (list (pair (float 0.) int))) "new deadline" [ (13., 5) ] !(env.expiries)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -181,5 +251,15 @@ let () =
             test_trigger_full_update_clears_pending;
           Alcotest.test_case "reopens after quiet" `Quick test_trigger_reopens_after_quiet;
           Alcotest.test_case "spacing bounds" `Quick test_trigger_spacing_respects_bounds;
+        ] );
+      ( "deadline vector",
+        [
+          Alcotest.test_case "one event per slot" `Quick
+            test_deadline_refresh_keeps_one_event;
+          Alcotest.test_case "expires at last refresh" `Quick
+            test_deadline_expires_once_at_last_refresh;
+          Alcotest.test_case "cancel" `Quick test_deadline_cancel_never_expires;
+          Alcotest.test_case "cancel then refresh" `Quick
+            test_deadline_cancel_then_refresh_reuses_event;
         ] );
     ]
