@@ -974,37 +974,10 @@ let perf_cmd =
 
 (* ---------- campaign ---------- *)
 
-(* Overall measured engine throughput of an artifact: total scheduler events
-   over total measured seconds, joined from the perf blocks in [timing] and
-   the deterministic [sched_events] extra of the matching cell rows. [None]
-   when the artifact carries no perf measurements. *)
-let overall_events_per_s (a : Campaign.Artifact.t) =
-  match a.Campaign.Artifact.timing with
-  | None -> None
-  | Some t ->
-    let tot_events = ref 0. and tot_s = ref 0. in
-    List.iter
-      (fun (c : Campaign.Cell_result.t) ->
-        match
-          List.find_opt
-            (fun (ct : Campaign.Artifact.cell_timing) ->
-              ct.Campaign.Artifact.ct_protocol = c.Campaign.Cell_result.protocol
-              && ct.Campaign.Artifact.ct_degree = c.Campaign.Cell_result.degree
-              && ct.Campaign.Artifact.ct_seed = c.Campaign.Cell_result.seed)
-            t.Campaign.Artifact.t_cells
-        with
-        | Some ct -> (
-          match
-            ( List.assoc_opt "events_per_s" ct.Campaign.Artifact.ct_perf,
-              List.assoc_opt "sched_events" c.Campaign.Cell_result.extras )
-          with
-          | Some eps, Some ev when eps > 0. && ev > 0. ->
-            tot_events := !tot_events +. ev;
-            tot_s := !tot_s +. (ev /. eps)
-          | _ -> ())
-        | None -> ())
-      a.Campaign.Artifact.cells;
-    if !tot_s > 0. then Some (!tot_events /. !tot_s) else None
+(* Overall measured engine throughput of an artifact, [None] when it
+   carries no perf measurements. *)
+let overall_events_per_s a =
+  Option.map (fun (events, s) -> events /. s) (Campaign.Artifact.overall_perf a)
 
 (* The schema-v4 axis legend of an artifact: each axis name with its values,
    both in first-appearance order across the aggregates. Empty for plain

@@ -188,6 +188,36 @@ let build ~section ?git_sha:sha ?timing ?(quarantined = []) ~include_series
 
 (* ---------- JSON writing ---------- *)
 
+let cell_timing t (c : Cell_result.t) =
+  match t.timing with
+  | None -> None
+  | Some tm ->
+    List.find_opt
+      (fun ct ->
+        ct.ct_protocol = c.Cell_result.protocol
+        && ct.ct_degree = c.Cell_result.degree
+        && ct.ct_seed = c.Cell_result.seed)
+      tm.t_cells
+
+let overall_perf t =
+  let events = ref 0. and seconds = ref 0. in
+  List.iter
+    (fun (c : Cell_result.t) ->
+      match cell_timing t c with
+      | None -> ()
+      | Some ct -> (
+        match
+          ( List.assoc_opt "events_per_s" ct.ct_perf,
+            List.assoc_opt "sched_events" c.Cell_result.extras )
+        with
+        | Some eps, Some ev
+          when Float.is_finite eps && Float.is_finite ev && eps > 0. && ev > 0. ->
+          events := !events +. ev;
+          seconds := !seconds +. (ev /. eps)
+        | _ -> ()))
+    t.cells;
+  if !seconds > 0. then Some (!events, !seconds) else None
+
 let fnum f : Obs.Json.t = if Float.is_finite f then Float f else Null
 
 let params_to_json p : Obs.Json.t =

@@ -193,6 +193,16 @@ val build :
     order. [?git_sha] defaults to {!git_sha}[ ()]; [?quarantined] (default
     none) records the cells the driver gave up on. *)
 
+val cell_timing : t -> Cell_result.t -> cell_timing option
+(** The timing row of a cell, matched by (protocol, degree, seed); [None]
+    when the artifact has no timing block or no such row. *)
+
+val overall_perf : t -> (float * float) option
+(** Overall measured engine throughput as [(events, seconds)]: scheduler
+    events ([sched_events] extras) and the seconds they took at each cell's
+    measured [events_per_s], summed over the cells that carry both as
+    positive numbers. [None] when no cell does. *)
+
 val to_json : t -> Obs.Json.t
 
 val of_json : Obs.Json.t -> (t, string) result

@@ -242,20 +242,10 @@ let scenarios_tasks (sweep : X.sweep) =
   |> Array.of_list
 
 let render_scenarios ppf (a : Artifact.t) =
-  let wall_of (c : Cell_result.t) =
-    match a.Artifact.timing with
+  let wall_of c =
+    match Artifact.cell_timing a c with
+    | Some ct -> ct.Artifact.ct_wall_s
     | None -> Float.nan
-    | Some t -> (
-      match
-        List.find_opt
-          (fun (ct : Artifact.cell_timing) ->
-            ct.Artifact.ct_protocol = c.Cell_result.protocol
-            && ct.Artifact.ct_degree = c.Cell_result.degree
-            && ct.Artifact.ct_seed = c.Cell_result.seed)
-          t.Artifact.t_cells
-      with
-      | Some ct -> ct.Artifact.ct_wall_s
-      | None -> Float.nan)
   in
   List.iter
     (fun (c : Cell_result.t) ->
@@ -738,52 +728,34 @@ let perf_tasks (sweep : X.sweep) =
   |> Array.of_list
 
 let render_perf ppf (a : Artifact.t) =
-  let perf_of (c : Cell_result.t) =
-    match a.Artifact.timing with
+  let perf_of c =
+    match Artifact.cell_timing a c with
+    | Some ct -> ct.Artifact.ct_perf
     | None -> []
-    | Some t -> (
-      match
-        List.find_opt
-          (fun (ct : Artifact.cell_timing) ->
-            ct.Artifact.ct_protocol = c.Cell_result.protocol
-            && ct.Artifact.ct_degree = c.Cell_result.degree
-            && ct.Artifact.ct_seed = c.Cell_result.seed)
-          t.Artifact.t_cells
-      with
-      | Some ct -> ct.Artifact.ct_perf
-      | None -> [])
   in
   let rule = String.make 78 '-' in
   Fmt.pf ppf "engine speed by protocol and mesh size@.%s@." rule;
   Fmt.pf ppf "%-8s %6s %10s %12s %12s %10s %9s@." "proto" "nodes" "events"
     "events/s" "ns/event" "w/event" "promoted";
   Fmt.pf ppf "%s@." rule;
-  let total_events = ref 0. and total_s = ref 0. in
   List.iter
     (fun (c : Cell_result.t) ->
-      let extra name =
-        Option.value ~default:Float.nan
-          (List.assoc_opt name c.Cell_result.extras)
-      in
       let perf = perf_of c in
       let p name = Option.value ~default:Float.nan (List.assoc_opt name perf) in
-      let events = extra "sched_events" in
-      let eps = p "events_per_s" in
-      if Float.is_finite events && Float.is_finite eps && eps > 0. then begin
-        total_events := !total_events +. events;
-        total_s := !total_s +. (events /. eps)
-      end;
       Fmt.pf ppf "%-8s %6d %10.0f %12.0f %12.1f %10.2f %9.0f@."
-        c.Cell_result.protocol c.Cell_result.degree events eps
-        (p "ns_per_event")
+        c.Cell_result.protocol c.Cell_result.degree
+        (Option.value ~default:Float.nan
+           (List.assoc_opt "sched_events" c.Cell_result.extras))
+        (p "events_per_s") (p "ns_per_event")
         (p "minor_words_per_event")
         (p "promoted_words"))
     a.Artifact.cells;
   Fmt.pf ppf "%s@." rule;
-  if !total_s > 0. then
+  (match Artifact.overall_perf a with
+  | Some (events, s) ->
     Fmt.pf ppf "overall: %.0f events in %.2f s measured = %.0f events/s@."
-      !total_events !total_s
-      (!total_events /. !total_s);
+      events s (events /. s)
+  | None -> ());
   Fmt.pf ppf "@."
 
 let perf =
