@@ -363,7 +363,7 @@ let run_cmd =
 
 (* ---------- sweep execution (shared by fig, compare and campaign) ---------- *)
 
-(* A journaled campaign shuts down gracefully on the first SIGINT/SIGTERM:
+(* A cached campaign shuts down gracefully on the first SIGINT/SIGTERM:
    the handler only sets the cooperative stop flag (workers abandon their
    in-flight cell at the next scheduler poll and drain the queue), then
    restores the default disposition so a second signal kills the process the
@@ -383,42 +383,40 @@ let install_stop_handlers () =
   Sys.set_signal Sys.sigint (Sys.Signal_handle handle);
   Sys.set_signal Sys.sigterm (Sys.Signal_handle handle)
 
-(* Exit status of a gracefully stopped (interruptible, resumable) campaign —
-   distinct from cmdliner's 0/123/124/125 so scripts and CI can tell
-   "stopped, resume me" from success and from real failure. *)
+(* Exit status of a gracefully stopped campaign — distinct from cmdliner's
+   0/123/124/125 so scripts and CI can tell "stopped, rerun me" from
+   success and from real failure. *)
 let stopped_exit_code = 4
 
-let stopped_incomplete ~missing ~journal_path =
+let stopped_incomplete ~missing ~cache_dir =
   Fmt.epr "stopped: %d cell(s) not run@." missing;
-  (match journal_path with
-  | Some jp -> Fmt.epr "resume with:@.  rcsim campaign resume %s@." jp
-  | None -> Fmt.epr "no --journal was given; the partial results are lost@.");
+  (match cache_dir with
+  | Some dir ->
+    Fmt.epr
+      "finished cells are stored in the cache %s; rerun the same command \
+       (without --stop-after-cells) to finish@."
+      dir
+  | None -> Fmt.epr "no --cache was given; the partial results are lost@.");
   exit stopped_exit_code
 
 (* The one path every sweep result takes: the section's cells through
    [Driver.run_tasks] (progress on stderr), merged in canonical cell order
-   into the section's artifact. The journal, if any, is closed on return. A
-   graceful stop that left cells unrun exits with [stopped_exit_code]
-   instead of returning a partial artifact. *)
+   into the section's artifact. A graceful stop that left cells unrun exits
+   with [stopped_exit_code] instead of returning a partial artifact. *)
 let run_section ?(jobs = Campaign.Pool.default_jobs ()) ?(quiet = false)
-    ?cell_budget ?retries ?hang ?stop_after ?journal ?journal_path ?cache
-    ?backend ?completed ?prior_quarantine ~mode (section : Campaign.Sections.t)
-    sweep =
+    ?cell_budget ?retries ?hang ?stop_after ?cache ?cache_dir ?backend ~mode
+    (section : Campaign.Sections.t) sweep =
   let tasks = section.Campaign.Sections.tasks sweep in
   let progress line = if not quiet then Fmt.epr "  .. %s@." line in
   let heartbeat line = if not quiet then Fmt.epr "  %s@." line in
   let cells, quarantined, timing =
-    Fun.protect
-      ~finally:(fun () -> Option.iter Campaign.Journal.close journal)
-      (fun () ->
-        Campaign.Driver.run_tasks ~jobs ~progress ~heartbeat ?cell_budget
-          ?retries ?hang ?stop_after ?journal ?cache ?backend ?completed
-          ?prior_quarantine tasks)
+    Campaign.Driver.run_tasks ~jobs ~progress ~heartbeat ?cell_budget ?retries
+      ?hang ?stop_after ?cache ?backend tasks
   in
   let missing =
     Campaign.Driver.missing_count ~total:(Array.length tasks) cells quarantined
   in
-  if missing > 0 then stopped_incomplete ~missing ~journal_path;
+  if missing > 0 then stopped_incomplete ~missing ~cache_dir;
   Campaign.Driver.artifact_of ~section ~mode ~timing ~quarantined sweep cells
 
 (* A section's tables, rendered from its merged artifact, and the cells the
@@ -1102,16 +1100,6 @@ let campaign_cmd =
     in
     Arg.(value & opt (some string) None & info [ "hang-cell" ] ~docv:"CELL" ~doc)
   in
-  let journal_arg =
-    let doc =
-      "Checkpoint every completed cell to $(docv) (crash-safe, fsync'd \
-       JSONL) and shut down gracefully on SIGINT/SIGTERM: in-flight cells \
-       are abandoned cleanly, the exit status is 4, and $(b,rcsim campaign \
-       resume) $(docv) re-runs only the missing cells, producing a \
-       byte-identical artifact."
-    in
-    Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc)
-  in
   let stop_after_arg =
     let doc =
       "Test/CI hook: request a graceful stop after $(docv) cells have \
@@ -1148,11 +1136,15 @@ let campaign_cmd =
   let cache_arg =
     let doc =
       "Content-addressed cell cache directory (created if missing). \
-       Finished cells are stored under a digest of (artifact schema, git \
-       sha, section family, sweep preset, CLI overrides, cell key); later \
-       runs with identical inputs load the hits and run only the rest, \
-       producing byte-identical artifacts. Corrupt or truncated entries \
-       are treated as misses, never as errors."
+       Finished cells are stored (fsync'd) under a digest of (artifact \
+       schema, git sha, executable digest, section family, sweep preset, \
+       CLI overrides, cell key); later runs with identical inputs load the \
+       hits and run only the rest, producing byte-identical artifacts. \
+       With a cache, SIGINT/SIGTERM stop the campaign gracefully: \
+       in-flight cells are abandoned, the exit status is 4, and rerunning \
+       the same command finishes it. Quarantined cells are not stored, so \
+       a rerun tries them again. Corrupt or truncated entries are treated \
+       as misses, never as errors."
     in
     Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"DIR" ~doc)
   in
@@ -1244,7 +1236,7 @@ let campaign_cmd =
   in
   let section_cmd (section : Campaign.Sections.t) =
     let action quick full jobs out runs degrees seed quiet cell_budget retries
-        hang_cell die_cell backend cache_dir journal_path stop_after prof =
+        hang_cell die_cell backend cache_dir stop_after prof =
       let fixed_axis_error =
         match Campaign.Sections.fixed_axis section with
         | Some axis when runs <> None || degrees <> None ->
@@ -1291,27 +1283,11 @@ let campaign_cmd =
             cache_of ~dir:cache_dir ~family:section.Campaign.Sections.family
               ~mode ~runs ~degrees ~seed
           in
-          let journal =
-            Option.map
-              (fun jp ->
-                Campaign.Journal.create ~path:jp
-                  {
-                    Campaign.Journal.h_section = section.Campaign.Sections.name;
-                    h_mode = mode;
-                    h_jobs = jobs;
-                    h_out = out;
-                    h_total = Array.length (section.Campaign.Sections.tasks sweep);
-                    h_runs = runs;
-                    h_degrees = degrees;
-                    h_seed = seed;
-                  })
-              journal_path
-          in
-          if Option.is_some journal then install_stop_handlers ();
+          if Option.is_some cache then install_stop_handlers ();
           if prof then Obs.Prof.set_enabled true;
           render_result section ~out
             (run_section ~jobs ~quiet ?cell_budget ~retries ?hang ?stop_after
-               ?journal ?journal_path ?cache ~backend ~mode section sweep);
+               ?cache ?cache_dir ~backend ~mode section sweep);
           if prof then Fmt.epr "hot scopes:@.%a" Obs.Prof.pp_report ();
           `Ok ()
       end
@@ -1323,141 +1299,13 @@ let campaign_cmd =
          $ out_arg section.Campaign.Sections.name
          $ runs_opt_arg $ degrees_opt_arg $ seed_opt_arg $ quiet_arg
          $ cell_budget_arg $ retries_arg $ hang_cell_arg $ die_cell_arg
-         $ backend_arg $ cache_arg $ journal_arg $ stop_after_arg $ prof_arg))
+         $ backend_arg $ cache_arg $ stop_after_arg $ prof_arg))
     in
     Cmd.v
       (Cmd.info section.Campaign.Sections.name
          ~doc:
            (Printf.sprintf "Run the %s campaign (%s)"
               section.Campaign.Sections.name section.Campaign.Sections.doc))
-      term
-  in
-  let resume_cmd =
-    let journal_pos =
-      Arg.(required & pos 0 (some file) None & info [] ~docv:"JOURNAL")
-    in
-    let out_override_arg =
-      let doc =
-        "Artifact output path (default: the path recorded in the journal)."
-      in
-      Arg.(value & opt (some string) None & info [ "o"; "out" ] ~docv:"FILE" ~doc)
-    in
-    let action path jobs out_override quiet cell_budget retries stop_after
-        backend cache_dir =
-      if jobs < 1 then `Error (true, "--jobs must be at least 1")
-      else if retries < 0 then `Error (true, "--retries must be >= 0")
-      else if stop_after <> None && stop_after < Some 1 then
-        `Error (true, "--stop-after-cells must be >= 1")
-      else begin
-        match Campaign.Journal.load ~path with
-        | Error e -> `Error (false, e)
-        | Ok c -> (
-          let h = c.Campaign.Journal.j_header in
-          match Campaign.Sections.find h.Campaign.Journal.h_section with
-          | None ->
-            `Error
-              ( false,
-                Printf.sprintf "%s: unknown section %S" path
-                  h.Campaign.Journal.h_section )
-          | Some section ->
-            let quick = h.Campaign.Journal.h_mode = "quick" in
-            let full = h.Campaign.Journal.h_mode = "full" in
-            (* Rebuild the sweep through the exact code path the original
-               invocation used (preset + the same CLI overrides, recorded in
-               the header), so the task decomposition — and with it the
-               canonical cell order — is identical. *)
-            let sweep =
-              sweep_of ~quick ~full ~runs:h.Campaign.Journal.h_runs
-                ~degrees:h.Campaign.Journal.h_degrees
-                ~seed:h.Campaign.Journal.h_seed
-            in
-            let sweep = Campaign.Sections.sweep_for section ~full sweep in
-            let tasks = section.Campaign.Sections.tasks sweep in
-            if Array.length tasks <> h.Campaign.Journal.h_total then
-              `Error
-                ( false,
-                  Printf.sprintf
-                    "%s: journal expects %d cells but the %s section \
-                     decomposes into %d — journal and code disagree"
-                    path h.Campaign.Journal.h_total
-                    section.Campaign.Sections.name (Array.length tasks) )
-            else begin
-              if c.Campaign.Journal.j_truncated then
-                Fmt.epr
-                  "note: dropped a torn final record (the previous run died \
-                   mid-append)@.";
-              let n_done =
-                List.length c.Campaign.Journal.j_cells
-                + List.length c.Campaign.Journal.j_quarantined
-              in
-              if not quiet then
-                Fmt.epr "resuming %s: %d/%d cells checkpointed, %d to run@."
-                  section.Campaign.Sections.name n_done (Array.length tasks)
-                  (Array.length tasks - n_done);
-              (* A stop request left over from this same process (tests, or
-                 a signal that arrived after the previous run ended) must
-                 not abort the resume before it starts. *)
-              Dessim.Scheduler.clear_stop ();
-              install_stop_handlers ();
-              let journal = Campaign.Journal.append_to ~path in
-              (* Same sweep-shaping inputs the original run recorded, so a
-                 resume's workers decompose identically too. *)
-              let backend =
-                match backend with
-                | `Domains -> Campaign.Driver.Domains
-                | `Proc ->
-                  Campaign.Driver.Proc
-                    {
-                      argv =
-                        worker_argv
-                          ~section_name:section.Campaign.Sections.name
-                          ~mode:h.Campaign.Journal.h_mode
-                          ~runs:h.Campaign.Journal.h_runs
-                          ~degrees:h.Campaign.Journal.h_degrees
-                          ~seed:h.Campaign.Journal.h_seed ~cell_budget
-                          ~hang_cell:None ~die_cell:None;
-                    }
-              in
-              let cache =
-                cache_of ~dir:cache_dir
-                  ~family:section.Campaign.Sections.family
-                  ~mode:h.Campaign.Journal.h_mode
-                  ~runs:h.Campaign.Journal.h_runs
-                  ~degrees:h.Campaign.Journal.h_degrees
-                  ~seed:h.Campaign.Journal.h_seed
-              in
-              match
-                run_section ~jobs ~quiet ?cell_budget ~retries ?stop_after
-                  ~journal ~journal_path:path ?cache ~backend
-                  ~completed:c.Campaign.Journal.j_cells
-                  ~prior_quarantine:c.Campaign.Journal.j_quarantined
-                  ~mode:h.Campaign.Journal.h_mode section sweep
-              with
-              | exception Invalid_argument e ->
-                `Error (false, Printf.sprintf "%s: %s" path e)
-              | artifact ->
-                let out =
-                  Option.value out_override
-                    ~default:h.Campaign.Journal.h_out
-                in
-                render_result section ~out artifact;
-                `Ok ()
-            end)
-      end
-    in
-    let term =
-      Term.(
-        ret
-          (const action $ journal_pos $ jobs_arg $ out_override_arg
-         $ quiet_arg $ cell_budget_arg $ retries_arg $ stop_after_arg
-         $ backend_arg $ cache_arg))
-    in
-    Cmd.v
-      (Cmd.info "resume"
-         ~doc:
-           "Resume an interrupted journaled campaign: re-run only the \
-            missing cells and write the same artifact, byte for byte, as an \
-            uninterrupted run")
       term
   in
   let diff_cmd =
@@ -1524,107 +1372,78 @@ let campaign_cmd =
     let file_arg =
       Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
     in
-    let show_journal path =
-      match Campaign.Journal.load ~path with
-      | Error e -> `Error (false, e)
-      | Ok c ->
-        let h = c.Campaign.Journal.j_header in
-        let completed = List.length c.Campaign.Journal.j_cells in
-        let quarantined = List.length c.Campaign.Journal.j_quarantined in
-        let missing =
-          h.Campaign.Journal.h_total - completed - quarantined
-        in
-        Fmt.pr "journal: %s@." path;
-        Fmt.pr "section: %s (%s mode, artifact %s)@."
-          h.Campaign.Journal.h_section h.Campaign.Journal.h_mode
-          h.Campaign.Journal.h_out;
-        Fmt.pr "cells:   %d completed, %d quarantined, %d missing of %d@."
-          completed quarantined missing h.Campaign.Journal.h_total;
-        if c.Campaign.Journal.j_truncated then
-          Fmt.pr
-            "note:    a torn final record was dropped (died mid-append)@.";
-        if missing > 0 then
-          Fmt.pr "resume with:@.  rcsim campaign resume %s@." path
-        else
-          Fmt.pr
-            "complete: resume once more to merge and write the artifact@.";
-        `Ok ()
-    in
     let action path =
-      if Campaign.Journal.is_journal ~path then show_journal path
-      else
-        match Campaign.Artifact.read ~path with
-        | Error e -> `Error (false, e)
-        | Ok artifact -> (
-          match Campaign.Sections.find artifact.Campaign.Artifact.section with
-          | None ->
-            `Error
-              ( false,
-                Printf.sprintf "%s: unknown section %S" path
-                  artifact.Campaign.Artifact.section )
-          | Some section ->
-            Fmt.pr "=== %s ===@." section.Campaign.Sections.title;
-            section.Campaign.Sections.render Fmt.stdout artifact;
-            (match artifact_axes artifact with
-            | [] -> ()
-            | axes ->
-              Fmt.pr "axes:   %s@."
-                (String.concat " x "
-                   (List.map
-                      (fun (name, vals) ->
-                        Printf.sprintf "%s {%s}" name (String.concat " " vals))
-                      axes));
-              if List.mem_assoc "frr" axes then begin
-                let push xs x = if List.mem x !xs then () else xs := !xs @ [ x ] in
-                let protocols = ref [] in
-                List.iter
-                  (fun (g : Campaign.Artifact.aggregate) ->
-                    push protocols g.Campaign.Artifact.a_protocol)
-                  artifact.Campaign.Artifact.aggregates;
-                print_loss_window_summary artifact
-                  ~schedules:
-                    (Option.value ~default:[] (List.assoc_opt "schedule" axes))
-                  ~protocols:!protocols
-              end);
-            (match artifact.Campaign.Artifact.timing with
+      match Campaign.Artifact.read ~path with
+      | Error e -> `Error (false, e)
+      | Ok artifact -> (
+        match Campaign.Sections.find artifact.Campaign.Artifact.section with
+        | None ->
+          `Error
+            ( false,
+              Printf.sprintf "%s: unknown section %S" path
+                artifact.Campaign.Artifact.section )
+        | Some section ->
+          Fmt.pr "=== %s ===@." section.Campaign.Sections.title;
+          section.Campaign.Sections.render Fmt.stdout artifact;
+          (match artifact_axes artifact with
+          | [] -> ()
+          | axes ->
+            Fmt.pr "axes:   %s@."
+              (String.concat " x "
+                 (List.map
+                    (fun (name, vals) ->
+                      Printf.sprintf "%s {%s}" name (String.concat " " vals))
+                    axes));
+            if List.mem_assoc "frr" axes then begin
+              let push xs x = if List.mem x !xs then () else xs := !xs @ [ x ] in
+              let protocols = ref [] in
+              List.iter
+                (fun (g : Campaign.Artifact.aggregate) ->
+                  push protocols g.Campaign.Artifact.a_protocol)
+                artifact.Campaign.Artifact.aggregates;
+              print_loss_window_summary artifact
+                ~schedules:
+                  (Option.value ~default:[] (List.assoc_opt "schedule" axes))
+                ~protocols:!protocols
+            end);
+          (match artifact.Campaign.Artifact.timing with
+          | None -> ()
+          | Some t ->
+            let n = List.length t.Campaign.Artifact.t_cells in
+            let wall = t.Campaign.Artifact.t_wall_s in
+            Fmt.pr "timing: %d cells in %.1f s wall (%d jobs%s)@." n wall
+              t.Campaign.Artifact.t_jobs
+              (if wall > 0. && n > 0 then
+                 Printf.sprintf ", %.2f cells/s" (float_of_int n /. wall)
+               else "");
+            (match t.Campaign.Artifact.t_exec with
             | None -> ()
-            | Some t ->
-              let n = List.length t.Campaign.Artifact.t_cells in
-              let wall = t.Campaign.Artifact.t_wall_s in
-              Fmt.pr "timing: %d cells in %.1f s wall (%d jobs%s)@." n wall
-                t.Campaign.Artifact.t_jobs
-                (if wall > 0. && n > 0 then
-                   Printf.sprintf ", %.2f cells/s" (float_of_int n /. wall)
-                 else "");
-              (match t.Campaign.Artifact.t_exec with
-              | None -> ()
-              | Some x ->
-                Fmt.pr "exec:   %s backend, cache %d hit(s) / %d miss(es)%s@."
-                  x.Campaign.Artifact.x_backend
-                  x.Campaign.Artifact.x_cache_hits
-                  x.Campaign.Artifact.x_cache_misses
-                  (if x.Campaign.Artifact.x_backend = "proc" then
-                     Printf.sprintf
-                       ", %d worker spawn(s), %d restart(s), cells per worker \
-                        [%s]"
-                       x.Campaign.Artifact.x_spawns
-                       x.Campaign.Artifact.x_restarts
-                       (String.concat " "
-                          (List.map string_of_int
-                             x.Campaign.Artifact.x_worker_cells))
-                   else ""));
-              match overall_events_per_s artifact with
-              | Some eps -> Fmt.pr "perf:   %.0f events/s overall@." eps
-              | None -> ());
-            `Ok ())
+            | Some x ->
+              Fmt.pr "exec:   %s backend, cache %d hit(s) / %d miss(es)%s@."
+                x.Campaign.Artifact.x_backend
+                x.Campaign.Artifact.x_cache_hits
+                x.Campaign.Artifact.x_cache_misses
+                (if x.Campaign.Artifact.x_backend = "proc" then
+                   Printf.sprintf
+                     ", %d worker spawn(s), %d restart(s), cells per worker \
+                      [%s]"
+                     x.Campaign.Artifact.x_spawns
+                     x.Campaign.Artifact.x_restarts
+                     (String.concat " "
+                        (List.map string_of_int
+                           x.Campaign.Artifact.x_worker_cells))
+                 else ""));
+            match overall_events_per_s artifact with
+            | Some eps -> Fmt.pr "perf:   %.0f events/s overall@." eps
+            | None -> ());
+          `Ok ())
     in
     let term = Term.(ret (const action $ file_arg)) in
     Cmd.v
       (Cmd.info "show"
          ~doc:
-           "Summarize a campaign file: re-render a section's tables from an \
-            artifact, or report a journal's checkpoint state and the exact \
-            resume command")
+           "Summarize a campaign artifact: re-render its section's tables and \
+            report its timing, exec and perf summary")
       term
   in
   let worker_cmd =
@@ -1757,7 +1576,7 @@ let campaign_cmd =
   in
   Cmd.group info
     (List.map section_cmd Campaign.Sections.all
-    @ [ resume_cmd; diff_cmd; validate_cmd; show_cmd; worker_cmd; perfguard_cmd ])
+    @ [ diff_cmd; validate_cmd; show_cmd; worker_cmd; perfguard_cmd ])
 
 let () =
   let doc =

@@ -218,7 +218,7 @@ let overall_perf t =
     t.cells;
   if !seconds > 0. then Some (!events, !seconds) else None
 
-let fnum f : Obs.Json.t = if Float.is_finite f then Float f else Null
+let fnum = Cell_result.fnum
 
 let params_to_json p : Obs.Json.t =
   Obj
@@ -369,9 +369,7 @@ let canonical_string t = Obs.Json.to_string (to_json_inner ~timing:false t)
 
 (* ---------- JSON reading ---------- *)
 
-let float_of_json = function
-  | Obs.Json.Null -> Some Float.nan
-  | j -> Obs.Json.to_float j
+let float_of_json = Cell_result.float_of_json
 
 let params_of_json j =
   let ( let* ) = Result.bind in
@@ -418,38 +416,31 @@ let aggregate_of_json j =
     match Obs.Json.member "axes" j with
     | None -> Ok []
     | Some (Obs.Json.Obj fields) ->
-      List.fold_left
-        (fun acc (k, v) ->
-          let* acc = acc in
+      Obs.Json.decode_fields
+        (fun k v ->
           match Obs.Json.to_string_val v with
-          | Some s -> Ok (acc @ [ (k, s) ])
+          | Some s -> Ok s
           | None ->
             Error (Printf.sprintf "aggregate: axis %S is not a string" k))
-        (Ok []) fields
+        fields
     | Some _ -> Error "aggregate: axes is not an object"
   in
   let* metrics =
     match Obs.Json.member "metrics" j with
     | Some (Obs.Json.Obj fields) ->
-      List.fold_left
-        (fun acc (k, v) ->
-          let* acc = acc in
-          let* s = stat_of_json v in
-          Ok (acc @ [ (k, s) ]))
-        (Ok []) fields
+      Obs.Json.decode_fields (fun _ v -> stat_of_json v) fields
     | _ -> Error "aggregate: missing metrics object"
   in
   let* series =
     match Obs.Json.member "series" j with
     | None -> Ok []
     | Some (Obs.Json.Obj fields) ->
-      List.fold_left
-        (fun acc (k, v) ->
-          let* acc = acc in
+      Obs.Json.decode_fields
+        (fun k v ->
           match Cell_result.series_of_json v with
-          | Some s -> Ok (acc @ [ (k, s) ])
+          | Some s -> Ok s
           | None -> Error (Printf.sprintf "aggregate: series %S is malformed" k))
-        (Ok []) fields
+        fields
     | Some _ -> Error "aggregate: series is not an object"
   in
   Ok
@@ -519,9 +510,8 @@ let timing_of_json j =
   let* cells =
     match Obs.Json.member "cells" j with
     | Some (Obs.Json.List items) ->
-      List.fold_left
-        (fun acc item ->
-          let* acc = acc in
+      Obs.Json.decode_list
+        (fun item ->
           let get_str n = Option.bind (Obs.Json.member n item) Obs.Json.to_string_val in
           let get_int n = Option.bind (Obs.Json.member n item) Obs.Json.to_int in
           let get_flt n = Option.bind (Obs.Json.member n item) float_of_json in
@@ -529,32 +519,28 @@ let timing_of_json j =
             match Obs.Json.member "perf" item with
             | None -> Ok []
             | Some (Obs.Json.Obj fields) ->
-              List.fold_left
-                (fun acc (k, v) ->
-                  let* acc = acc in
+              Obs.Json.decode_fields
+                (fun k v ->
                   match float_of_json v with
-                  | Some f -> Ok (acc @ [ (k, f) ])
+                  | Some f -> Ok f
                   | None ->
                     Error
                       (Printf.sprintf "timing: perf entry %S is not a number" k))
-                (Ok []) fields
+                fields
             | Some _ -> Error "timing: perf is not an object"
           in
           match (get_str "protocol", get_int "degree", get_int "seed", get_flt "wall_s") with
           | Some p, Some d, Some s, Some w ->
             Ok
-              (acc
-              @ [
-                  {
-                    ct_protocol = p;
-                    ct_degree = d;
-                    ct_seed = s;
-                    ct_wall_s = w;
-                    ct_perf = perf;
-                  };
-                ])
+              {
+                ct_protocol = p;
+                ct_degree = d;
+                ct_seed = s;
+                ct_wall_s = w;
+                ct_perf = perf;
+              }
           | _ -> Error "timing: malformed cell entry")
-        (Ok []) items
+        items
     | _ -> Error "timing: missing cells list"
   in
   Ok { t_jobs = jobs; t_wall_s = wall_s; t_exec = exec; t_cells = cells }
@@ -593,13 +579,7 @@ let of_json j =
   in
   let* cells =
     match Obs.Json.member "cells" j with
-    | Some (Obs.Json.List items) ->
-      List.fold_left
-        (fun acc item ->
-          let* acc = acc in
-          let* c = Cell_result.of_json item in
-          Ok (acc @ [ c ]))
-        (Ok []) items
+    | Some (Obs.Json.List items) -> Obs.Json.decode_list Cell_result.of_json items
     | _ -> Error "missing cells list"
   in
   let* quarantined =
@@ -607,23 +587,12 @@ let of_json j =
     | None, 1 -> Ok []  (* v1 predates graceful degradation *)
     | None, _ -> Error "schema v2: missing quarantined list"
     | Some (Obs.Json.List items), _ ->
-      List.fold_left
-        (fun acc item ->
-          let* acc = acc in
-          let* q = quarantine_of_json item in
-          Ok (acc @ [ q ]))
-        (Ok []) items
+      Obs.Json.decode_list quarantine_of_json items
     | Some _, _ -> Error "quarantined is not a list"
   in
   let* aggregates =
     match Obs.Json.member "aggregates" j with
-    | Some (Obs.Json.List items) ->
-      List.fold_left
-        (fun acc item ->
-          let* acc = acc in
-          let* a = aggregate_of_json item in
-          Ok (acc @ [ a ]))
-        (Ok []) items
+    | Some (Obs.Json.List items) -> Obs.Json.decode_list aggregate_of_json items
     | _ -> Error "missing aggregates list"
   in
   let* timing =

@@ -152,10 +152,7 @@ val quarantine_key : quarantine -> string * int * int
 (** The (protocol, degree, seed) cell key the entry stands in for. *)
 
 val quarantine_to_json : quarantine -> Obs.Json.t
-
-val quarantine_of_json : Obs.Json.t -> (quarantine, string) result
-(** The JSON codec for one quarantine entry, shared with {!Journal}'s
-    per-record format. *)
+(** One entry of the artifact's [quarantined] list. *)
 
 val version : int
 (** The newest schema version this module understands: [4]. The writer

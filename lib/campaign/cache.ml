@@ -25,6 +25,26 @@ let open_ ~dir ctx =
   mkdir_p dir;
   { dir; ctx; hits = 0; misses = 0 }
 
+(* The code that computes a cell is the running executable, so its digest
+   is part of every key. Hashing the binary costs milliseconds, so it is
+   done once per process, at the first key rather than in [open_]; domains
+   that race here compute the same value. An executable that cannot be read
+   gets a per-process nonce: its entries are then reused within this
+   process only, never by another build. *)
+let exe_digest = Atomic.make None
+
+let executable_digest () =
+  match Atomic.get exe_digest with
+  | Some d -> d
+  | None ->
+    let d =
+      try Digest.to_hex (Digest.file Sys.executable_name)
+      with Sys_error _ ->
+        Printf.sprintf "unreadable-%d-%.6f" (Unix.getpid ()) (Unix.gettimeofday ())
+    in
+    Atomic.set exe_digest (Some d);
+    d
+
 (* The preimage spells out every input the cell result depends on, in a
    fixed order, with unambiguous encodings for the optional overrides
    ("-" for absent, so runs=None and runs=Some anything never collide).
@@ -37,10 +57,10 @@ let key t ~protocol ~degree ~seed =
     | Some ds -> String.concat "," (List.map string_of_int ds)
   in
   Printf.sprintf
-    "rcsim-cell-cache v1 artifact-v%d sha=%s family=%s mode=%s runs=%s \
+    "rcsim-cell-cache v2 artifact-v%d sha=%s exe=%s family=%s mode=%s runs=%s \
      degrees=%s seed=%s cell=%s:%d:%d"
-    Artifact.version t.ctx.git_sha t.ctx.family t.ctx.mode
-    (opt_int t.ctx.runs)
+    Artifact.version t.ctx.git_sha (executable_digest ()) t.ctx.family
+    t.ctx.mode (opt_int t.ctx.runs)
     (opt_degrees t.ctx.degrees)
     (opt_int t.ctx.seed)
     protocol degree seed
@@ -67,25 +87,17 @@ let find t ~protocol ~degree ~seed =
         | Some i -> String.sub raw 0 i
         | None -> raw
       in
-      match Journal.unframe line with
+      match Frame.unframe line with
       | Error _ -> None
       | Ok j -> (
         let str name =
           Option.bind (Obs.Json.member name j) Obs.Json.to_string_val
         in
-        match (str "kind", str "key", Obs.Json.member "cell" j) with
-        | Some k, Some stored, Some cj
+        match (str "kind", str "key") with
+        | Some k, Some stored
           when k = entry_kind && String.equal stored preimage -> (
-          match Cell_result.of_json cj with
-          | Ok c when Cell_result.key c = (protocol, degree, seed) ->
-            let wall =
-              match
-                Option.bind (Obs.Json.member "wall_s" j) Obs.Json.to_float
-              with
-              | Some w -> w
-              | None -> 0.
-            in
-            Some { c with Cell_result.wall_s = wall }
+          match Cell_result.of_envelope j with
+          | Ok c when Cell_result.key c = (protocol, degree, seed) -> Some c
           | _ -> None)
         | _ -> None))
   in
@@ -99,19 +111,16 @@ let store t (c : Cell_result.t) =
   let preimage = key t ~protocol ~degree ~seed in
   let entry : Obs.Json.t =
     Obj
-      [
-        ("kind", String entry_kind);
-        ("key", String preimage);
-        ("wall_s", Float c.Cell_result.wall_s);
-        ("cell", Cell_result.to_json ~include_series:true c);
-      ]
+      (("kind", String entry_kind)
+      :: ("key", String preimage)
+      :: Cell_result.envelope_fields c)
   in
   (* Atomic publication; any I/O error (read-only dir, full disk) is
      swallowed — a cache that cannot write is just a cache that never
      hits. *)
   try
     Rcutil.Atomic_file.write_string ~path:(path_of t preimage)
-      (Journal.frame (Obs.Json.to_string entry))
+      (Frame.frame (Obs.Json.to_string entry))
   with Sys_error _ | Unix.Unix_error _ -> ()
 
 let stats t = (t.hits, t.misses)

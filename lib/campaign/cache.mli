@@ -1,40 +1,41 @@
-(** Content-addressed cell-result cache.
+(** Content-addressed cell-result cache: the one store of finished cells.
 
     A campaign cell is a pure function of its inputs: the artifact schema,
-    the code that produced it (git sha), the sweep decomposition (family,
-    mode preset, CLI overrides) and the cell's own axis coordinates
-    (protocol, degree, seed). The cache names each finished
-    {!Cell_result.t} by a digest over exactly those inputs, so a re-run of
-    an unchanged campaign finds every cell already on disk and a run after
-    {e any} relevant change — new commit, different preset, different
-    seed — finds none of its stale predecessors.
+    the code that computes it (the running executable), the sweep
+    decomposition (family, mode preset, CLI overrides) and the cell's own
+    axis coordinates (protocol, degree, seed). The cache names each
+    finished {!Cell_result.t} by a digest over exactly those inputs, so a
+    rerun of an unchanged campaign — finished or stopped part-way — finds
+    every finished cell on disk, and a run after {e any} relevant change —
+    rebuilt code, different preset, different seed — finds none of its
+    stale predecessors. Quarantined cells are never stored.
 
     {2 Key derivation}
 
-    The digest preimage is a single human-readable line:
+    The digest preimage is a single human-readable line (shown wrapped):
 
-    {v rcsim-cell-cache v1 artifact-v<V> sha=<SHA> family=<F> mode=<M>
-   runs=<R> degrees=<D> seed=<S> cell=<PROTO>:<DEG>:<SEED> v}
+    {v rcsim-cell-cache v2 artifact-v<V> sha=<SHA> exe=<EXE> family=<F>
+   mode=<M> runs=<R> degrees=<D> seed=<S> cell=<PROTO>:<DEG>:<SEED> v}
 
-    (one line; shown wrapped). [<V>] is {!Artifact.version} — a schema bump
-    invalidates every entry, since cached cells are stored in that schema.
-    The {e family}, not the section name, identifies the decomposition:
-    sections of one family (e.g. [fig3]/[fig4]) run identical task arrays
-    and share cells, so they share cache entries too. The key is the MD5 of
-    that line; the line itself is stored in the entry and compared on read,
-    so a digest collision or a preimage-format drift degrades to a miss,
-    never to a wrong cell.
+    [<V>] is {!Artifact.version}: a schema bump invalidates every entry.
+    [<EXE>] is the hex [Digest.file Sys.executable_name], hashed once per
+    process at the first key: a rebuild that changes the binary changes
+    every key, committed or not. The {e family}, not the section name,
+    identifies the decomposition, so sections of one family (e.g.
+    [fig3]/[fig4]) share entries. The key is the MD5 of that line; the line
+    itself is stored in the entry and compared on read, so a collision or
+    a preimage-format drift degrades to a miss, never to a wrong cell.
 
     {2 Entry format and fault tolerance}
 
     One file per cell, [<dir>/<md5hex>.json], holding a single
-    {!Journal.frame}d record — the same CRC-tagged line format as the
-    journal — published atomically via {!Rcutil.Atomic_file}. Reads treat
-    {e anything} unexpected (missing file, torn write that escaped the
-    atomic rename, CRC mismatch, wrong kind, preimage mismatch, cell whose
-    axes disagree with the request) as a miss, and writes swallow all I/O
-    errors: a broken cache directory can slow a campaign down but can
-    never fail it or corrupt its artifact. *)
+    {!Frame.frame}d record — the preimage plus
+    {!Cell_result.envelope_fields} — published atomically via
+    {!Rcutil.Atomic_file}. Reads treat {e anything} unexpected (missing
+    file, torn write, CRC mismatch, wrong kind, preimage mismatch, cell
+    whose axes disagree with the request) as a miss, and writes swallow
+    all I/O errors: a broken cache directory can slow a campaign down but
+    can never fail it or corrupt its artifact. *)
 
 type context = {
   git_sha : string;  (** from {!Artifact.git_sha}; ["unknown"] outside git *)
@@ -44,9 +45,8 @@ type context = {
   degrees : int list option;  (** CLI [--degrees] override, if given *)
   seed : int option;  (** CLI [--seed] override, if given *)
 }
-(** Everything that selects the sweep besides the cell axes themselves.
-    Mirrors {!Journal.header} so resumed campaigns derive the same keys as
-    the original run. *)
+(** Everything that selects the sweep besides the cell axes themselves and
+    the executable. *)
 
 type t
 
@@ -56,7 +56,8 @@ val open_ : dir:string -> context -> t
 
 val key : t -> protocol:string -> degree:int -> seed:int -> string
 (** The digest preimage for one cell — exposed for tests, which assert
-    that every context and axis component perturbs it. *)
+    that every context and axis component perturbs it and that it names
+    the executable. *)
 
 val find : t -> protocol:string -> degree:int -> seed:int -> Cell_result.t option
 (** Cache lookup. [Some cell] only when the stored entry round-trips with

@@ -177,14 +177,22 @@ let to_json ~include_series t : Obs.Json.t =
   in
   Obj (base @ extras @ axes @ series)
 
+let need what = function
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "cell: missing or mistyped %S" what)
+
+let numbers ~what fields =
+  Obs.Json.decode_fields
+    (fun k v ->
+      match float_of_json v with
+      | Some f -> Ok f
+      | None -> Error (Printf.sprintf "cell: %s %S is not a number" what k))
+    fields
+
 let of_json j =
   let str name = Option.bind (Obs.Json.member name j) Obs.Json.to_string_val in
   let int name = Option.bind (Obs.Json.member name j) Obs.Json.to_int in
   let flt name = Option.bind (Obs.Json.member name j) float_of_json in
-  let need what = function
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "cell: missing or mistyped %S" what)
-  in
   let ( let* ) = Result.bind in
   let* protocol = need "protocol" (str "protocol") in
   let* degree = need "degree" (int "degree") in
@@ -205,40 +213,31 @@ let of_json j =
   let* extras =
     match Obs.Json.member "extras" j with
     | None -> Ok []
-    | Some (Obs.Json.Obj fields) ->
-      List.fold_left
-        (fun acc (k, v) ->
-          let* acc = acc in
-          match float_of_json v with
-          | Some f -> Ok (acc @ [ (k, f) ])
-          | None -> Error (Printf.sprintf "cell: extra %S is not a number" k))
-        (Ok []) fields
+    | Some (Obs.Json.Obj fields) -> numbers ~what:"extra" fields
     | Some _ -> Error "cell: extras is not an object"
   in
   let* axes =
     match Obs.Json.member "axes" j with
     | None -> Ok []
     | Some (Obs.Json.Obj fields) ->
-      List.fold_left
-        (fun acc (k, v) ->
-          let* acc = acc in
+      Obs.Json.decode_fields
+        (fun k v ->
           match Obs.Json.to_string_val v with
-          | Some s -> Ok (acc @ [ (k, s) ])
+          | Some s -> Ok s
           | None -> Error (Printf.sprintf "cell: axis %S is not a string" k))
-        (Ok []) fields
+        fields
     | Some _ -> Error "cell: axes is not an object"
   in
   let* series =
     match Obs.Json.member "series" j with
     | None -> Ok []
     | Some (Obs.Json.Obj fields) ->
-      List.fold_left
-        (fun acc (k, v) ->
-          let* acc = acc in
+      Obs.Json.decode_fields
+        (fun k v ->
           match series_of_json v with
-          | Some s -> Ok (acc @ [ (k, s) ])
+          | Some s -> Ok s
           | None -> Error (Printf.sprintf "cell: series %S is malformed" k))
-        (Ok []) fields
+        fields
     | Some _ -> Error "cell: series is not an object"
   in
   Ok
@@ -266,3 +265,31 @@ let of_json j =
       perf = [];
       events = 0;
     }
+
+(* The row never serializes the transient fields, so whatever carries a
+   finished cell beyond this process (a cache entry, a worker's pipe record)
+   writes them beside it. *)
+let envelope_fields t =
+  [
+    ("wall_s", fnum t.wall_s);
+    ("events", Obs.Json.Int t.events);
+    ("perf", Obs.Json.Obj (List.map (fun (k, v) -> (k, fnum v)) t.perf));
+    ("cell", to_json ~include_series:true t);
+  ]
+
+let of_envelope j =
+  let ( let* ) = Result.bind in
+  let* wall_s =
+    need "wall_s" (Option.bind (Obs.Json.member "wall_s" j) float_of_json)
+  in
+  let* events =
+    need "events" (Option.bind (Obs.Json.member "events" j) Obs.Json.to_int)
+  in
+  let* perf =
+    match Obs.Json.member "perf" j with
+    | Some (Obs.Json.Obj fields) -> numbers ~what:"perf" fields
+    | _ -> Error "cell: perf is not an object"
+  in
+  let* row = need "cell" (Obs.Json.member "cell" j) in
+  let* cell = of_json row in
+  Ok { cell with wall_s; events; perf }

@@ -107,6 +107,22 @@ val to_json : include_series:bool -> t -> Obs.Json.t
 val of_json : Obs.Json.t -> (t, string) result
 (** Inverse of {!to_json}; [wall_s] is [0.]. *)
 
+val envelope_fields : t -> (string * Obs.Json.t) list
+(** A finished cell as it travels beyond its process: [wall_s], [events],
+    [perf] and the {!to_json} row with its series, as fields for the
+    enclosing object — a {!Cache} entry or a {!Proc_backend} [cell]
+    record. *)
+
+val of_envelope : Obs.Json.t -> (t, string) result
+(** Inverse of {!envelope_fields}, read from the enclosing object: the row
+    with its transient fields restored. *)
+
+val fnum : float -> Obs.Json.t
+(** A float as JSON, [null] when non-finite; {!float_of_json} reads [null]
+    back as [nan]. *)
+
+val float_of_json : Obs.Json.t -> float option
+
 val series_to_json : series -> Obs.Json.t
 (** The [{start, width, counts, sums}] object used inside both cell rows and
     aggregates. *)

@@ -10,8 +10,9 @@
    The same cooperative poll carries the graceful-stop flag
    (Dessim.Scheduler.request_stop, set by the CLI's SIGINT/SIGTERM handler):
    a stopped campaign abandons in-flight cells cleanly (no quarantine entry,
-   no journal record — they are simply "missing"), stops starting new ones,
-   and leaves recovery to the journal + resume path below. *)
+   no cache entry — they are simply "missing") and stops starting new ones;
+   every cell that did finish is already in the cache, so rerunning the
+   same campaign computes only the rest. *)
 
 type outcome =
   | Done of Cell_result.t
@@ -59,8 +60,7 @@ let attempt_once ?cell_budget ?(hung = false) (t : Sections.task) =
 type backend = Domains | Proc of { argv : string array }
 
 let run_tasks ?(jobs = 1) ?(progress = fun _ -> ()) ?(heartbeat = fun _ -> ())
-    ?cell_budget ?(retries = 1) ?hang ?stop_after ?journal ?cache
-    ?(backend = Domains) ?(completed = []) ?(prior_quarantine = [])
+    ?cell_budget ?(retries = 1) ?hang ?stop_after ?cache ?(backend = Domains)
     (tasks : Sections.task array) =
   if retries < 0 then invalid_arg "Driver.run_tasks: retries must be >= 0";
   (match (hang, cell_budget) with
@@ -71,45 +71,19 @@ let run_tasks ?(jobs = 1) ?(progress = fun _ -> ()) ?(heartbeat = fun _ -> ())
   | Some k when k < 1 -> invalid_arg "Driver.run_tasks: stop_after must be >= 1"
   | _ -> ());
   let n = Array.length tasks in
-  (* Checkpointed outcomes from a previous (interrupted) run: these cells are
-     not re-run; they re-enter the merge at their canonical position. *)
+  (* Cache consultation, before any scheduling: hits are not re-run; they
+     re-enter the merge at their canonical positions and are not counted by
+     the heartbeat's ETA extrapolation. *)
   let pre = Hashtbl.create 64 in
-  List.iter
-    (fun (c : Cell_result.t) ->
-      Hashtbl.replace pre (Cell_result.key c) (`Cell c))
-    completed;
-  List.iter
-    (fun (q : Artifact.quarantine) ->
-      Hashtbl.replace pre (Artifact.quarantine_key q) (`Quarantine q))
-    prior_quarantine;
-  let task_keys = Hashtbl.create 64 in
-  Array.iter (fun t -> Hashtbl.replace task_keys (task_key t) ()) tasks;
-  Hashtbl.iter
-    (fun (p, d, s) _ ->
-      if not (Hashtbl.mem task_keys (p, d, s)) then
-        invalid_arg
-          (Printf.sprintf
-             "Driver.run_tasks: checkpointed cell (%s, %d, %d) is not in the \
-              task decomposition"
-             p d s))
-    pre;
-  (* Cache consultation, before any scheduling: hits enter [pre] exactly
-     like checkpoint-recovered cells — merged at canonical positions, not
-     journaled (the journal records work done *this* process), not counted
-     by the heartbeat's ETA extrapolation. *)
-  let cache_hits = ref 0 in
   (match cache with
   | None -> ()
   | Some c ->
     Array.iter
       (fun t ->
         let ((p, d, s) as key) = task_key t in
-        if not (Hashtbl.mem pre key) then
-          match Cache.find c ~protocol:p ~degree:d ~seed:s with
-          | Some cell ->
-            Hashtbl.replace pre key (`Cell cell);
-            incr cache_hits
-          | None -> ())
+        match Cache.find c ~protocol:p ~degree:d ~seed:s with
+        | Some cell -> Hashtbl.replace pre key cell
+        | None -> ())
       tasks;
     let hits, misses = Cache.stats c in
     progress
@@ -118,8 +92,8 @@ let run_tasks ?(jobs = 1) ?(progress = fun _ -> ()) ?(heartbeat = fun _ -> ())
   let base_done = Hashtbl.length pre in
   let done_count = ref base_done in
   (* Scheduler events fired by freshly-run cells: the numerator of the
-     heartbeat's aggregate events/sec (checkpointed cells did their events in
-     a previous process, so they count for neither side of the rate). *)
+     heartbeat's aggregate events/sec (cached cells did their events in a
+     previous process, so they count for neither side of the rate). *)
   let events_done = ref 0 in
   let progress_mutex = Mutex.create () in
   let t0 = Unix.gettimeofday () in
@@ -129,18 +103,12 @@ let run_tasks ?(jobs = 1) ?(progress = fun _ -> ()) ?(heartbeat = fun _ -> ())
     else Printf.sprintf "%.1f" v
   in
   (* Everything that happens "when a cell finishes" is serialized here: the
-     journal append (checkpoint durable before the count moves), the
-     progress line, the heartbeat, and the stop-after test hook. *)
-  let report ?checkpoint line =
+     progress line, the heartbeat, and the stop-after test hook. A finished
+     cell's cache entry is published before its report, so it is durable
+     before the count moves. *)
+  let report ?(events = 0) line =
     Mutex.protect progress_mutex (fun () ->
-        (match (journal, checkpoint) with
-        | Some j, Some (`Cell c) -> Journal.append_cell j c
-        | Some j, Some (`Quarantine q) -> Journal.append_quarantine j q
-        | _ -> ());
-        (match checkpoint with
-        | Some (`Cell (c : Cell_result.t)) ->
-          events_done := !events_done + c.Cell_result.events
-        | _ -> ());
+        events_done := !events_done + events;
         incr done_count;
         progress line;
         let done_here = !done_count - base_done in
@@ -155,7 +123,7 @@ let run_tasks ?(jobs = 1) ?(progress = fun _ -> ()) ?(heartbeat = fun _ -> ())
             else ""
           in
           let cached =
-            if !cache_hits > 0 then Printf.sprintf ", %d cached" !cache_hits
+            if base_done > 0 then Printf.sprintf ", %d cached" base_done
             else ""
           in
           heartbeat
@@ -180,7 +148,7 @@ let run_tasks ?(jobs = 1) ?(progress = fun _ -> ()) ?(heartbeat = fun _ -> ())
         | Ok cell ->
           let cell = { cell with Cell_result.wall_s = wall } in
           Option.iter (fun c -> Cache.store c cell) cache;
-          report ~checkpoint:(`Cell cell)
+          report ~events:cell.Cell_result.events
             (Printf.sprintf "%-6s d=%d seed=%d (%d/%d) %.2fs"
                t.Sections.t_protocol t.Sections.t_degree t.Sections.t_seed
                !done_count n wall);
@@ -199,16 +167,7 @@ let run_tasks ?(jobs = 1) ?(progress = fun _ -> ()) ?(heartbeat = fun _ -> ())
                    attempt_no e));
           go (attempt_no + 1)
         | Error (`Fail e) ->
-          let q =
-            {
-              Artifact.q_protocol = t.Sections.t_protocol;
-              q_degree = t.Sections.t_degree;
-              q_seed = t.Sections.t_seed;
-              q_error = e;
-              q_attempts = attempt_no;
-            }
-          in
-          report ~checkpoint:(`Quarantine q)
+          report
             (Printf.sprintf "%-6s d=%d seed=%d (%d/%d) QUARANTINED after %d \
                              attempts: %s"
                t.Sections.t_protocol t.Sections.t_degree t.Sections.t_seed
@@ -237,16 +196,7 @@ let run_tasks ?(jobs = 1) ?(progress = fun _ -> ()) ?(heartbeat = fun _ -> ())
             (* The worker rebuilt a different sweep than ours (version skew,
                wrong flags): its data is untrustworthy for this campaign. *)
             let error = "worker returned a cell for the wrong key" in
-            let q =
-              {
-                Artifact.q_protocol = t.Sections.t_protocol;
-                q_degree = t.Sections.t_degree;
-                q_seed = t.Sections.t_seed;
-                q_error = error;
-                q_attempts = 1;
-              }
-            in
-            report ~checkpoint:(`Quarantine q)
+            report
               (Printf.sprintf "%-6s d=%d seed=%d (%d/%d) QUARANTINED: %s"
                  t.Sections.t_protocol t.Sections.t_degree t.Sections.t_seed
                  !done_count n error);
@@ -254,7 +204,7 @@ let run_tasks ?(jobs = 1) ?(progress = fun _ -> ()) ?(heartbeat = fun _ -> ())
           end
           else begin
             Option.iter (fun c -> Cache.store c cell) cache;
-            report ~checkpoint:(`Cell cell)
+            report ~events:cell.Cell_result.events
               (Printf.sprintf "%-6s d=%d seed=%d (%d/%d) %.2fs"
                  t.Sections.t_protocol t.Sections.t_degree t.Sections.t_seed
                  !done_count n cell.Cell_result.wall_s);
@@ -262,16 +212,7 @@ let run_tasks ?(jobs = 1) ?(progress = fun _ -> ()) ?(heartbeat = fun _ -> ())
           end
         | Proc_backend.Quarantined { index; error; attempts } ->
           let t = tasks.(index) in
-          let q =
-            {
-              Artifact.q_protocol = t.Sections.t_protocol;
-              q_degree = t.Sections.t_degree;
-              q_seed = t.Sections.t_seed;
-              q_error = error;
-              q_attempts = attempts;
-            }
-          in
-          report ~checkpoint:(`Quarantine q)
+          report
             (Printf.sprintf
                "%-6s d=%d seed=%d (%d/%d) QUARANTINED after %d attempts: %s"
                t.Sections.t_protocol t.Sections.t_degree t.Sections.t_seed
@@ -316,16 +257,15 @@ let run_tasks ?(jobs = 1) ?(progress = fun _ -> ()) ?(heartbeat = fun _ -> ())
   Array.iteri
     (fun k outcome -> Hashtbl.replace fresh (task_key tasks.(todo.(k))) outcome)
     sub_outcomes;
-  (* Merge in canonical task order, whatever mix of checkpointed and
-     freshly-run outcomes we have: this is what makes an interrupted+resumed
-     campaign's artifact byte-identical to an uninterrupted one. *)
+  (* Merge in canonical task order, whatever mix of cached and freshly-run
+     outcomes we have: this is what makes a stopped-then-rerun campaign's
+     artifact byte-identical to an uninterrupted one. *)
   let cells = ref [] and quarantined = ref [] in
   Array.iter
     (fun t ->
       let key = task_key t in
       match Hashtbl.find_opt pre key with
-      | Some (`Cell c) -> cells := c :: !cells
-      | Some (`Quarantine q) -> quarantined := q :: !quarantined
+      | Some c -> cells := c :: !cells
       | None -> (
         match Hashtbl.find_opt fresh key with
         | Some (Done c) -> cells := c :: !cells
@@ -410,11 +350,9 @@ let artifact_of ~(section : Sections.t) ~mode ?timing ?quarantined sweep cells =
     (Array.to_list cells)
 
 let run ?jobs ?progress ?heartbeat ?cell_budget ?retries ?hang ?stop_after
-    ?journal ?cache ?backend ?completed ?prior_quarantine ~mode sweep
-    (section : Sections.t) =
+    ?cache ?backend ~mode sweep (section : Sections.t) =
   let cells, quarantined, timing =
     run_tasks ?jobs ?progress ?heartbeat ?cell_budget ?retries ?hang
-      ?stop_after ?journal ?cache ?backend ?completed ?prior_quarantine
-      (section.Sections.tasks sweep)
+      ?stop_after ?cache ?backend (section.Sections.tasks sweep)
   in
   artifact_of ~section ~mode ~timing ~quarantined sweep cells

@@ -17,18 +17,15 @@
     [?retries] more times before being {e quarantined}: recorded in the
     artifact's [quarantined] list instead of killing the campaign.
 
-    {2 Checkpoint / stop / resume}
+    {2 Stop and rerun}
 
-    With [?journal], every completed or quarantined cell is appended to a
-    crash-safe {!Journal} the moment it finishes, before the progress
-    counter moves. A graceful stop ({!Dessim.Scheduler.request_stop}, wired
-    to SIGINT/SIGTERM by the CLI) makes workers abandon in-flight cells
-    cleanly — no result, no quarantine entry, no journal record; they are
+    A graceful stop ({!Dessim.Scheduler.request_stop}, wired to
+    SIGINT/SIGTERM by the CLI) makes workers abandon in-flight cells
+    cleanly — no result, no quarantine entry, no cache entry; they are
     simply missing from the returned arrays — and drain remaining tasks
-    without starting them. [?completed] / [?prior_quarantine] feed
-    journal-recovered outcomes back in: those cells are not re-run, and the
-    merge happens in canonical task order, so an interrupted-then-resumed
-    campaign returns byte-identical cells to an uninterrupted one. *)
+    without starting them. Rerunning the same tasks on the same {!Cache}
+    runs only the missing cells and merges in canonical task order, so the
+    cells are byte-identical to an uninterrupted run's. *)
 
 type backend =
   | Domains  (** in-process {!Pool} of OCaml domains — the default *)
@@ -60,11 +57,8 @@ val run_tasks :
   ?retries:int ->
   ?hang:string * int * int ->
   ?stop_after:int ->
-  ?journal:Journal.t ->
   ?cache:Cache.t ->
   ?backend:backend ->
-  ?completed:Cell_result.t list ->
-  ?prior_quarantine:Artifact.quarantine list ->
   Sections.task array ->
   Cell_result.t array * Artifact.quarantine list * Artifact.timing
 (** [run_tasks ~jobs ~progress tasks] executes every task on a {!Pool} of
@@ -92,26 +86,20 @@ val run_tasks :
     the mean wall time of the cells finished {e this} run — e.g.
     ["17/240 cells, 34.2 s elapsed, ETA 540 s"].
 
-    [?cache] is a content-addressed cell store ({!Cache}): before
-    scheduling, every task not already checkpointed is looked up, and hits
-    are merged at their canonical positions exactly like checkpointed
-    cells — not re-run, not journaled, excluded from the ETA
-    extrapolation (the heartbeat reports them as [", N cached"]). Every
-    freshly completed cell is stored back. A fully-cached re-run is
-    byte-identical to the fresh run at any [jobs]. [?backend] selects how
-    fresh cells execute (default {!Domains}); the cache composes with
-    either backend.
+    [?cache] ({!Cache}): before scheduling, every task is looked up, and
+    hits are merged at their canonical positions — not re-run, excluded
+    from the ETA extrapolation (the heartbeat reports them as
+    [", N cached"]). Every freshly completed cell is stored (fsync'd)
+    before its progress line; quarantined cells are not stored. A
+    fully-cached re-run is byte-identical to the fresh run at any [jobs].
+    [?backend] selects how fresh cells execute (default {!Domains}).
 
-    [?journal] checkpoints each completed/quarantined cell (fsync'd) before
-    its progress line. [?completed] and [?prior_quarantine] are
-    checkpoint-recovered outcomes: their cells are skipped (not re-run) and
-    merged back at their canonical positions; every checkpointed key must
-    belong to [tasks]. [?stop_after:k] is the deterministic test/CI stand-in
-    for a signal: {!Dessim.Scheduler.request_stop} fires once [k] cells have
-    completed in this run.
+    [?stop_after:k] is the deterministic test/CI stand-in for a signal:
+    {!Dessim.Scheduler.request_stop} fires once [k] cells have completed
+    or been quarantined in this run.
 
     @raise Invalid_argument if [retries < 0], [hang] without [cell_budget],
-    [stop_after < 1], or a checkpointed cell key not present in [tasks]. *)
+    or [stop_after < 1]. *)
 
 val missing_count :
   total:int -> Cell_result.t array -> Artifact.quarantine list -> int
@@ -139,11 +127,8 @@ val run :
   ?retries:int ->
   ?hang:string * int * int ->
   ?stop_after:int ->
-  ?journal:Journal.t ->
   ?cache:Cache.t ->
   ?backend:backend ->
-  ?completed:Cell_result.t list ->
-  ?prior_quarantine:Artifact.quarantine list ->
   mode:string ->
   Convergence.Experiments.sweep ->
   Sections.t ->

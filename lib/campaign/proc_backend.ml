@@ -1,8 +1,8 @@
 (* Parent/child halves of the multi-process backend. Both halves treat the
-   pipe protocol with journal-grade suspicion: every worker->parent record
-   is CRC-framed (Journal.frame), and any malformed or out-of-sequence
-   record is handled as a worker fault — kill, respawn, re-queue — never
-   as campaign data. *)
+   pipe protocol with the cache's suspicion: every worker->parent record is
+   CRC-framed (Frame.frame), and any malformed or out-of-sequence record is
+   handled as a worker fault — kill, respawn, re-queue — never as campaign
+   data. *)
 
 let rec restart_on_eintr f =
   try f () with Unix.Unix_error (Unix.EINTR, _, _) -> restart_on_eintr f
@@ -18,7 +18,7 @@ let write_all fd s =
 
 let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-let send fd j = write_all fd (Journal.frame (Obs.Json.to_string j))
+let send fd j = write_all fd (Frame.frame (Obs.Json.to_string j))
 
 (* ---------- child ---------- *)
 
@@ -75,18 +75,10 @@ let worker ~run_cell () =
         | Ok (wall, cell) ->
           send Unix.stdout
             (Obj
-               [
-                 ("type", String "cell");
-                 ("i", Int i);
-                 ("wall_s", Float wall);
-                 ("events", Int cell.Cell_result.events);
-                 ( "perf",
-                   Obj
-                     (List.map
-                        (fun (k, v) -> (k, Obs.Json.Float v))
-                        cell.Cell_result.perf) );
-                 ("cell", Cell_result.to_json ~include_series:true cell);
-               ])
+               (("type", String "cell")
+               :: ("i", Int i)
+               :: Cell_result.envelope_fields
+                    { cell with Cell_result.wall_s = wall }))
         | Error e ->
           send Unix.stdout
             (Obj [ ("type", String "failed"); ("i", Int i); ("error", String e) ]));
@@ -339,32 +331,11 @@ let run ~jobs ~argv ~indices ~retries ?(min_deadline = 10.)
     | Some "cell" -> (
       match (p.assignment, json_int "i" j) with
       | Some a, Some i when i = a.a_index -> (
-        let cell =
-          match Obs.Json.member "cell" j with
-          | Some cj -> Cell_result.of_json cj
-          | None -> Error "missing cell field"
-        in
-        match cell with
+        match Cell_result.of_envelope j with
         | Error e ->
           p.assignment <- None;
           fail_index i (Printf.sprintf "worker returned a bad cell row: %s" e)
         | Ok c ->
-          let wall =
-            Option.value
-              (Option.bind (Obs.Json.member "wall_s" j) Obs.Json.to_float)
-              ~default:0.
-          in
-          let events = Option.value (json_int "events" j) ~default:0 in
-          let perf =
-            match Obs.Json.member "perf" j with
-            | Some (Obs.Json.Obj kvs) ->
-              List.filter_map
-                (fun (k, v) ->
-                  Option.map (fun f -> (k, f)) (Obs.Json.to_float v))
-                kvs
-            | _ -> []
-          in
-          let c = { c with Cell_result.wall_s = wall; events; perf } in
           p.assignment <- None;
           slot.cells <- slot.cells + 1;
           if a.a_attempt = 1 && p.kill_reason = None then
@@ -396,7 +367,7 @@ let run ~jobs ~argv ~indices ~retries ?(min_deadline = 10.)
           Buffer.clear p.obuf;
           Buffer.add_string p.obuf (String.sub s (i + 1) (String.length s - i - 1));
           let line = String.sub s 0 i in
-          (match Journal.unframe line with
+          (match Frame.unframe line with
           | Ok j -> handle_msg slot p j
           | Error e -> kill_worker p (Printf.sprintf "corrupt record (%s)" e));
           lines ()

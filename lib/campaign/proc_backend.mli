@@ -13,11 +13,12 @@
 
     Parent → worker (worker stdin): one ASCII cell index per line. Closing
     the pipe is the shutdown signal. Worker → parent (worker stdout): one
-    {!Journal.frame}d JSON record per line — [{"type":"ready"}] once after
+    {!Frame.frame}d JSON record per line — [{"type":"ready"}] once after
     startup, then per cell [{"type":"start","i":N}] followed by either
     [{"type":"cell","i":N,"wall_s":W,"events":E,"perf":{...},"cell":{...}}]
-    (the transient fields ride alongside the row, which never serializes
-    them) or [{"type":"failed","i":N,"error":"..."}] for an in-worker
+    (the {!Cell_result.envelope_fields} a cache entry carries too: the
+    transient fields ride alongside the row, which never serializes them)
+    or [{"type":"failed","i":N,"error":"..."}] for an in-worker
     failure that did not kill the process. Worker stderr carries heartbeat
     bytes, emitted from a SIGALRM interval timer armed only while a cell
     is running: OCaml delivers signals at safe points, so a flowing

@@ -111,8 +111,8 @@ val stop_requested : unit -> bool
 (** Whether {!request_stop} has been called (and not yet cleared). *)
 
 val clear_stop : unit -> unit
-(** [clear_stop ()] re-arms the process for new runs — called by a resume
-    path that continues work in the same process after a graceful stop. *)
+(** [clear_stop ()] re-arms the process for new runs — called by code that
+    continues work in the same process after a graceful stop. *)
 
 val with_wall_budget : float -> (unit -> 'a) -> 'a
 (** [with_wall_budget seconds fn] runs [fn ()] with a wall-clock deadline of

@@ -270,3 +270,20 @@ let to_int_list = function
     let ints = List.filter_map to_int items in
     if List.length ints = List.length items then Some ints else None
   | _ -> None
+
+(* ---------- decoders ---------- *)
+
+(* One pass, first error wins: the decoded prefix is accumulated in reverse
+   and flipped once, so a long list costs linear time. *)
+let decode_list f items =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | x :: rest -> (
+      match f x with Ok v -> go (v :: acc) rest | Error _ as e -> e)
+  in
+  go [] items
+
+let decode_fields f fields =
+  decode_list
+    (fun (k, v) -> match f k v with Ok x -> Ok (k, x) | Error _ as e -> e)
+    fields

@@ -32,3 +32,15 @@ val to_float : t -> float option
 val to_string_val : t -> string option
 val to_bool : t -> bool option
 val to_int_list : t -> int list option
+
+(** {2 Decoders} — linear, stopping at the first [Error]. *)
+
+val decode_list : (t -> ('a, 'e) result) -> t list -> ('a list, 'e) result
+(** [decode_list f items] decodes every item of a JSON list, in order. *)
+
+val decode_fields :
+  (string -> t -> ('a, 'e) result) ->
+  (string * t) list ->
+  ((string * 'a) list, 'e) result
+(** [decode_fields f fields] decodes every value of a JSON object, keeping
+    each key and the field order. *)

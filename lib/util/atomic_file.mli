@@ -18,10 +18,7 @@
     never a torn [<path>].
 
     Direct [open_out] on a result file is banned by a CI lint (it greps for
-    call sites outside this module); append-only journals with per-record
-    CRCs ({!Campaign.Journal}) are the one sanctioned exception, because an
-    append log cannot be renamed into place and protects itself record by
-    record instead. *)
+    call sites outside this module). *)
 
 type t
 (** An in-progress atomic write: an open channel onto the temporary file. *)

@@ -36,6 +36,11 @@ let with_temp_dir f =
   in
   Fun.protect ~finally:cleanup (fun () -> f dir)
 
+let contains ~affix s =
+  let n = String.length affix and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
+  go 0
+
 let cell_json (c : Campaign.Cell_result.t) =
   Obs.Json.to_string (Campaign.Cell_result.to_json ~include_series:true c)
 
@@ -80,6 +85,21 @@ let test_key_covers_every_input () =
         "key is stable across handles" base
         (key base_ctx ~protocol:"RIP" ~degree:3 ~seed:1))
 
+(* The code that computes a cell is part of its key: a rebuilt executable
+   never reads entries an older build stored. *)
+let test_key_names_executable () =
+  with_temp_dir (fun dir ->
+      let exe = Digest.to_hex (Digest.file Sys.executable_name) in
+      let key =
+        Campaign.Cache.key
+          (Campaign.Cache.open_ ~dir base_ctx)
+          ~protocol:"RIP" ~degree:3 ~seed:1
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%S names exe=%s" key exe)
+        true
+        (contains ~affix:(" exe=" ^ exe ^ " ") key))
+
 (* ---------- store / find ---------- *)
 
 let test_store_find_roundtrip () =
@@ -88,7 +108,11 @@ let test_store_find_roundtrip () =
       let t = (tasks ()).(0) in
       let protocol, degree, seed = Campaign.Driver.task_key t in
       let cell =
-        { (run_task t) with Campaign.Cell_result.wall_s = 1.25 }
+        {
+          (run_task t) with
+          Campaign.Cell_result.wall_s = 1.25;
+          perf = [ ("events_per_s", 3.5e6); ("vmhwm_mb", 27.4) ];
+        }
       in
       Campaign.Cache.store c cell;
       (match Campaign.Cache.find c ~protocol ~degree ~seed with
@@ -97,7 +121,16 @@ let test_store_find_roundtrip () =
         Alcotest.(check string)
           "row round-trips exactly" (cell_json cell) (cell_json got);
         Alcotest.(check (float 1e-9))
-          "wall_s rides along" 1.25 got.Campaign.Cell_result.wall_s);
+          "wall_s rides along" 1.25 got.Campaign.Cell_result.wall_s;
+        Alcotest.(check bool)
+          "the cell fired events" true
+          (cell.Campaign.Cell_result.events > 0);
+        Alcotest.(check int)
+          "events ride along" cell.Campaign.Cell_result.events
+          got.Campaign.Cell_result.events;
+        Alcotest.(check (list (pair string (float 0.))))
+          "perf rides along" cell.Campaign.Cell_result.perf
+          got.Campaign.Cell_result.perf);
       Alcotest.(check bool)
         "different seed misses" true
         (Campaign.Cache.find c ~protocol ~degree ~seed:999 = None);
@@ -247,11 +280,6 @@ let test_exec_block_roundtrip () =
     (Campaign.Artifact.validate (Campaign.Artifact.to_json a));
   (* Without exec, the timing block keeps its pre-existing byte layout. *)
   let plain = Obs.Json.to_string (Campaign.Artifact.to_json (build ~exec:None)) in
-  let contains ~affix s =
-    let n = String.length affix and m = String.length s in
-    let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
-    go 0
-  in
   Alcotest.(check bool)
     "no exec key when absent" false
     (contains ~affix:"\"exec\"" plain);
@@ -268,6 +296,8 @@ let () =
         [
           Alcotest.test_case "key covers every input" `Quick
             test_key_covers_every_input;
+          Alcotest.test_case "key names the executable" `Quick
+            test_key_names_executable;
           Alcotest.test_case "store/find round-trip" `Quick
             test_store_find_roundtrip;
           Alcotest.test_case "context mismatch is a miss" `Quick

@@ -1,222 +1,153 @@
-(* Crash-safety of the campaign journal, and the byte-identity of resume:
-   an interrupted journaled run, resumed from its checkpoint, must produce
-   the exact artifact bytes an uninterrupted run produces — at any worker
-   count. The "kill" here is the driver's deterministic [stop_after] hook
-   (the same cooperative stop a SIGINT triggers); the true kill -9 path is
-   exercised by the CI resume-smoke job. *)
+(* Stop and rerun over the cell cache, the one store of finished cells: a
+   campaign stopped part-way leaves exactly its finished cells in the
+   cache, and rerunning the same tasks on the same directory computes only
+   the rest and produces the exact artifact bytes an uninterrupted run
+   produces — at any worker count. The "kill" here is the driver's
+   deterministic [stop_after] hook (the same cooperative stop a SIGINT
+   triggers); the CI resume-smoke job drives the same path through real
+   processes. *)
 
 module E = Convergence.Engine_registry
 
 let section =
-  Campaign.Sections.grid ~name:"journal-grid" ~engines:[ E.dbf; E.rip ] ()
+  Campaign.Sections.grid ~name:"rerun-grid" ~engines:[ E.dbf; E.rip ] ()
 
 let sweep =
   Convergence.Experiments.(scale ~runs:2 ~degrees:[ 3; 4 ] quick_sweep)
 
 let tasks () = section.Campaign.Sections.tasks sweep
 
-let header ?(total = 8) () =
+let ctx =
   {
-    Campaign.Journal.h_section = "journal-grid";
-    h_mode = "quick";
-    h_jobs = 1;
-    h_out = "OUT.json";
-    h_total = total;
-    h_runs = Some 2;
-    h_degrees = Some [ 3; 4 ];
-    h_seed = None;
+    Campaign.Cache.git_sha = "test";
+    family = section.Campaign.Sections.family;
+    mode = "quick";
+    runs = Some 2;
+    degrees = Some [ 3; 4 ];
+    seed = None;
   }
 
-let temp_journal () = Filename.temp_file "rcsim_journal" ".journal"
-
-let with_temp_journal f =
-  let path = temp_journal () in
-  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
-
-let load_ok path =
-  match Campaign.Journal.load ~path with
-  | Ok c -> c
-  | Error e -> Alcotest.failf "journal load failed: %s" e
-
-let load_err path =
-  match Campaign.Journal.load ~path with
-  | Ok _ -> Alcotest.fail "journal load unexpectedly succeeded"
-  | Error e -> e
-
-let read_file path = In_channel.with_open_bin path In_channel.input_all
-
-let write_file path s =
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+let with_temp_dir f =
+  let dir = Filename.temp_file "rcsim_rerun" "" in
+  Sys.remove dir;
+  let cleanup () =
+    if Sys.file_exists dir then begin
+      Array.iter
+        (fun n -> try Sys.remove (Filename.concat dir n) with Sys_error _ -> ())
+        (Sys.readdir dir);
+      try Unix.rmdir dir with Unix.Unix_error _ -> ()
+    end
+  in
+  Fun.protect ~finally:cleanup (fun () -> f dir)
 
 let contains ~affix s =
   let n = String.length affix and m = String.length s in
   let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
   go 0
 
+let row_json (c : Campaign.Cell_result.t) =
+  Obs.Json.to_string (Campaign.Cell_result.to_json ~include_series:true c)
+
+let envelope_json (c : Campaign.Cell_result.t) =
+  Obs.Json.to_string (Obs.Json.Obj (Campaign.Cell_result.envelope_fields c))
+
+(* The entry file of one cell, as the cache names it. *)
+let entry_path dir cache (c : Campaign.Cell_result.t) =
+  let protocol, degree, seed = Campaign.Cell_result.key c in
+  Filename.concat dir
+    (Digest.to_hex
+       (Digest.string (Campaign.Cache.key cache ~protocol ~degree ~seed))
+    ^ ".json")
+
+let truncate path =
+  let raw = In_channel.with_open_bin path In_channel.input_all in
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc (String.sub raw 0 (String.length raw / 2)))
+
+let missing tasks cells quarantined =
+  Campaign.Driver.missing_count ~total:(Array.length tasks) cells quarantined
+
 (* ---------- CRC and framing ---------- *)
 
 let test_crc32_vector () =
   (* The standard CRC-32 check value. *)
   Alcotest.(check int) "crc32(123456789)" 0xCBF43926
-    (Campaign.Journal.crc32 "123456789");
-  Alcotest.(check int) "crc32 of empty" 0 (Campaign.Journal.crc32 "")
+    (Campaign.Frame.crc32 "123456789");
+  Alcotest.(check int) "crc32 of empty" 0 (Campaign.Frame.crc32 "")
 
 (* ---------- round-trips ---------- *)
 
-let test_header_round_trip () =
-  with_temp_journal (fun path ->
-      let h =
-        {
-          (header ()) with
-          Campaign.Journal.h_mode = "standard";
-          h_runs = None;
-          h_degrees = None;
-          h_seed = Some 99;
-        }
-      in
-      Campaign.Journal.(close (create ~path h));
-      let c = load_ok path in
-      Alcotest.(check bool) "header survives" true (c.Campaign.Journal.j_header = h);
-      Alcotest.(check bool) "not truncated" false c.Campaign.Journal.j_truncated;
-      Alcotest.(check int) "no cells" 0 (List.length c.Campaign.Journal.j_cells))
-
 let test_cells_round_trip () =
-  with_temp_journal (fun path ->
-      let tasks = tasks () in
-      let j = Campaign.Journal.create ~path (header ()) in
-      let cells, quarantined, _ = Campaign.Driver.run_tasks ~journal:j tasks in
-      Campaign.Journal.close j;
-      Alcotest.(check int) "all cells ran" (Array.length tasks)
-        (Array.length cells);
-      Alcotest.(check int) "nothing quarantined" 0 (List.length quarantined);
-      let c = load_ok path in
-      Alcotest.(check int) "every cell journaled" (Array.length cells)
-        (List.length c.Campaign.Journal.j_cells);
-      (* The journaled cells re-serialize to the same bytes: this is the
-         property byte-identical resume rests on. *)
-      List.iteri
-        (fun i jc ->
-          let orig =
-            Array.to_list cells
-            |> List.find (fun o ->
-                   Campaign.Cell_result.key o = Campaign.Cell_result.key jc)
-          in
-          Alcotest.(check string)
-            (Printf.sprintf "cell %d bytes" i)
-            (Obs.Json.to_string
-               (Campaign.Cell_result.to_json ~include_series:true orig))
-            (Obs.Json.to_string
-               (Campaign.Cell_result.to_json ~include_series:true jc));
-          Alcotest.(check bool)
-            (Printf.sprintf "cell %d wall_s restored" i)
-            true
-            (jc.Campaign.Cell_result.wall_s = orig.Campaign.Cell_result.wall_s))
-        c.Campaign.Journal.j_cells)
-
-let test_quarantine_round_trip () =
-  with_temp_journal (fun path ->
-      let q =
+  let tasks = tasks () in
+  let cells, quarantined, _ = Campaign.Driver.run_tasks tasks in
+  Alcotest.(check int) "all cells ran" (Array.length tasks) (Array.length cells);
+  Alcotest.(check int) "nothing quarantined" 0 (List.length quarantined);
+  Array.iteri
+    (fun i (orig : Campaign.Cell_result.t) ->
+      let orig =
         {
-          Campaign.Artifact.q_protocol = "DBF";
-          q_degree = 3;
-          q_seed = 2;
-          q_error = "wall budget exceeded (1.0 s)";
-          q_attempts = 2;
+          orig with
+          Campaign.Cell_result.perf =
+            [ ("events_per_s", 4.25e6); ("ns_per_event", 235.3) ];
         }
       in
-      let j = Campaign.Journal.create ~path (header ()) in
-      Campaign.Journal.append_quarantine j q;
-      Campaign.Journal.close j;
-      let c = load_ok path in
-      Alcotest.(check bool) "quarantine survives" true
-        (c.Campaign.Journal.j_quarantined = [ q ]))
+      Alcotest.(check bool)
+        (Printf.sprintf "cell %d fired events" i)
+        true
+        (orig.Campaign.Cell_result.events > 0);
+      (* Through the CRC framing, as a cache entry or a worker record
+         travels. *)
+      let back =
+        match
+          Result.bind
+            (Campaign.Frame.unframe
+               (String.trim (Campaign.Frame.frame (envelope_json orig))))
+            Campaign.Cell_result.of_envelope
+        with
+        | Ok c -> c
+        | Error e -> Alcotest.failf "cell %d: envelope did not decode: %s" i e
+      in
+      (* The decoded cell re-serializes to the same bytes, transient fields
+         included: this is the property a byte-identical rerun rests on. *)
+      Alcotest.(check string)
+        (Printf.sprintf "cell %d row bytes" i)
+        (row_json orig) (row_json back);
+      Alcotest.(check string)
+        (Printf.sprintf "cell %d envelope bytes" i)
+        (envelope_json orig) (envelope_json back);
+      Alcotest.(check bool)
+        (Printf.sprintf "cell %d wall_s restored" i)
+        true
+        (back.Campaign.Cell_result.wall_s = orig.Campaign.Cell_result.wall_s);
+      Alcotest.(check int)
+        (Printf.sprintf "cell %d events restored" i)
+        orig.Campaign.Cell_result.events back.Campaign.Cell_result.events;
+      Alcotest.(check bool)
+        (Printf.sprintf "cell %d perf restored" i)
+        true
+        (back.Campaign.Cell_result.perf = orig.Campaign.Cell_result.perf))
+    cells
 
-(* ---------- failure tolerance and strictness ---------- *)
-
-let journal_with_cells path =
-  let j = Campaign.Journal.create ~path (header ()) in
-  let _ = Campaign.Driver.run_tasks ~journal:j (tasks ()) in
-  Campaign.Journal.close j
+(* ---------- failure tolerance ---------- *)
 
 let test_truncated_tail_tolerated () =
-  with_temp_journal (fun path ->
-      journal_with_cells path;
-      let full = load_ok path in
-      let n = List.length full.Campaign.Journal.j_cells in
-      (* Simulate a kill mid-append: a torn, CRC-less partial record with no
-         trailing newline. *)
-      write_file path (read_file path ^ {|{"crc":"00000000","entry":{"type":"cell|});
-      let c = load_ok path in
-      Alcotest.(check bool) "flagged truncated" true c.Campaign.Journal.j_truncated;
-      Alcotest.(check int) "intact records kept" n
-        (List.length c.Campaign.Journal.j_cells))
+  with_temp_dir (fun dir ->
+      let cache = Campaign.Cache.open_ ~dir ctx in
+      let cells, _, _ = Campaign.Driver.run_tasks ~cache (tasks ()) in
+      (* Simulate a write torn mid-entry: the first half of one file. *)
+      let victim = cells.(1) in
+      truncate (entry_path dir cache victim);
+      let fresh = Campaign.Cache.open_ ~dir ctx in
+      Array.iter
+        (fun (c : Campaign.Cell_result.t) ->
+          let protocol, degree, seed = Campaign.Cell_result.key c in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s d=%d seed=%d found" protocol degree seed)
+            (c != victim)
+            (Campaign.Cache.find fresh ~protocol ~degree ~seed <> None))
+        cells)
 
-let test_bad_crc_mid_file_rejected () =
-  with_temp_journal (fun path ->
-      journal_with_cells path;
-      let raw = read_file path in
-      let lines = String.split_on_char '\n' raw in
-      Alcotest.(check bool) "fixture has >= 3 records" true (List.length lines >= 4);
-      (* Flip one payload byte of the second record (a cell line): its CRC no
-         longer matches, and because it is not the final line this is
-         corruption, not interruption. *)
-      let corrupted =
-        String.concat "\n"
-          (List.mapi
-             (fun i l ->
-               if i = 1 then (
-                 let b = Bytes.of_string l in
-                 let pos = String.length l - 10 in
-                 Bytes.set b pos
-                   (if Bytes.get b pos = 'x' then 'y' else 'x');
-                 Bytes.to_string b)
-               else l)
-             lines)
-      in
-      write_file path corrupted;
-      let e = load_err path in
-      Alcotest.(check bool)
-        (Printf.sprintf "error names line 2 and the CRC (%s)" e)
-        true
-        (contains ~affix:":2:" e))
-
-let test_duplicate_cell_rejected () =
-  with_temp_journal (fun path ->
-      journal_with_cells path;
-      let raw = read_file path in
-      let lines = String.split_on_char '\n' raw in
-      let second = List.nth lines 1 in
-      (* Re-append an exact copy of an already-checkpointed cell record, plus
-         a valid trailing record so the duplicate is not on the tolerated
-         final line. *)
-      write_file path (raw ^ second ^ "\n");
-      let e = load_err path in
-      Alcotest.(check bool)
-        (Printf.sprintf "duplicate rejected (%s)" e)
-        true
-        (contains ~affix:"duplicate cell key" e))
-
-let test_headerless_rejected () =
-  with_temp_journal (fun path ->
-      journal_with_cells path;
-      let lines = String.split_on_char '\n' (read_file path) in
-      write_file path (String.concat "\n" (List.tl lines));
-      let e = load_err path in
-      Alcotest.(check bool)
-        (Printf.sprintf "headerless rejected (%s)" e)
-        true
-        (contains ~affix:"header" e))
-
-let test_is_journal_sniff () =
-  with_temp_journal (fun path ->
-      journal_with_cells path;
-      Alcotest.(check bool) "journal recognized" true
-        (Campaign.Journal.is_journal ~path);
-      write_file path "{\"schema_version\":2}\n";
-      Alcotest.(check bool) "artifact rejected" false
-        (Campaign.Journal.is_journal ~path))
-
-(* ---------- stop + resume = byte-identical artifact ---------- *)
+(* ---------- stop + rerun = byte-identical artifact ---------- *)
 
 let canonical cells quarantined =
   Campaign.Artifact.canonical_string
@@ -229,100 +160,139 @@ let test_stop_resume_byte_identity () =
   let clean = canonical clean_cells clean_q in
   List.iter
     (fun jobs ->
-      with_temp_journal (fun path ->
+      with_temp_dir (fun dir ->
           Fun.protect ~finally:Dessim.Scheduler.clear_stop (fun () ->
-              (* Interrupted run: stop after 3 cells; with jobs > 1 a few
-                 in-flight cells may land too, which resume must tolerate. *)
-              let j = Campaign.Journal.create ~path (header ()) in
+              (* Stopped run: stop after 3 cells; with jobs > 1 a few
+                 in-flight cells may land too, which the rerun must
+                 tolerate. *)
               let cells1, q1, _ =
-                Campaign.Driver.run_tasks ~jobs ~stop_after:3 ~journal:j tasks
-              in
-              Campaign.Journal.close j;
-              let missing =
-                Campaign.Driver.missing_count ~total:(Array.length tasks)
-                  cells1 q1
+                Campaign.Driver.run_tasks ~jobs ~stop_after:3
+                  ~cache:(Campaign.Cache.open_ ~dir ctx) tasks
               in
               Alcotest.(check bool)
                 (Printf.sprintf "jobs=%d: stop left cells missing" jobs)
-                true (missing > 0);
+                true
+                (missing tasks cells1 q1 > 0);
               Dessim.Scheduler.clear_stop ();
-              let c = load_ok path in
+              (* The directory holds exactly the cells the stopped run
+                 returned, byte for byte. *)
               Alcotest.(check int)
-                (Printf.sprintf "jobs=%d: journal matches return" jobs)
+                (Printf.sprintf "jobs=%d: one entry per returned cell" jobs)
                 (Array.length cells1)
-                (List.length c.Campaign.Journal.j_cells);
-              (* Resume from the journal exactly as the CLI does. *)
-              let j2 = Campaign.Journal.append_to ~path in
-              let cells2, q2, _ =
-                Campaign.Driver.run_tasks ~jobs ~journal:j2
-                  ~completed:c.Campaign.Journal.j_cells
-                  ~prior_quarantine:c.Campaign.Journal.j_quarantined tasks
-              in
-              Campaign.Journal.close j2;
+                (Array.length (Sys.readdir dir));
+              let probe = Campaign.Cache.open_ ~dir ctx in
+              Array.iter
+                (fun (c : Campaign.Cell_result.t) ->
+                  let protocol, degree, seed = Campaign.Cell_result.key c in
+                  match Campaign.Cache.find probe ~protocol ~degree ~seed with
+                  | Some got ->
+                    Alcotest.(check string)
+                      (Printf.sprintf "jobs=%d: stored bytes" jobs)
+                      (row_json c) (row_json got)
+                  | None ->
+                    Alcotest.failf "jobs=%d: %s d=%d seed=%d not stored" jobs
+                      protocol degree seed)
+                cells1;
+              (* Rerun the same tasks on the same directory, as the CLI
+                 does when the same command is given again. *)
+              let cache = Campaign.Cache.open_ ~dir ctx in
+              let cells2, q2, _ = Campaign.Driver.run_tasks ~jobs ~cache tasks in
               Alcotest.(check int)
-                (Printf.sprintf "jobs=%d: resume completes" jobs)
-                0
-                (Campaign.Driver.missing_count ~total:(Array.length tasks)
-                   cells2 q2);
+                (Printf.sprintf "jobs=%d: rerun completes" jobs)
+                0 (missing tasks cells2 q2);
+              Alcotest.(check int)
+                (Printf.sprintf "jobs=%d: rerun reads the stopped run's cells"
+                   jobs)
+                (Array.length cells1)
+                (fst (Campaign.Cache.stats cache));
               Alcotest.(check string)
                 (Printf.sprintf "jobs=%d: byte-identical artifact" jobs)
-                clean (canonical cells2 q2);
-              (* The journal now checkpoints every cell and replays clean. *)
-              let final = load_ok path in
-              Alcotest.(check int)
-                (Printf.sprintf "jobs=%d: journal complete" jobs)
-                (Array.length tasks)
-                (List.length final.Campaign.Journal.j_cells
-                + List.length final.Campaign.Journal.j_quarantined))))
+                clean (canonical cells2 q2))))
     [ 1; 3 ]
 
 let test_resume_after_torn_tail () =
-  with_temp_journal (fun path ->
+  with_temp_dir (fun dir ->
       let tasks = tasks () in
       Fun.protect ~finally:Dessim.Scheduler.clear_stop (fun () ->
-          let j = Campaign.Journal.create ~path (header ()) in
-          let _ = Campaign.Driver.run_tasks ~stop_after:2 ~journal:j tasks in
-          Campaign.Journal.close j;
+          let cache = Campaign.Cache.open_ ~dir ctx in
+          let cells1, _, _ =
+            Campaign.Driver.run_tasks ~stop_after:2 ~cache tasks
+          in
           Dessim.Scheduler.clear_stop ();
-          (* The kill tore the final record; resume must drop it, re-run that
-             cell, and still converge to the clean artifact. *)
-          let lines = String.split_on_char '\n' (read_file path) in
-          let all_but_last =
-            List.filteri (fun i _ -> i < List.length lines - 2) lines
-          in
-          write_file path (String.concat "\n" all_but_last ^ "\nTORN");
-          let c = load_ok path in
-          Alcotest.(check bool) "truncated" true c.Campaign.Journal.j_truncated;
-          let j2 = Campaign.Journal.append_to ~path in
+          Alcotest.(check int) "stopped after 2 cells" 2 (Array.length cells1);
+          (* The kill tore the last entry written: the rerun must treat it
+             as a miss, re-run that cell, and still converge to the clean
+             artifact. *)
+          let victim = cells1.(1) in
+          truncate (entry_path dir cache victim);
+          let cache = Campaign.Cache.open_ ~dir ctx in
+          let ran = ref [] in
           let cells, q, _ =
-            Campaign.Driver.run_tasks ~journal:j2
-              ~completed:c.Campaign.Journal.j_cells
-              ~prior_quarantine:c.Campaign.Journal.j_quarantined tasks
+            Campaign.Driver.run_tasks ~cache
+              ~progress:(fun l -> ran := l :: !ran)
+              tasks
           in
-          Campaign.Journal.close j2;
+          Alcotest.(check (pair int int))
+            "one of the two stored cells hits" (1, Array.length tasks - 1)
+            (Campaign.Cache.stats cache);
+          let protocol, degree, seed = Campaign.Cell_result.key victim in
+          Alcotest.(check bool)
+            "the torn cell is among those run" true
+            (List.exists
+               (contains
+                  ~affix:(Printf.sprintf "%-6s d=%d seed=%d (" protocol degree seed))
+               !ran);
           let clean_cells, clean_q, _ = Campaign.Driver.run_tasks tasks in
           Alcotest.(check string)
-            "byte-identical after torn-tail resume"
+            "byte-identical after a torn entry"
             (canonical clean_cells clean_q)
             (canonical cells q)))
 
-let test_foreign_checkpoint_rejected () =
+(* A quarantine records a failed attempt under one run's budget and host,
+   not a property of the cell: it is never stored, so the rerun tries the
+   cell again. *)
+let test_rerun_retries_quarantined () =
   let tasks = tasks () in
-  let foreign =
+  let flaky = Array.copy tasks in
+  let first = ref true in
+  let t0 = tasks.(0) in
+  flaky.(0) <-
     {
-      Campaign.Artifact.q_protocol = "NOPE";
-      q_degree = 99;
-      q_seed = 1;
-      q_error = "x";
-      q_attempts = 1;
-    }
-  in
-  Alcotest.check_raises "unknown checkpointed key"
-    (Invalid_argument
-       "Driver.run_tasks: checkpointed cell (NOPE, 99, 1) is not in the task \
-        decomposition")
-    (fun () ->
-      ignore (Campaign.Driver.run_tasks ~prior_quarantine:[ foreign ] tasks))
+      t0 with
+      Campaign.Sections.t_run =
+        (fun () ->
+          if !first then begin
+            first := false;
+            failwith "first attempt fails"
+          end
+          else t0.Campaign.Sections.t_run ());
+    };
+  with_temp_dir (fun dir ->
+      Fun.protect ~finally:Dessim.Scheduler.clear_stop (fun () ->
+          let cells1, q1, _ =
+            Campaign.Driver.run_tasks ~retries:0 ~stop_after:3
+              ~cache:(Campaign.Cache.open_ ~dir ctx) flaky
+          in
+          Alcotest.(check (list (triple string int int)))
+            "the flaky cell is quarantined"
+            [ Campaign.Driver.task_key t0 ]
+            (List.map Campaign.Artifact.quarantine_key q1);
+          Alcotest.(check bool)
+            "the stop left cells missing" true
+            (missing tasks cells1 q1 > 0);
+          Dessim.Scheduler.clear_stop ();
+          let cells2, q2, _ =
+            Campaign.Driver.run_tasks ~retries:0
+              ~cache:(Campaign.Cache.open_ ~dir ctx) flaky
+          in
+          Alcotest.(check int) "nothing quarantined on the rerun" 0
+            (List.length q2);
+          Alcotest.(check int) "rerun completes" 0 (missing tasks cells2 q2);
+          let clean_cells, clean_q, _ = Campaign.Driver.run_tasks tasks in
+          Alcotest.(check string)
+            "byte-identical to an uninterrupted run"
+            (canonical clean_cells clean_q)
+            (canonical cells2 q2)))
 
 (* ---------- heartbeat ---------- *)
 
@@ -354,23 +324,13 @@ let () =
       ( "format",
         [
           Alcotest.test_case "crc32 check vector" `Quick test_crc32_vector;
-          Alcotest.test_case "header round-trip" `Quick test_header_round_trip;
           Alcotest.test_case "cells round-trip byte-exact" `Quick
             test_cells_round_trip;
-          Alcotest.test_case "quarantine round-trip" `Quick
-            test_quarantine_round_trip;
-          Alcotest.test_case "is_journal sniff" `Quick test_is_journal_sniff;
         ] );
       ( "tolerance",
         [
           Alcotest.test_case "torn tail tolerated" `Quick
             test_truncated_tail_tolerated;
-          Alcotest.test_case "bad CRC mid-file rejected" `Quick
-            test_bad_crc_mid_file_rejected;
-          Alcotest.test_case "duplicate cell rejected" `Quick
-            test_duplicate_cell_rejected;
-          Alcotest.test_case "headerless rejected" `Quick
-            test_headerless_rejected;
         ] );
       ( "resume",
         [
@@ -378,8 +338,8 @@ let () =
             test_stop_resume_byte_identity;
           Alcotest.test_case "resume after torn tail" `Quick
             test_resume_after_torn_tail;
-          Alcotest.test_case "foreign checkpoint rejected" `Quick
-            test_foreign_checkpoint_rejected;
+          Alcotest.test_case "rerun retries a quarantined cell" `Quick
+            test_rerun_retries_quarantined;
           Alcotest.test_case "heartbeat per cell with ETA" `Quick
             test_heartbeat_emitted;
         ] );
