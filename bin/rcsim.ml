@@ -792,7 +792,7 @@ let trace_cmd =
 let fuzz_cmd =
   let runs_arg =
     let doc = "Random scenarios to run per protocol." in
-    Arg.(value & opt int 50 & info [ "runs" ] ~docv:"N" ~doc)
+    Arg.(value & opt (at_least 1) 50 & info [ "runs" ] ~docv:"N" ~doc)
   in
   let seed_arg =
     let doc =
@@ -817,53 +817,51 @@ let fuzz_cmd =
     if rest > 0 then Fmt.pr "    ... and %d more@." rest
   in
   let action runs seed protocol =
-    if runs <= 0 then `Error (false, "--runs must be positive")
-    else
-      let protos =
-        match protocol with
-        | Some p -> [ p ]
-        | None ->
-          List.map Convergence.Engine_registry.name
-            Convergence.Engine_registry.paper_four
-      in
-      match
-        List.map
-          (fun proto -> (proto, Check.Fuzz.check ~proto ~runs ~seed))
-          protos
-      with
-      | exception Invalid_argument e -> `Error (false, e)
-      | reports ->
-        let failed = ref false in
-        List.iter
-          (fun (proto, report) ->
-            match report with
-            | Check.Fuzz.Passed { runs } ->
-              Fmt.pr "%-6s %d scenarios, all invariants held, tables match \
-                      the oracle@." proto runs
-            | Check.Fuzz.Failed { counterexample; shrink_steps; outcome } ->
-              failed := true;
-              Fmt.pr "%-6s FAILED (shrunk %d steps)@.  scenario: %a@." proto
-                shrink_steps Check.Fuzz.pp_scenario counterexample;
-              (match outcome.Check.Fuzz.o_violations with
-              | [] -> ()
-              | vs ->
-                Fmt.pr "  %d invariant violation(s):@." (List.length vs);
-                preview 5 Check.Monitor.pp_violation vs);
-              (match outcome.Check.Fuzz.o_mismatches with
-              | [] -> ()
-              | ms ->
-                Fmt.pr "  %d oracle mismatch(es):@." (List.length ms);
-                preview 5 Check.Oracle.pp_mismatch ms);
-              Fmt.pr "  reproduce: rcsim fuzz --runs %d --seed %d -p %s@." runs
-                seed proto
-            | Check.Fuzz.Crashed { counterexample; message } ->
-              failed := true;
-              Fmt.pr "%-6s CRASHED: %s@." proto message;
-              Option.iter
-                (fun sc -> Fmt.pr "  scenario: %a@." Check.Fuzz.pp_scenario sc)
-                counterexample)
-          reports;
-        if !failed then `Error (false, "fuzzing found failures") else `Ok ()
+    let protos =
+      match protocol with
+      | Some p -> [ p ]
+      | None ->
+        List.map Convergence.Engine_registry.name
+          Convergence.Engine_registry.paper_four
+    in
+    match
+      List.map
+        (fun proto -> (proto, Check.Fuzz.check ~proto ~runs ~seed))
+        protos
+    with
+    | exception Invalid_argument e -> `Error (false, e)
+    | reports ->
+      let failed = ref false in
+      List.iter
+        (fun (proto, report) ->
+          match report with
+          | Check.Fuzz.Passed { runs } ->
+            Fmt.pr "%-6s %d scenarios, all invariants held, tables match \
+                    the oracle@." proto runs
+          | Check.Fuzz.Failed { counterexample; shrink_steps; outcome } ->
+            failed := true;
+            Fmt.pr "%-6s FAILED (shrunk %d steps)@.  scenario: %a@." proto
+              shrink_steps Check.Fuzz.pp_scenario counterexample;
+            (match outcome.Check.Fuzz.o_violations with
+            | [] -> ()
+            | vs ->
+              Fmt.pr "  %d invariant violation(s):@." (List.length vs);
+              preview 5 Check.Monitor.pp_violation vs);
+            (match outcome.Check.Fuzz.o_mismatches with
+            | [] -> ()
+            | ms ->
+              Fmt.pr "  %d oracle mismatch(es):@." (List.length ms);
+              preview 5 Check.Oracle.pp_mismatch ms);
+            Fmt.pr "  reproduce: rcsim fuzz --runs %d --seed %d -p %s@." runs
+              seed proto
+          | Check.Fuzz.Crashed { counterexample; message } ->
+            failed := true;
+            Fmt.pr "%-6s CRASHED: %s@." proto message;
+            Option.iter
+              (fun sc -> Fmt.pr "  scenario: %a@." Check.Fuzz.pp_scenario sc)
+              counterexample)
+        reports;
+      if !failed then `Error (false, "fuzzing found failures") else `Ok ()
   in
   let term = Term.(ret (const action $ runs_arg $ seed_arg $ protocol_arg)) in
   Cmd.v

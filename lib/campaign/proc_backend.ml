@@ -331,15 +331,18 @@ let run ~jobs ~argv ~indices ~retries ?(min_deadline = 10.)
     | Some "cell" -> (
       match (p.assignment, json_int "i" j) with
       | Some a, Some i when i = a.a_index -> (
+        let elapsed = Unix.gettimeofday () -. a.a_start_time in
+        p.assignment <- None;
+        (* The worker's next cell goes out before this one is decoded and
+           stored, so it runs while [on_outcome] writes and fsyncs. *)
+        if p.kill_reason = None && not (Dessim.Scheduler.stop_requested ())
+        then dispatch p;
         match Cell_result.of_envelope j with
         | Error e ->
-          p.assignment <- None;
           fail_index i (Printf.sprintf "worker returned a bad cell row: %s" e)
         | Ok c ->
-          p.assignment <- None;
           slot.cells <- slot.cells + 1;
-          if a.a_attempt = 1 && p.kill_reason = None then
-            sample_rtt (Unix.gettimeofday () -. a.a_start_time);
+          if a.a_attempt = 1 && p.kill_reason = None then sample_rtt elapsed;
           on_outcome (Cell { index = i; cell = c }))
       | _ -> proto_violation "unexpected cell")
     | Some "failed" -> (

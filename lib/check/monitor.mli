@@ -64,7 +64,12 @@ val create :
     [?max_violations] (default 1000) to bound memory on badly broken runs. *)
 
 val sink : t -> Obs.Sink.t
-(** The sink to pass as a [?monitors] element. *)
+(** The sink to pass as a [?monitors] element.
+
+    Per-packet state is kept in arrays indexed by packet id, as the runner
+    numbers a run's packets 0, 1, 2, ...; memory grows with the largest id
+    seen. A packet event whose id is negative raises [Invalid_argument]
+    naming the id (the runner never makes one). *)
 
 val finish : t -> violation list
 (** End-of-run check: verifies packet conservation, then returns every

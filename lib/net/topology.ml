@@ -1,7 +1,8 @@
 module Edge_set = Set.Make (struct
   type t = int * int
 
-  let compare = compare
+  let compare ((a, b) : t) ((c, d) : t) =
+    if a <> c then Int.compare a c else Int.compare b d
 end)
 
 type t = { n : int; adj : Types.node_id list array; edge_set : Edge_set.t }
@@ -29,7 +30,7 @@ let create ~nodes ~edges =
       adj.(u) <- v :: adj.(u);
       adj.(v) <- u :: adj.(v))
     edge_set;
-  Array.iteri (fun i l -> adj.(i) <- List.sort compare l) adj;
+  Array.iteri (fun i l -> adj.(i) <- List.sort Int.compare l) adj;
   { n = nodes; adj; edge_set }
 
 let node_count t = t.n
@@ -42,7 +43,13 @@ let neighbors t u = t.adj.(u)
 
 let degree t u = List.length t.adj.(u)
 
-let has_edge t u v = Edge_set.mem (canonical u v) t.edge_set
+(* Neighbor lists are sorted ascending, so the scan stops at the first id
+   past [v]: linear in the degree, no allocation. *)
+let rec mem_sorted (v : int) = function
+  | [] -> false
+  | w :: rest -> w = v || (w < v && mem_sorted v rest)
+
+let has_edge t u v = u >= 0 && u < t.n && mem_sorted v t.adj.(u)
 
 let remove_edge t u v =
   if has_edge t u v then

@@ -5,12 +5,12 @@
 
     Graphs are built by {!Mesh} (the paper's regular family), {!Random_topo}
     (ER/Waxman/BA/hierarchical) and {!Classic} (test fixtures). Adjacency is
-    stored as one sorted neighbor array per node, so the representation is
-    O(nodes + edges) and generation scales to the campaign's 10k-node
-    graphs; per-node queries ({!neighbors}, {!degree}, {!has_edge}) and BFS
-    are cheap at any size, while the all-pairs helpers ({!diameter},
-    {!average_path_length}) remain O(nodes × edges) and are meant for
-    reporting, not hot paths. *)
+    stored as one sorted neighbor list per node beside the canonical edge
+    set, so the representation is O(nodes + edges) and generation scales to
+    the campaign's 10k-node graphs. {!neighbors} is O(1); {!degree} and
+    {!has_edge} are linear in the node's degree; BFS is O(nodes + edges).
+    The all-pairs helpers ({!diameter}, {!average_path_length}) remain
+    O(nodes × edges) and are meant for reporting, not hot paths. *)
 
 type t
 
@@ -33,6 +33,9 @@ val neighbors : t -> Types.node_id -> Types.node_id list
 val degree : t -> Types.node_id -> int
 
 val has_edge : t -> Types.node_id -> Types.node_id -> bool
+(** [has_edge t u v] scans [u]'s sorted neighbor list with an int equality,
+    so it costs O(degree u) and allocates nothing. Ids outside
+    [0 .. node_count t - 1] give [false]. *)
 
 val remove_edge : t -> Types.node_id -> Types.node_id -> t
 (** [remove_edge t u v] is [t] without the (undirected) edge [u-v]; returns

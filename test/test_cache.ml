@@ -23,19 +23,6 @@ let base_ctx =
     seed = None;
   }
 
-let with_temp_dir f =
-  let dir = Filename.temp_file "rcsim_cache" "" in
-  Sys.remove dir;
-  let cleanup () =
-    if Sys.file_exists dir then begin
-      Array.iter
-        (fun n -> try Sys.remove (Filename.concat dir n) with Sys_error _ -> ())
-        (Sys.readdir dir);
-      try Unix.rmdir dir with Unix.Unix_error _ -> ()
-    end
-  in
-  Fun.protect ~finally:cleanup (fun () -> f dir)
-
 let contains ~affix s =
   let n = String.length affix and m = String.length s in
   let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
@@ -49,7 +36,7 @@ let run_task (t : Campaign.Sections.task) = t.Campaign.Sections.t_run ()
 (* ---------- key derivation ---------- *)
 
 let test_key_covers_every_input () =
-  with_temp_dir (fun dir ->
+  Temp_dir.with_temp_dir (fun dir ->
       let key ctx = Campaign.Cache.key (Campaign.Cache.open_ ~dir ctx) in
       let base = key base_ctx ~protocol:"RIP" ~degree:3 ~seed:1 in
       let variants =
@@ -88,7 +75,7 @@ let test_key_covers_every_input () =
 (* The code that computes a cell is part of its key: a rebuilt executable
    never reads entries an older build stored. *)
 let test_key_names_executable () =
-  with_temp_dir (fun dir ->
+  Temp_dir.with_temp_dir (fun dir ->
       let exe = Digest.to_hex (Digest.file Sys.executable_name) in
       let key =
         Campaign.Cache.key
@@ -103,7 +90,7 @@ let test_key_names_executable () =
 (* ---------- store / find ---------- *)
 
 let test_store_find_roundtrip () =
-  with_temp_dir (fun dir ->
+  Temp_dir.with_temp_dir (fun dir ->
       let c = Campaign.Cache.open_ ~dir base_ctx in
       let t = (tasks ()).(0) in
       let protocol, degree, seed = Campaign.Driver.task_key t in
@@ -139,7 +126,7 @@ let test_store_find_roundtrip () =
         (Campaign.Cache.stats c = (1, 1)))
 
 let test_context_mismatch_is_miss () =
-  with_temp_dir (fun dir ->
+  Temp_dir.with_temp_dir (fun dir ->
       let a = Campaign.Cache.open_ ~dir base_ctx in
       let t = (tasks ()).(0) in
       let protocol, degree, seed = Campaign.Driver.task_key t in
@@ -153,7 +140,7 @@ let test_context_mismatch_is_miss () =
         (Campaign.Cache.find b ~protocol ~degree ~seed = None))
 
 let test_corrupt_entry_is_miss () =
-  with_temp_dir (fun dir ->
+  Temp_dir.with_temp_dir (fun dir ->
       let c = Campaign.Cache.open_ ~dir base_ctx in
       let t = (tasks ()).(0) in
       let protocol, degree, seed = Campaign.Driver.task_key t in
@@ -202,7 +189,7 @@ let artifact_of cells quarantined timing =
     cells
 
 let test_cached_rerun_is_byte_identical () =
-  with_temp_dir (fun dir ->
+  Temp_dir.with_temp_dir (fun dir ->
       let fresh_cells, fq, ft = Campaign.Driver.run_tasks ~jobs:1 (tasks ()) in
       let canon_fresh =
         Campaign.Artifact.canonical_string (artifact_of fresh_cells fq ft)

@@ -15,6 +15,10 @@
    - [Reference_link]: the hash-table link the FIFO ring replaced, kept
      verbatim. Random send/fail/restore/run streams must produce the same
      delivered/dropped logs and occupancy counters on both.
+   - [Reference_monitor]: the table-based invariant monitor the dense one
+     replaced, kept verbatim. Random trace-record streams must produce the
+     same violations, counts and in-flight totals on both after every
+     record, and the same end-of-run verdict.
 
    Randomness discipline (repo idiom): QCheck2 generates plain integers and
    structures are built deterministically from them, so a failing case
@@ -587,6 +591,276 @@ let table_differential =
     QCheck2.Gen.(list_size (int_range 0 200) table_op_gen)
     run_table_ops
 
+(* ---------- dense monitor vs reference monitor: random record streams ---------- *)
+
+(* A monitor op. Packet ids come from a small pool (so ids are announced
+   twice, terminated twice, forwarded unannounced and announced later) plus
+   a few ids past the monitor's initial capacity. [M_hop] follows the
+   packet's walk: from where the stream last sent it, to its [choice]-th
+   neighbor, carrying the expected TTL plus [skew] (0 is a legal hop), as a
+   fast-reroute hop when [frr] — so walks revisit nodes and cross links the
+   stream has failed. [M_wild] is an arbitrary hop between any two ids,
+   including ids outside the graph: teleports, self-hops, non-edges.
+   [M_fail]/[M_heal] act on the link from a packet's current node to its
+   [choice]-th neighbor; [M_ctrl] is a control-plane event between [src]
+   and either its [choice]-th neighbor or an arbitrary node. *)
+type mon_op =
+  | M_send of int * int * int
+  | M_hop of int * int * int * bool
+  | M_wild of int * int * int * int * bool
+  | M_deliver of int
+  | M_drop of int
+  | M_fail of int * int
+  | M_heal of int * int
+  | M_ctrl of int * int * int * bool
+
+let show_mon_op = function
+  | M_send (p, src, dst) -> Printf.sprintf "send %d %d->%d" p src dst
+  | M_hop (p, c, skew, frr) ->
+    Printf.sprintf "hop %d nbr#%d skew %d%s" p c skew (if frr then " frr" else "")
+  | M_wild (p, node, next, ttl, frr) ->
+    Printf.sprintf "wild %d %d->%d ttl %d%s" p node next ttl
+      (if frr then " frr" else "")
+  | M_deliver p -> Printf.sprintf "deliver %d" p
+  | M_drop p -> Printf.sprintf "drop %d" p
+  | M_fail (p, c) -> Printf.sprintf "fail at %d nbr#%d" p c
+  | M_heal (p, c) -> Printf.sprintf "heal at %d nbr#%d" p c
+  | M_ctrl (which, src, c, adjacent) ->
+    Printf.sprintf "ctrl#%d %d %s%d" which src
+      (if adjacent then "nbr#" else "node ")
+      c
+
+let mon_initial_ttl = 12
+
+(* Build the record stream [ops] describe on [topo], deterministically. *)
+let monitor_events topo ops =
+  let n = Netsim.Topology.node_count topo in
+  let pos = Hashtbl.create 16 and ttl = Hashtbl.create 16 in
+  let here p = Option.value (Hashtbl.find_opt pos p) ~default:(p * 7 mod n) in
+  let nbr u c =
+    match Netsim.Topology.neighbors topo u with
+    | [] -> u
+    | l -> List.nth l (c mod List.length l)
+  in
+  List.map
+    (fun op ->
+      match op with
+      | M_send (pkt, src, dst) ->
+        Hashtbl.replace pos pkt src;
+        Hashtbl.replace ttl pkt mon_initial_ttl;
+        Obs.Event.Packet_sent { flow = 0; pkt; src; dst }
+      | M_hop (pkt, c, skew, frr) ->
+        let node = here pkt in
+        let next_hop = nbr node c in
+        let t =
+          Option.value (Hashtbl.find_opt ttl pkt) ~default:mon_initial_ttl + skew
+        in
+        Hashtbl.replace pos pkt next_hop;
+        Hashtbl.replace ttl pkt (t - 1);
+        if frr then Obs.Event.Frr_forwarded { pkt; node; next_hop; ttl = t }
+        else Obs.Event.Packet_forwarded { pkt; node; next_hop; ttl = t }
+      | M_wild (pkt, node, next_hop, t, frr) ->
+        Hashtbl.replace pos pkt (((next_hop mod n) + n) mod n);
+        Hashtbl.replace ttl pkt (t - 1);
+        if frr then Obs.Event.Frr_forwarded { pkt; node; next_hop; ttl = t }
+        else Obs.Event.Packet_forwarded { pkt; node; next_hop; ttl = t }
+      | M_deliver pkt ->
+        Obs.Event.Packet_delivered { flow = 0; pkt; delay = 0.1; looped = false }
+      | M_drop pkt ->
+        Obs.Event.Packet_dropped
+          { flow = 0; pkt; reason = Netsim.Types.Ttl_expired; looped = false }
+      | M_fail (pkt, c) ->
+        let u = here pkt in
+        Obs.Event.Link_failed { u; v = nbr u c }
+      | M_heal (pkt, c) ->
+        let u = here pkt in
+        Obs.Event.Link_healed { u = nbr u c; v = u }
+      | M_ctrl (which, src, c, adjacent) -> (
+        let dst = if adjacent then nbr src c else c mod n in
+        match which mod 4 with
+        | 0 ->
+          Obs.Event.Ctrl_sent
+            { proto = "DBF"; src; dst; kind = Obs.Event.Update; bits = 64 }
+        | 1 ->
+          Obs.Event.Ctrl_received
+            { proto = "DBF"; src; dst; kind = Obs.Event.Withdrawal }
+        | 2 -> Obs.Event.Rtx_sent { proto = "DBF"; src; dst; seq = 1; attempt = 1 }
+        | _ -> Obs.Event.Session_reset { src; dst; epoch = 1 }))
+    ops
+
+let mon_violations l =
+  List.map
+    (fun v ->
+      ( Check.Monitor.string_of_kind v.Check.Monitor.v_kind,
+        v.Check.Monitor.v_time,
+        v.Check.Monitor.v_seq,
+        v.Check.Monitor.v_what ))
+    l
+
+let ref_violations l =
+  List.map
+    (fun v ->
+      ( Reference_monitor.string_of_kind v.Reference_monitor.v_kind,
+        v.Reference_monitor.v_time,
+        v.Reference_monitor.v_seq,
+        v.Reference_monitor.v_what ))
+    l
+
+(* Feed both monitors the stream; after every record the violations (kind,
+   time, seq, message), their count and the in-flight total must agree, and
+   so must the end-of-run verdict. *)
+let run_monitor_ops topo ~initial_ttl ~max_violations ops =
+  let m = Check.Monitor.create ?initial_ttl ~max_violations ~topo () in
+  let r = Reference_monitor.create ?initial_ttl ~max_violations ~topo () in
+  let sink_m = Check.Monitor.sink m and sink_r = Reference_monitor.sink r in
+  let agree () =
+    Check.Monitor.violation_count m = Reference_monitor.violation_count r
+    && Check.Monitor.in_flight m = Reference_monitor.in_flight r
+    && mon_violations (Check.Monitor.violations m)
+       = ref_violations (Reference_monitor.violations r)
+  in
+  let ok = ref true in
+  List.iteri
+    (fun seq event ->
+      let record = { Obs.Sink.time = float_of_int seq /. 4.; seq; event } in
+      sink_m.Obs.Sink.emit record;
+      sink_r.Obs.Sink.emit record;
+      if not (agree ()) then ok := false)
+    (monitor_events topo ops);
+  !ok
+  && mon_violations (Check.Monitor.finish m)
+     = ref_violations (Reference_monitor.finish r)
+  && agree ()
+
+let mon_op_gen ~n =
+  let open QCheck2.Gen in
+  let pkt = frequency [ (8, int_range 0 11); (1, int_range 250 600) ] in
+  let node = int_range 0 (n - 1) in
+  let skew = frequency [ (8, return 0); (2, int_range (-2) 2); (1, int_range (-40) 40) ] in
+  frequency
+    [
+      (4, map3 (fun p src dst -> M_send (p, src, dst)) pkt node node);
+      ( 12,
+        map3
+          (fun p c (k, frr) -> M_hop (p, c, k, frr))
+          pkt (int_range 0 7)
+          (pair skew (frequency [ (3, return false); (2, return true) ])) );
+      ( 2,
+        map3
+          (fun p (a, b) (t, frr) -> M_wild (p, a, b, t, frr))
+          pkt
+          (pair (int_range (-2) (n + 1)) (int_range (-2) (n + 1)))
+          (pair (int_range (-1) 14) bool) );
+      (3, map (fun p -> M_deliver p) pkt);
+      (2, map (fun p -> M_drop p) pkt);
+      (2, map2 (fun p c -> M_fail (p, c)) pkt (int_range 0 7));
+      (1, map2 (fun p c -> M_heal (p, c)) pkt (int_range 0 7));
+      ( 2,
+        map3
+          (fun w src (c, adj) -> M_ctrl (w, src, c, adj))
+          (int_range 0 3) node
+          (pair (int_range 0 (n - 1)) bool) );
+    ]
+
+let mon_case_gen ~n =
+  QCheck2.Gen.(
+    triple
+      (opt ~ratio:0.7 (return mon_initial_ttl))
+      (frequency [ (4, return 1000); (1, int_range 0 6) ])
+      (list_size (int_range 0 200) (mon_op_gen ~n)))
+
+let show_mon_case (initial_ttl, max_violations, ops) =
+  Printf.sprintf "initial_ttl=%s max_violations=%d\n%s"
+    (match initial_ttl with Some t -> string_of_int t | None -> "none")
+    max_violations
+    (String.concat "\n" (List.map show_mon_op ops))
+
+let monitor_differential ~name ~count topo =
+  QCheck2.Test.make ~name ~count ~print:show_mon_case
+    (mon_case_gen ~n:(Netsim.Topology.node_count topo))
+    (fun (initial_ttl, max_violations, ops) ->
+      run_monitor_ops topo ~initial_ttl ~max_violations ops)
+
+let mesh33 = Netsim.Mesh.generate ~rows:3 ~cols:3 ~degree:4
+
+(* 80 nodes: ids 63..79 take the visited set's exact fallback. *)
+let mesh80 = Netsim.Mesh.generate ~rows:8 ~cols:10 ~degree:4
+
+let monitor_differential_mesh33 =
+  monitor_differential ~name:"dense monitor matches the reference on mesh33"
+    ~count:400 mesh33
+
+let monitor_differential_mesh80 =
+  monitor_differential
+    ~name:"dense monitor matches the reference on an 80-node mesh" ~count:200
+    mesh80
+
+(* Pinned streams for the rarest paths: an id forwarded unannounced, then
+   announced, terminated and forwarded again (it resumes its adopted
+   position); fast-reroute revisits of nodes past id 62; ids past the
+   initial capacity; and a stream that outruns [max_violations]. *)
+let test_monitor_pinned () =
+  let cases =
+    [
+      ( mesh33,
+        [
+          M_hop (3, 0, 0, false);
+          M_hop (3, 1, 0, false);
+          M_send (3, 4, 5);
+          M_hop (3, 2, 0, false);
+          M_deliver 3;
+          M_hop (3, 0, 0, true);
+          M_hop (3, 0, 0, true);
+          M_deliver 3;
+          M_send (3, 0, 1);
+        ] );
+      ( mesh80,
+        [
+          M_send (1, 70, 79);
+          M_hop (1, 0, 0, false);
+          M_hop (1, 1, 0, true);
+          M_hop (1, 0, 0, true);
+          M_hop (1, 1, 0, true);
+          M_wild (2, 75, 76, 12, true);
+          M_wild (2, 76, 75, 11, true);
+          M_wild (2, -1, 80, 10, true);
+          M_wild (2, 80, -1, 9, true);
+          M_drop 1;
+        ] );
+      ( mesh33,
+        [ M_send (500, 0, 8); M_hop (500, 0, 0, false); M_drop 500; M_drop 500 ]
+        @ List.init 20 (fun i -> M_wild (i mod 3, i, i, 0, i mod 2 = 0)) );
+    ]
+  in
+  List.iteri
+    (fun i (topo, ops) ->
+      List.iter
+        (fun (initial_ttl, max_violations) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "case %d, max_violations %d" i max_violations)
+            true
+            (run_monitor_ops topo ~initial_ttl ~max_violations ops))
+        [ (Some mon_initial_ttl, 1000); (None, 1000); (Some mon_initial_ttl, 3) ])
+    cases
+
+let test_monitor_negative_id () =
+  let m = Check.Monitor.create ~topo:mesh33 () in
+  let sink = Check.Monitor.sink m in
+  List.iter
+    (fun event ->
+      Alcotest.check_raises "negative id"
+        (Invalid_argument "Check.Monitor: negative packet id -1") (fun () ->
+          sink.Obs.Sink.emit { Obs.Sink.time = 0.; seq = 0; event }))
+    [
+      Obs.Event.Packet_sent { flow = 0; pkt = -1; src = 0; dst = 1 };
+      Obs.Event.Packet_forwarded { pkt = -1; node = 0; next_hop = 1; ttl = 9 };
+      Obs.Event.Frr_forwarded { pkt = -1; node = 0; next_hop = 1; ttl = 9 };
+      Obs.Event.Packet_delivered
+        { flow = 0; pkt = -1; delay = 0.1; looped = false };
+      Obs.Event.Packet_dropped
+        { flow = 0; pkt = -1; reason = Netsim.Types.Ttl_expired; looped = false };
+    ]
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -613,4 +887,11 @@ let () =
               test_link_victim_order;
           ] );
       ("route_table", qsuite [ table_differential ]);
+      ( "monitor",
+        qsuite [ monitor_differential_mesh33; monitor_differential_mesh80 ]
+        @ [
+            Alcotest.test_case "pinned streams" `Quick test_monitor_pinned;
+            Alcotest.test_case "negative packet id raises" `Quick
+              test_monitor_negative_id;
+          ] );
     ]

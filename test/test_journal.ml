@@ -27,19 +27,6 @@ let ctx =
     seed = None;
   }
 
-let with_temp_dir f =
-  let dir = Filename.temp_file "rcsim_rerun" "" in
-  Sys.remove dir;
-  let cleanup () =
-    if Sys.file_exists dir then begin
-      Array.iter
-        (fun n -> try Sys.remove (Filename.concat dir n) with Sys_error _ -> ())
-        (Sys.readdir dir);
-      try Unix.rmdir dir with Unix.Unix_error _ -> ()
-    end
-  in
-  Fun.protect ~finally:cleanup (fun () -> f dir)
-
 let contains ~affix s =
   let n = String.length affix and m = String.length s in
   let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
@@ -131,7 +118,7 @@ let test_cells_round_trip () =
 (* ---------- failure tolerance ---------- *)
 
 let test_truncated_tail_tolerated () =
-  with_temp_dir (fun dir ->
+  Temp_dir.with_temp_dir (fun dir ->
       let cache = Campaign.Cache.open_ ~dir ctx in
       let cells, _, _ = Campaign.Driver.run_tasks ~cache (tasks ()) in
       (* Simulate a write torn mid-entry: the first half of one file. *)
@@ -160,7 +147,7 @@ let test_stop_resume_byte_identity () =
   let clean = canonical clean_cells clean_q in
   List.iter
     (fun jobs ->
-      with_temp_dir (fun dir ->
+      Temp_dir.with_temp_dir (fun dir ->
           Fun.protect ~finally:Dessim.Scheduler.clear_stop (fun () ->
               (* Stopped run: stop after 3 cells; with jobs > 1 a few
                  in-flight cells may land too, which the rerun must
@@ -211,7 +198,7 @@ let test_stop_resume_byte_identity () =
     [ 1; 3 ]
 
 let test_resume_after_torn_tail () =
-  with_temp_dir (fun dir ->
+  Temp_dir.with_temp_dir (fun dir ->
       let tasks = tasks () in
       Fun.protect ~finally:Dessim.Scheduler.clear_stop (fun () ->
           let cache = Campaign.Cache.open_ ~dir ctx in
@@ -267,7 +254,7 @@ let test_rerun_retries_quarantined () =
           end
           else t0.Campaign.Sections.t_run ());
     };
-  with_temp_dir (fun dir ->
+  Temp_dir.with_temp_dir (fun dir ->
       Fun.protect ~finally:Dessim.Scheduler.clear_stop (fun () ->
           let cells1, q1, _ =
             Campaign.Driver.run_tasks ~retries:0 ~stop_after:3

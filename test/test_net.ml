@@ -144,6 +144,43 @@ let test_ensure_connected_batch () =
   Alcotest.(check bool) "connected" true (T.is_connected t);
   Alcotest.(check int) "one stitch per extra component" 49 (T.edge_count t)
 
+(* ---------- adjacency queries ---------- *)
+
+(* [has_edge] scans a sorted neighbor list; it must agree with the
+   canonical edge list for every ordered pair, and reject ids outside the
+   graph. *)
+let test_has_edge_matches_edges () =
+  let graphs =
+    [
+      ("mesh 7x7 d4", Netsim.Mesh.generate ~rows:7 ~cols:7 ~degree:4);
+      ("mesh 5x6 d8", Netsim.Mesh.generate ~rows:5 ~cols:6 ~degree:8);
+      ("ER 60", RT.erdos_renyi (rng 4) ~nodes:60 ~p:0.1);
+      ("BA 120", RT.barabasi_albert (rng 8) ~nodes:120 ~m:3);
+      ("hier 128", RT.hierarchical_auto (rng 6) ~nodes:128);
+    ]
+  in
+  List.iter
+    (fun (name, t) ->
+      let n = T.node_count t in
+      let edges = Hashtbl.create 256 in
+      List.iter (fun e -> Hashtbl.replace edges e ()) (T.edges t);
+      for u = 0 to n - 1 do
+        for v = 0 to n - 1 do
+          let expected =
+            Hashtbl.mem edges (u, v) || Hashtbl.mem edges (v, u)
+          in
+          if T.has_edge t u v <> expected then
+            Alcotest.failf "%s: has_edge %d %d is %b, edges say %b" name u v
+              (not expected) expected
+        done;
+        List.iter
+          (fun bad ->
+            if T.has_edge t u bad || T.has_edge t bad u then
+              Alcotest.failf "%s: has_edge accepts id %d" name bad)
+          [ -1; n ]
+      done)
+    graphs
+
 (* ---------- scale smoke ---------- *)
 
 let test_generate_10k () =
@@ -246,6 +283,11 @@ let () =
           Alcotest.test_case "mean degree at 2k" `Quick test_er_mean_degree;
           Alcotest.test_case "batched stitching" `Quick
             test_ensure_connected_batch;
+        ] );
+      ( "topology",
+        [
+          Alcotest.test_case "has_edge agrees with edges" `Quick
+            test_has_edge_matches_edges;
         ] );
       ( "scale",
         [

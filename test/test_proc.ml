@@ -2,7 +2,7 @@
    re-invoked as [<exe> --proc-worker <knobs...>] it speaks the
    {!Campaign.Proc_backend} wire protocol over the same task decomposition
    the parent supervises, with fault knobs to die, die once, or wedge on a
-   chosen cell. *)
+   chosen cell, and a knob that logs every index it receives to a file. *)
 
 module E = Convergence.Engine_registry
 
@@ -20,12 +20,14 @@ let worker_main () =
   let die_index = ref None in
   let die_once_marker = ref None in
   let sleep_index = ref None in
+  let log_indices = ref None in
   let i = ref 2 in
   while !i < Array.length Sys.argv do
     (match Sys.argv.(!i) with
     | "--die-index" -> die_index := Some (int_of_string Sys.argv.(!i + 1))
     | "--die-once-marker" -> die_once_marker := Some Sys.argv.(!i + 1)
     | "--sleep-index" -> sleep_index := Some (int_of_string Sys.argv.(!i + 1))
+    | "--log-indices" -> log_indices := Some Sys.argv.(!i + 1)
     | a ->
       prerr_endline ("unknown worker arg: " ^ a);
       exit 2);
@@ -33,6 +35,13 @@ let worker_main () =
   done;
   let tasks = tasks () in
   let run_cell i =
+    Option.iter
+      (fun path ->
+        Out_channel.with_open_gen
+          [ Open_wronly; Open_append; Open_creat ]
+          0o644 path
+          (fun oc -> Out_channel.output_string oc (string_of_int i ^ "\n")))
+      !log_indices;
     if !die_index = Some i then Unix.kill (Unix.getpid ()) Sys.sigkill;
     (match !die_once_marker with
     | Some path when not (Sys.file_exists path) ->
@@ -208,6 +217,103 @@ let test_unrunnable_worker_degrades_in_process () =
     "no worker ever completed a cell" 0
     (List.fold_left ( + ) 0 x.Campaign.Artifact.x_worker_cells)
 
+(* The parent hands a worker its next cell as soon as it has read the
+   worker's record for the last one, before [on_outcome] stores and reports
+   it: so while [on_outcome] for cell k waits, the worker must already have
+   received cell k+1. *)
+let test_next_cell_dispatched_before_outcome () =
+  let log = Filename.temp_file "rcsim_indices" ".log" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists log then Sys.remove log)
+    (fun () ->
+      let received () =
+        In_channel.with_open_bin log In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter_map int_of_string_opt
+      in
+      let early = ref [] in
+      let on_outcome = function
+        | Campaign.Proc_backend.Cell { index; _ } when index < 2 ->
+          let deadline = Unix.gettimeofday () +. 5. in
+          let rec wait () =
+            if List.mem (index + 1) (received ()) then
+              early := index :: !early
+            else if Unix.gettimeofday () < deadline then begin
+              Unix.sleepf 0.01;
+              wait ()
+            end
+          in
+          wait ()
+        | _ -> ()
+      in
+      let _, leftovers =
+        Campaign.Proc_backend.run ~jobs:1
+          ~argv:(worker_argv [ "--log-indices"; log ])
+          ~indices:[| 0; 1; 2 |] ~retries:0
+          ~progress:(fun _ -> ())
+          ~on_outcome ()
+      in
+      Alcotest.(check (list int)) "nothing left over" [] leftovers;
+      Alcotest.(check (list int)) "every index received once" [ 0; 1; 2 ]
+        (received ());
+      Alcotest.(check (list int))
+        "cell k+1 reached the worker before on_outcome for cell k returned"
+        [ 0; 1 ] (List.rev !early))
+
+let cache_ctx =
+  {
+    Campaign.Cache.git_sha = "test";
+    family = section.Campaign.Sections.family;
+    mode = "quick";
+    runs = Some 2;
+    degrees = Some [ 3; 4 ];
+    seed = None;
+  }
+
+(* A stop after 3 cells at --jobs 1: the fourth cell was already dispatched
+   when the third was stored, and it is abandoned with its worker, so the
+   cache holds exactly the 3 reported cells. *)
+let test_stop_stores_only_reported_cells () =
+  let tasks = tasks () in
+  let clean_cells, clean_q, clean_t = Campaign.Driver.run_tasks ~jobs:2 tasks in
+  let backend = Campaign.Driver.Proc { argv = worker_argv [] } in
+  Temp_dir.with_temp_dir (fun dir ->
+      Fun.protect ~finally:Dessim.Scheduler.clear_stop (fun () ->
+          let reported = ref 0 in
+          let progress line =
+            (* a finished cell's line: "DBF    d=3 seed=1 (k/8) 0.12s" *)
+            if contains ~affix:(Printf.sprintf "/%d) " (Array.length tasks)) line
+            then incr reported
+          in
+          let cells1, q1, _ =
+            Campaign.Driver.run_tasks ~jobs:1 ~stop_after:3 ~progress
+              ~cache:(Campaign.Cache.open_ ~dir cache_ctx)
+              ~backend tasks
+          in
+          Dessim.Scheduler.clear_stop ();
+          Alcotest.(check int) "no quarantine" 0 (List.length q1);
+          Alcotest.(check int) "three cells returned" 3 (Array.length cells1);
+          Alcotest.(check int) "three cells reported" 3 !reported;
+          Alcotest.(check int) "three entries stored" 3
+            (Array.length (Sys.readdir dir));
+          let probe = Campaign.Cache.open_ ~dir cache_ctx in
+          Array.iter
+            (fun (c : Campaign.Cell_result.t) ->
+              let protocol, degree, seed = Campaign.Cell_result.key c in
+              if Campaign.Cache.find probe ~protocol ~degree ~seed = None then
+                Alcotest.failf "%s d=%d seed=%d not stored" protocol degree
+                  seed)
+            cells1;
+          let cache = Campaign.Cache.open_ ~dir cache_ctx in
+          let cells2, q2, t2 =
+            Campaign.Driver.run_tasks ~jobs:1 ~cache ~backend tasks
+          in
+          Alcotest.(check int) "rerun reads the three stored cells" 3
+            (fst (Campaign.Cache.stats cache));
+          Alcotest.(check string) "rerun is byte-identical to a clean run"
+            (canon clean_cells clean_q clean_t)
+            (canon cells2 q2 t2)))
+
 let () =
   Alcotest.run "proc"
     [
@@ -223,5 +329,9 @@ let () =
             test_deadline_reclaims_wedged_worker;
           Alcotest.test_case "unrunnable worker degrades in-process" `Quick
             test_unrunnable_worker_degrades_in_process;
+          Alcotest.test_case "next cell dispatched before on_outcome" `Quick
+            test_next_cell_dispatched_before_outcome;
+          Alcotest.test_case "stop stores only the reported cells" `Quick
+            test_stop_stores_only_reported_cells;
         ] );
     ]
