@@ -632,9 +632,9 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
       Obs.Prof.exit prof_timer
     in
     (* Timers are tagged events whose payload is the protocol's own callback:
-       arming one allocates the cancellation handle and nothing else (the
-       liveness guard and trace wrapper live in the per-router handler,
-       registered once here instead of closed over per timer). *)
+       arming one allocates nothing in the scheduler (the liveness guard and
+       trace wrapper live in the per-router handler, registered once here
+       instead of closed over per timer). *)
     let timer_tag =
       if trace_control then
         Dessim.Scheduler.register st.sched (fun fn ->
@@ -754,11 +754,12 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
     let interval = 1. /. rate in
     let handler = flow_handler st f in
     (* One self-rescheduling pacer closure for the flow's whole life: with
-       [fire_after] (no handle, recycled event cell) the steady-state cost of
-       a CBR tick is the packet itself. *)
+       [fire_after] (recycled event cell) and the clock read through its
+       unboxed view, the steady-state cost of a CBR tick is the packet
+       itself. *)
+    let clock = Dessim.Scheduler.clock st.sched in
     let rec send_one () =
-      let now = Dessim.Scheduler.now st.sched in
-      if now < cfg.Config.sim_end then begin
+      if clock.Dessim.Scheduler.now < cfg.Config.sim_end then begin
         f.sent <- f.sent + 1;
         ignore
           (launch_packet st ~flow:f.idx ~handler ~src:f.src ~dst:f.dst
@@ -805,7 +806,7 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
     let cancel_rto () =
       match !rto_handle with
       | Some h ->
-        Dessim.Scheduler.cancel h;
+        Dessim.Scheduler.cancel st.sched h;
         rto_handle := None
       | None -> ()
     in

@@ -107,7 +107,7 @@ let create ?(config = default_config) ~sched ~send:send_seg ~deliver ~on_reset
 let cancel_timer t =
   match t.timer with
   | Some h ->
-    Dessim.Scheduler.cancel h;
+    Dessim.Scheduler.cancel t.sched h;
     t.timer <- None
   | None -> ()
 

@@ -5,11 +5,14 @@ type t = {
   size_bits : int;
   sent_at : float;
   mutable ttl : int;
+  mutable visit_count : int;
   mutable visits : Types.node_id list;
   mutable revisited : bool;
   (* Inline bitset over node ids 0..125 (two 63-bit words): the loop check
-     below is one bit test instead of a walk of [visits]. Ids >= 126 fall
-     back to the list scan, so the check stays exact for any topology. *)
+     below is one bit test instead of a walk of the journey. Ids >= 126 fall
+     back to a scan of [visits], which holds only those ids, so the check
+     stays exact for any topology and a hop on a smaller one allocates
+     nothing. *)
   mutable vmask0 : int;
   mutable vmask1 : int;
 }
@@ -22,6 +25,7 @@ let create ~id ~src ~dst ~size_bits ~ttl ~sent_at =
     size_bits;
     sent_at;
     ttl;
+    visit_count = 0;
     visits = [];
     revisited = false;
     vmask0 = 0;
@@ -31,6 +35,7 @@ let create ~id ~src ~dst ~size_bits ~ttl ~sent_at =
 (* The loop check rides along with the visit — one bit test per hop instead
    of a quadratic rescan of the whole journey at delivery time. *)
 let visit p n =
+  p.visit_count <- p.visit_count + 1;
   if n < 63 then begin
     let b = 1 lsl n in
     if p.vmask0 land b <> 0 then p.revisited <- true
@@ -41,8 +46,10 @@ let visit p n =
     if p.vmask1 land b <> 0 then p.revisited <- true
     else p.vmask1 <- p.vmask1 lor b
   end
-  else if (not p.revisited) && List.mem n p.visits then p.revisited <- true;
-  p.visits <- n :: p.visits
+  else begin
+    if (not p.revisited) && List.mem n p.visits then p.revisited <- true;
+    p.visits <- n :: p.visits
+  end
 
 (* Non-mutating membership test over the same bitset/list hybrid as [visit];
    fast reroute uses it to refuse a backup hop that would close a loop. *)
@@ -51,12 +58,6 @@ let visited p n =
   else if n < 126 then p.vmask1 land (1 lsl (n - 63)) <> 0
   else List.mem n p.visits
 
-let hop_count p = max 0 (List.length p.visits - 1)
-
-let path p = List.rev p.visits
+let hop_count p = max 0 (p.visit_count - 1)
 
 let looped p = p.revisited
-
-let pp ppf p =
-  Fmt.pf ppf "packet#%d %d->%d ttl=%d path=%a" p.id p.src p.dst p.ttl
-    Types.pp_path (path p)

@@ -1,8 +1,8 @@
 (** Data packets.
 
-    A packet records its own journey (the sequence of routers visited) so the
-    study harness can detect transient forwarding loops and measure path
-    stretch, exactly as the paper's trace-file analysis does. *)
+    A packet records its own journey (how many routers it visited, and which)
+    so the study harness can detect transient forwarding loops, exactly as
+    the paper's trace-file analysis does. *)
 
 type t = {
   id : int;
@@ -11,8 +11,11 @@ type t = {
   size_bits : int;
   sent_at : float;
   mutable ttl : int;
-  mutable visits : Types.node_id list;  (** visited routers, most recent first *)
-  mutable revisited : bool;  (** some router appears twice in [visits] *)
+  mutable visit_count : int;  (** routers visited, repeats included *)
+  mutable visits : Types.node_id list;
+      (** visited routers with ids >= 126, most recent first; lower ids are
+          kept only in the bitsets below *)
+  mutable revisited : bool;  (** some router was visited twice *)
   mutable vmask0 : int;  (** visited-id bitset, ids 0..62 *)
   mutable vmask1 : int;  (** visited-id bitset, ids 63..125 *)
 }
@@ -36,10 +39,5 @@ val visited : t -> Types.node_id -> bool
 val hop_count : t -> int
 (** [hop_count p] is the number of routers visited so far minus one. *)
 
-val path : t -> Types.node_id list
-(** [path p] is the visited routers in travel order. *)
-
 val looped : t -> bool
 (** [looped p] is true when some router appears twice in [p]'s journey. *)
-
-val pp : t Fmt.t

@@ -88,7 +88,7 @@ let send t ?(reliable = false) ~size_bits payload =
     let pending =
       { payload; handle = Dessim.Scheduler.after t.sched ~delay:0. (fun () -> ()); queued = true }
     in
-    Dessim.Scheduler.cancel pending.handle;
+    Dessim.Scheduler.cancel t.sched pending.handle;
     Hashtbl.replace t.outstanding token pending;
     let arrive () =
       Hashtbl.remove t.outstanding token;
@@ -114,7 +114,7 @@ let fail t =
     t.flying <- 0;
     t.busy_until <- Dessim.Scheduler.now t.sched;
     let drop_one p =
-      Dessim.Scheduler.cancel p.handle;
+      Dessim.Scheduler.cancel t.sched p.handle;
       t.dropped p.payload Types.Link_down
     in
     List.iter drop_one victims

@@ -261,7 +261,7 @@ let run_cancel_scenario specs =
     (fun i (_tb, cancel) ->
       if cancel then
         if i land 1 = 0 then begin
-          (match hs_new.(i) with Some h -> Dessim.Scheduler.cancel h | None -> ());
+          (match hs_new.(i) with Some h -> Dessim.Scheduler.cancel s_new h | None -> ());
           match hs_ref.(i) with Some h -> Reference_sched.cancel h | None -> ()
         end
         else cancel_late := i :: !cancel_late)
@@ -273,7 +273,7 @@ let run_cancel_scenario specs =
            List.iter
              (fun i ->
                match hs_new.(i) with
-               | Some h -> Dessim.Scheduler.cancel h
+               | Some h -> Dessim.Scheduler.cancel s_new h
                | None -> ())
              late));
     ignore

@@ -176,7 +176,7 @@ let test_scheduler_counts_skipped () =
   let _ = Dessim.Scheduler.after s ~delay:1.0 (fun () -> incr fired) in
   let h = Dessim.Scheduler.after s ~delay:2.0 (fun () -> incr fired) in
   let _ = Dessim.Scheduler.after s ~delay:3.0 (fun () -> incr fired) in
-  Dessim.Scheduler.cancel h;
+  Dessim.Scheduler.cancel s h;
   Dessim.Scheduler.run s;
   Alcotest.(check int) "fired" 2 !fired;
   Alcotest.(check int) "processed" 2 (Dessim.Scheduler.events_processed s);

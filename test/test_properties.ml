@@ -80,7 +80,7 @@ let scheduler_insert_cancel =
           specs
       in
       List.iteri
-        (fun i (_, cancel) -> if cancel then Dessim.Scheduler.cancel (List.nth handles i))
+        (fun i (_, cancel) -> if cancel then Dessim.Scheduler.cancel sched (List.nth handles i))
         specs;
       Dessim.Scheduler.run sched;
       let fired = List.rev !fired in
