@@ -11,8 +11,6 @@
      trace     replay a JSONL event trace offline
      fuzz      property-based fuzzing against invariant monitors and the
                differential shortest-path oracle
-     perf      one-shot local profiling: hot-scope report, ns/event
-               distribution and allocation telemetry per protocol
      campaign  parallel experiment campaigns writing BENCH_<section>.json *)
 
 open Cmdliner
@@ -691,25 +689,10 @@ let trace_cmd =
     let doc = "Restrict packet totals to one flow index." in
     Arg.(value & opt (some int) None & info [ "flow" ] ~docv:"N" ~doc)
   in
-  let prof_arg =
-    let doc =
-      "Profile the replay: report where analysis time goes (parsing, packet \
-       totals, timelines, loop detection) as a cost-attribution summary."
-    in
-    Arg.(value & flag & info [ "prof" ] ~doc)
-  in
-  let s_read = Obs.Prof.scope "replay.read" in
-  let s_counts = Obs.Prof.scope "replay.event_counts" in
-  let s_totals = Obs.Prof.scope "replay.totals" in
-  let s_timeline = Obs.Prof.scope "replay.drop_timeline" in
-  let s_loops = Obs.Prof.scope "replay.loop_report" in
-  let s_links = Obs.Prof.scope "replay.link_report" in
-  let s_frr = Obs.Prof.scope "replay.frr_report" in
-  let action file bucket flow prof =
+  let action file bucket flow =
     if bucket <= 0. then `Error (false, "bucket width must be positive")
-    else begin
-      if prof then Obs.Prof.set_enabled true;
-      match Obs.Prof.time s_read (fun () -> Obs.Replay.read_file file) with
+    else
+      match Obs.Replay.read_file file with
       | exception Sys_error e -> `Error (false, e)
       | records, stats ->
         Fmt.pr "%s: %d events" file stats.Obs.Replay.parsed;
@@ -724,36 +707,31 @@ let trace_cmd =
           Fmt.pr "event counts:@.";
           List.iter
             (fun (name, n) -> Fmt.pr "  %7d  %s@." n name)
-            (Obs.Prof.time s_counts (fun () -> Obs.Replay.event_counts records));
-          let totals =
-            Obs.Prof.time s_totals (fun () -> Obs.Replay.totals ?flow records)
-          in
+            (Obs.Replay.event_counts records);
+          let totals = Obs.Replay.totals ?flow records in
           Fmt.pr "@.packet conservation%s:@.  %a@."
             (match flow with
             | Some f -> Printf.sprintf " (flow %d)" f
             | None -> "")
             Obs.Replay.pp_totals totals;
-          let timeline =
-            Obs.Prof.time s_timeline (fun () ->
-                Obs.Replay.drop_timeline ~bucket records)
-          in
+          let timeline = Obs.Replay.drop_timeline ~bucket records in
           if timeline.Obs.Replay.rows <> [] then
             Fmt.pr "@.drop timeline:@.%a@." Obs.Replay.pp_timeline timeline;
-          (match Obs.Prof.time s_loops (fun () -> Obs.Replay.loop_report records) with
+          (match Obs.Replay.loop_report records with
           | [] -> Fmt.pr "@.no loop episodes@."
           | episodes ->
             Fmt.pr "@.%d loop episode(s):@." (List.length episodes);
             List.iter
               (fun e -> Fmt.pr "  %a@." Obs.Replay.pp_loop_episode e)
               episodes);
-          (match Obs.Prof.time s_links (fun () -> Obs.Replay.link_report records) with
+          (match Obs.Replay.link_report records with
           | [] -> ()
           | episodes ->
             Fmt.pr "@.%d link outage episode(s):@." (List.length episodes);
             List.iter
               (fun e -> Fmt.pr "  %a@." Obs.Replay.pp_link_episode e)
               episodes);
-          let frr = Obs.Prof.time s_frr (fun () -> Obs.Replay.frr_report records) in
+          let frr = Obs.Replay.frr_report records in
           if frr.Obs.Replay.fr_activations > 0 || frr.Obs.Replay.fr_forwards > 0
           then begin
             Fmt.pr
@@ -773,12 +751,10 @@ let trace_cmd =
                 windows
           end
         end;
-        if prof then Fmt.pr "@.cost attribution:@.%a" Obs.Prof.pp_report ();
         `Ok ()
-    end
   in
   let term =
-    Term.(ret (const action $ file_arg $ bucket_arg $ flow_arg $ prof_arg))
+    Term.(ret (const action $ file_arg $ bucket_arg $ flow_arg))
   in
   Cmd.v
     (Cmd.info "trace"
@@ -869,103 +845,6 @@ let fuzz_cmd =
        ~doc:
          "Fuzz random scenarios against runtime invariant monitors and the \
           differential shortest-path oracle")
-    term
-
-(* ---------- perf ---------- *)
-
-let perf_cmd =
-  let repeat_arg =
-    let doc = "Measured repetitions per protocol (after one warm-up run)." in
-    Arg.(value & opt int 3 & info [ "repeat" ] ~docv:"N" ~doc)
-  in
-  let proto_opt_arg =
-    let doc =
-      Printf.sprintf
-        "Profile only this engine, named in any case: %s. Default: the \
-         paper's four."
-        engine_names
-    in
-    Arg.(value & opt (some string) None & info [ "p"; "protocol" ] ~docv:"PROTO" ~doc)
-  in
-  (* ns/event sits around 10^2..10^4 ns; log-spaced edges from 10 ns to 1 ms
-     at 10 buckets per decade keep the quantile upper bounds within ~26%. *)
-  let ns_bounds = Array.init 51 (fun i -> 10. *. (10. ** (float_of_int i /. 10.))) in
-  let profile ~cfg ~repeat engine =
-    let name = Convergence.Engine_registry.name engine in
-    (* Warm-up run: absorbs one-time costs (domain-local state, size-class
-       growth) so the measured repetitions see a steady state. *)
-    ignore (Convergence.Engine_registry.run cfg engine);
-    Obs.Prof.reset ();
-    let dist = Obs.Registry.create () in
-    let h = Obs.Registry.histogram ~bounds:ns_bounds dist "ns_per_event" in
-    let events = ref 0. in
-    let w_per_event = ref Float.nan in
-    let total_ns = ref 0. in
-    let last_gc = ref None in
-    for _ = 1 to repeat do
-      let m = Obs.Registry.create () in
-      let t0 = Obs.Prof.now_ns () in
-      let _r, g =
-        Obs.Prof.gc_delta (fun () ->
-            Convergence.Engine_registry.run ~metrics:m cfg engine)
-      in
-      let ns = Int64.to_float (Int64.sub (Obs.Prof.now_ns ()) t0) in
-      (match Obs.Registry.lookup m "scheduler.events_fired" with
-      | Some (Obs.Registry.Gauge_value v) -> events := v
-      | _ -> ());
-      (match Obs.Registry.lookup m "alloc.minor_words_per_event" with
-      | Some (Obs.Registry.Gauge_value v) -> w_per_event := v
-      | _ -> ());
-      if !events > 0. then Obs.Registry.observe h (ns /. !events);
-      total_ns := !total_ns +. ns;
-      last_gc := Some g
-    done;
-    Fmt.pr "=== %s: %dx%d mesh, degree %d, %d measured run(s) ===@." name
-      cfg.Convergence.Config.rows cfg.Convergence.Config.cols
-      cfg.Convergence.Config.degree repeat;
-    Fmt.pr "events/run:  %.0f@." !events;
-    let mean_ns = !total_ns /. float_of_int repeat in
-    if !events > 0. && mean_ns > 0. then begin
-      Fmt.pr "events/s:    %.0f@." (!events *. 1e9 /. mean_ns);
-      (match Obs.Registry.lookup dist "ns_per_event" with
-      | Some (Obs.Registry.Histogram_value { mean; p50; p95; p99; max; _ }) ->
-        Fmt.pr "ns/event:    mean %.1f  p50<=%.0f  p95<=%.0f  p99<=%.0f  max \
-                %.1f@."
-          mean p50 p95 p99 max
-      | _ -> ());
-      Fmt.pr "alloc:       %.1f minor words/event@." !w_per_event
-    end;
-    (match !last_gc with
-    | Some g -> Fmt.pr "gc/run:      %a@." Obs.Prof.pp_gc_delta g
-    | None -> ());
-    Fmt.pr "hot scopes:@.%a@." Obs.Prof.pp_report ()
-  in
-  let action protocol degree rows cols seed rate repeat =
-    if repeat <= 0 then `Error (false, "--repeat must be positive")
-    else
-      let engines =
-        match protocol with
-        | None -> Ok Convergence.Engine_registry.paper_four
-        | Some p -> Result.map (fun e -> [ e ]) (engine_of_name p)
-      in
-      match (engines, config_of ~rows ~cols ~degree ~seed ~rate ()) with
-      | Error e, _ | _, Error e -> `Error (false, e)
-      | Ok engines, Ok cfg ->
-        Obs.Prof.set_enabled true;
-        List.iter (profile ~cfg ~repeat) engines;
-        `Ok ()
-  in
-  let term =
-    Term.(
-      ret
-        (const action $ proto_opt_arg $ degree_arg $ rows_arg $ cols_arg
-       $ seed_arg $ rate_arg $ repeat_arg))
-  in
-  Cmd.v
-    (Cmd.info "perf"
-       ~doc:
-         "Profile the engine locally: per-protocol events/sec, ns/event \
-          quantiles, allocation telemetry, and a hot-scope timer report")
     term
 
 (* ---------- campaign ---------- *)
@@ -1113,7 +992,8 @@ let campaign_cmd =
       "Enable the engine profiler during the campaign and print the \
        hot-scope report to stderr afterwards. The artifact is unaffected \
        (profiling data never enters it); with $(b,--jobs) > 1 the \
-       attribution is approximate, since concurrent cells share scopes."
+       attribution is approximate, since concurrent cells share scopes. \
+       Requires $(b,--backend domains): worker processes report no scopes."
     in
     Arg.(value & flag & info [ "prof" ] ~doc)
   in
@@ -1252,6 +1132,8 @@ let campaign_cmd =
         `Error (true, "--stop-after-cells must be >= 1")
       else if die_cell <> None && backend <> `Proc then
         `Error (true, "--die-cell requires --backend proc")
+      else if prof && backend = `Proc then
+        `Error (true, "--prof requires --backend domains")
       else begin
         match
           ( fixed_axis_error,
@@ -1286,7 +1168,7 @@ let campaign_cmd =
           render_result section ~out
             (run_section ~jobs ~quiet ?cell_budget ~retries ?hang ?stop_after
                ?cache ?cache_dir ~backend ~mode section sweep);
-          if prof then Fmt.epr "hot scopes:@.%a" Obs.Prof.pp_report ();
+          if prof then Fmt.epr "hot scopes:@.%a@." Obs.Prof.pp_report ();
           `Ok ()
       end
     in
@@ -1593,6 +1475,5 @@ let () =
             loops_cmd;
             trace_cmd;
             fuzz_cmd;
-            perf_cmd;
             campaign_cmd;
           ]))

@@ -207,13 +207,13 @@ val of_json : Obs.Json.t -> (t, string) result
     unsupported schema version. *)
 
 val validate : Obs.Json.t -> string list
-(** [validate j] is every schema violation found (empty = valid): required
-    keys, types, schema version ([{!min_version}..{!version}]), the
-    quarantine block (well-formed entries, no duplicate keys, no key that is
-    also a completed cell, required from v2 on), and cells/aggregates
-    consistency (each aggregate's [runs] equals its group's cell count).
-    Unlike {!of_json} it keeps going after the first problem, for useful CI
-    output. *)
+(** [validate j] is the schema violations found (empty = valid). A
+    structural error (a missing key, a type mismatch, an unsupported schema
+    version) is {!of_json}'s error, alone. A structurally sound artifact is
+    then checked across entries, and every violation is reported: duplicate
+    cell keys, duplicate quarantine keys, a key that is both a completed
+    cell and quarantined, and an aggregate whose [runs] differs from its
+    group's number of distinct cells. *)
 
 val to_string : t -> string
 (** Compact one-line JSON of the full artifact, including [timing]. *)

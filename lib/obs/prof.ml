@@ -181,9 +181,3 @@ let gc_delta f =
       d_minor_collections = b.Gc.minor_collections - a.Gc.minor_collections;
       d_major_collections = b.Gc.major_collections - a.Gc.major_collections;
     } )
-
-let pp_gc_delta ppf d =
-  Fmt.pf ppf
-    "minor=%.0fw promoted=%.0fw major=%.0fw collections=%d minor / %d major"
-    d.d_minor_words d.d_promoted_words d.d_major_words d.d_minor_collections
-    d.d_major_collections

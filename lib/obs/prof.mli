@@ -16,10 +16,9 @@
 
     The registry is process-global and the span stack is per-scope mutable
     state; concurrent spans on the same scope from multiple domains are not
-    supported. The profiling entry points ([rcsim perf], [rcsim trace
-    --prof]) are single-domain; campaigns keep the flag off unless [--prof]
-    is passed, in which case the report is approximate under [--jobs] > 1
-    (same-scope spans from concurrent cells merge). *)
+    supported. Campaigns keep the flag off unless [--prof] is passed, in
+    which case the report is approximate under [--jobs] > 1 (same-scope
+    spans from concurrent cells merge). *)
 
 type scope
 
@@ -74,5 +73,3 @@ type gc_delta = {
 val gc_delta : (unit -> 'a) -> 'a * gc_delta
 (** [Gc.quick_stat] before/after [f ()]. Independent of {!enabled} — the
     perf harness uses it even when spans are off. *)
-
-val pp_gc_delta : Format.formatter -> gc_delta -> unit

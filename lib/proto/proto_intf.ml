@@ -75,7 +75,7 @@ module type PROTOCOL = sig
       profiles this callback (and every timer set through [actions]) under
       the [proto.<name>.on_message] / [proto.<name>.timer] scopes of
       [Obs.Prof], so protocol implementations need no instrumentation of
-      their own to show up in [rcsim perf]'s hot-scope report. *)
+      their own to show up in [rcsim campaign --prof]'s hot-scope report. *)
 
   val on_link_down : t -> neighbor:Netsim.Types.node_id -> unit
   (** the link to [neighbor] was detected down *)

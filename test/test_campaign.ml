@@ -298,8 +298,9 @@ let test_validate_catches_corruption () =
   Alcotest.(check bool)
     "missing params" true
     (violations (drop "params") <> []);
-  (* Duplicate a cell: validation must flag both the duplicate key and the
-     aggregate runs-vs-cells inconsistency. *)
+  (* Duplicate a cell: validation flags the duplicate key. An aggregate's
+     runs are checked against its distinct cell keys, which the duplicate
+     does not add to, so that is the only violation. *)
   let dup = function
     | Obs.Json.Obj fields ->
       Obs.Json.Obj
@@ -311,7 +312,30 @@ let test_validate_catches_corruption () =
            fields)
     | j -> j
   in
-  Alcotest.(check bool) "duplicate cell key" true (violations dup <> [])
+  match violations dup with
+  | [ e ] ->
+    Alcotest.(check bool)
+      "duplicate cell key" true
+      (Astring_contains.contains e "duplicate cell key")
+  | es -> Alcotest.failf "expected one violation, got %d" (List.length es)
+
+let test_validate_catches_runs_mismatch () =
+  (* The first aggregate claims one run more than its group's two cells. *)
+  let a = fixture_artifact () in
+  let aggregates =
+    match a.Campaign.Artifact.aggregates with
+    | g :: rest -> { g with Campaign.Artifact.a_runs = g.a_runs + 1 } :: rest
+    | [] -> Alcotest.fail "no aggregates"
+  in
+  match
+    Campaign.Artifact.validate
+      (Campaign.Artifact.to_json { a with Campaign.Artifact.aggregates })
+  with
+  | [ e ] ->
+    Alcotest.(check bool)
+      "names the claimed runs" true
+      (Astring_contains.contains e "claims 3 runs but has 2 cells")
+  | es -> Alcotest.failf "expected one violation, got %d" (List.length es)
 
 (* ---------- determinism under parallelism ---------- *)
 
@@ -526,6 +550,8 @@ let () =
             test_validate_accepts_fixture;
           Alcotest.test_case "validate catches corruption" `Quick
             test_validate_catches_corruption;
+          Alcotest.test_case "validate catches runs mismatch" `Quick
+            test_validate_catches_runs_mismatch;
         ] );
       ( "determinism",
         [
