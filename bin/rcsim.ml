@@ -71,9 +71,18 @@ let degrees_arg =
   let doc = "Node degrees to sweep." in
   Arg.(value & opt (list int) [ 3; 4; 5; 6; 7; 8 ] & info [ "degrees" ] ~docv:"D,D,..." ~doc)
 
+(* [cfg] checked as the runner would check it at every degree in [degrees],
+   so a bad sweep flag is a usage error naming the value rather than a
+   crash or a quarantined cell. *)
+let validate_degrees cfg degrees =
+  List.fold_left
+    (fun acc d ->
+      Result.bind acc (fun () ->
+          Convergence.Config.validate (Convergence.Config.with_degree d cfg)))
+    (Ok ()) degrees
+
 (* The scenario the shared flags describe, checked as the runner would check
-   it (and at every degree in [degrees], for sweeps), so a bad flag is a
-   usage error naming the value rather than a crash or a quarantined cell. *)
+   it (and at every degree in [degrees], for sweeps). *)
 let config_of ?(degrees = []) ~rows ~cols ~degree ~seed ~rate () =
   let cfg =
     {
@@ -85,12 +94,7 @@ let config_of ?(degrees = []) ~rows ~cols ~degree ~seed ~rate () =
       send_rate_pps = rate;
     }
   in
-  List.fold_left
-    (fun acc d ->
-      Result.bind acc (fun () ->
-          Convergence.Config.validate (Convergence.Config.with_degree d cfg)))
-    (Convergence.Config.validate cfg)
-    degrees
+  Result.bind (Convergence.Config.validate cfg) (fun () -> validate_degrees cfg degrees)
   |> Result.map (fun () -> cfg)
 
 let engine_of_name name =
@@ -1125,6 +1129,11 @@ let campaign_cmd =
                section.Campaign.Sections.name axis)
         | Some _ | None -> None
       in
+      let sweep = sweep_of ~quick ~full ~runs ~degrees ~seed in
+      let degrees_ok =
+        validate_degrees sweep.Convergence.Experiments.base
+          (Option.value degrees ~default:[])
+      in
       if quick && full then `Error (true, "--quick and --full are exclusive")
       else if jobs < 1 then `Error (true, "--jobs must be at least 1")
       else if retries < 0 then `Error (true, "--retries must be >= 0")
@@ -1138,14 +1147,15 @@ let campaign_cmd =
         match
           ( fixed_axis_error,
             hang_of hang_cell,
-            cell_key_of ~flag:"--die-cell" die_cell )
+            cell_key_of ~flag:"--die-cell" die_cell,
+            degrees_ok )
         with
-        | Some e, _, _ | _, Error e, _ | _, _, Error e -> `Error (true, e)
-        | None, Ok (Some _), _ when cell_budget = None ->
+        | Some e, _, _, _ | _, Error e, _, _ | _, _, Error e, _ | _, _, _, Error e ->
+          `Error (true, e)
+        | None, Ok (Some _), _, _ when cell_budget = None ->
           `Error (true, "--hang-cell requires --cell-budget")
-        | None, Ok hang, Ok _ ->
+        | None, Ok hang, Ok _, Ok () ->
           let mode = if quick then "quick" else if full then "full" else "standard" in
-          let sweep = sweep_of ~quick ~full ~runs ~degrees ~seed in
           let sweep = Campaign.Sections.sweep_for section ~full sweep in
           let backend =
             match backend with

@@ -37,19 +37,34 @@ let pp_message ppf msg =
    there is no pure withdrawal on the wire. *)
 let message_kind (_ : message) = Proto_intf.Mixed
 
+(* The one splitter behind [chunk] and the router's sender. [split cfg
+   ~entry ~emit xs] walks [xs] once, maps each element through [entry], and
+   hands [emit] the entries in order, [cfg.max_entries] to a message. [take]
+   builds a message front to back ([@tail_mod_cons]), so nothing is
+   reversed or copied, and leaves the unread rest of [xs] in the cursor once
+   per message. *)
+type 'a cursor = { mutable rest : 'a list }
+
+let[@tail_mod_cons] rec take cur ~entry n xs =
+  match xs with
+  | x :: rest when n > 0 -> entry x :: take cur ~entry (n - 1) rest
+  | _ ->
+    cur.rest <- xs;
+    []
+
+let rec split_rest cfg cur ~entry ~emit =
+  match cur.rest with
+  | [] -> ()
+  | xs ->
+    emit (take cur ~entry cfg.max_entries xs);
+    split_rest cfg cur ~entry ~emit
+
+let split cfg ~entry ~emit xs = split_rest cfg { rest = xs } ~entry ~emit
+
 let chunk cfg entries =
-  let rec take n acc = function
-    | rest when n = 0 -> (List.rev acc, rest)
-    | [] -> (List.rev acc, [])
-    | e :: rest -> take (n - 1) (e :: acc) rest
-  in
-  let rec split acc = function
-    | [] -> List.rev acc
-    | entries ->
-      let head, rest = take cfg.max_entries [] entries in
-      split (head :: acc) rest
-  in
-  split [] entries
+  let msgs = ref [] in
+  split cfg ~entry:Fun.id ~emit:(fun m -> msgs := m :: !msgs) entries;
+  List.rev !msgs
 
 let jittered_period rng cfg =
   cfg.period *. Dessim.Rng.uniform rng 0.95 1.05
@@ -107,45 +122,57 @@ type router = {
   actions : message Proto_intf.actions;
   mutable up : Netsim.Types.node_id list;  (* ascending *)
   table : Route_table.t;
-  changed : (Netsim.Types.node_id, unit) Hashtbl.t;
+  changed : Route_table.Bitset.t;
+      (* destinations changed since the last update went out; a member is
+         never removed alone, so [changed_members] lists each bit once *)
+  mutable changed_members : Netsim.Types.node_id list;
   mutable trigger : Trigger.t option;
   mutable started : bool;
 }
 
 let infinity_of r = r.cfg.infinity_metric
 
-(* Entries advertised to [neighbor], with split horizon / poison reverse. *)
-let entries_for r ~neighbor dsts =
-  let entry dst =
-    if not (Route_table.mem r.table dst) then None
-    else begin
-      let metric = Route_table.metric r.table dst in
-      let poisoned = Route_table.next_hop_id r.table dst = neighbor in
-      let metric =
-        if poisoned then infinity_of r else min metric (infinity_of r)
-      in
-      Some { dst; metric }
-    end
-  in
-  List.filter_map entry dsts
+let rec is_up n = function [] -> false | m :: rest -> m = n || is_up n rest
 
+(* The entry for [dst] advertised to [neighbor], with split horizon / poison
+   reverse. *)
+let advertised r ~neighbor dst =
+  let inf = infinity_of r in
+  let metric =
+    if Route_table.next_hop_id r.table dst = neighbor then inf
+    else Int.min (Route_table.metric r.table dst) inf
+  in
+  { dst; metric }
+
+(* [dsts]' entries for [neighbor], sent as messages of at most
+   [max_entries]. Every destination in [dsts] has a route installed: [dsts]
+   is the table's destination list or the changed set, which receives a
+   destination only once its route is written, and the table never drops
+   one. *)
 let send_vector r ~neighbor dsts =
-  let entries = entries_for r ~neighbor dsts in
-  let send_chunk chunk = if chunk <> [] then r.actions.Proto_intf.send neighbor chunk in
-  List.iter send_chunk (chunk r.cfg entries)
+  split r.cfg ~entry:(advertised r ~neighbor)
+    ~emit:(r.actions.Proto_intf.send neighbor)
+    dsts
 
 let send_full r neighbor = send_vector r ~neighbor (Route_table.destinations r.table)
 
+let clear_changed r =
+  List.iter (Route_table.Bitset.remove r.changed) r.changed_members;
+  r.changed_members <- []
+
 let flush_triggered r =
-  let dsts = Hashtbl.fold (fun d () acc -> d :: acc) r.changed [] |> List.sort compare in
-  Hashtbl.reset r.changed;
-  if dsts <> [] then List.iter (fun n -> send_vector r ~neighbor:n dsts) r.up
+  let dsts = List.sort Int.compare r.changed_members in
+  clear_changed r;
+  match dsts with [] -> () | _ -> List.iter (fun n -> send_vector r ~neighbor:n dsts) r.up
 
 let trigger r =
   match r.trigger with Some tr -> Trigger.request tr | None -> ()
 
 let mark_changed r dst =
-  Hashtbl.replace r.changed dst ();
+  if not (Route_table.Bitset.mem r.changed dst) then begin
+    Route_table.Bitset.add r.changed dst;
+    r.changed_members <- dst :: r.changed_members
+  end;
   r.actions.Proto_intf.route_changed dst
 
 let router cfg ~rng ~id ~neighbors ~actions =
@@ -155,9 +182,10 @@ let router cfg ~rng ~id ~neighbors ~actions =
       rng;
       id;
       actions;
-      up = List.sort compare neighbors;
+      up = List.sort Int.compare neighbors;
       table = Route_table.create ();
-      changed = Hashtbl.create 16;
+      changed = Route_table.Bitset.create ();
+      changed_members = [];
       trigger = None;
       started = false;
     }
@@ -180,7 +208,7 @@ let rec periodic r () =
   List.iter (fun n -> send_vector r ~neighbor:n dsts) r.up;
   (* The full table supersedes any pending triggered update. *)
   (match r.trigger with Some tr -> Trigger.note_full_update_sent tr | None -> ());
-  Hashtbl.reset r.changed;
+  clear_changed r;
   ignore (r.actions.Proto_intf.after (jittered_period r.rng r.cfg) (periodic r))
 
 let start r ~what =
@@ -198,8 +226,8 @@ let start r ~what =
 let link_down r ~neighbor = r.up <- List.filter (fun n -> n <> neighbor) r.up
 
 let on_link_up r ~neighbor =
-  if not (List.mem neighbor r.up) then begin
-    r.up <- List.sort compare (neighbor :: r.up);
+  if not (is_up neighbor r.up) then begin
+    r.up <- List.sort Int.compare (neighbor :: r.up);
     send_full r neighbor
   end
 
@@ -265,25 +293,25 @@ module Rip = struct
      hop is believed unconditionally — refreshing the timeout, or poisoning
      the route. Returns true when the route changed (the caller batches the
      trigger request). *)
-  let process_entry t ~from:neighbor (e : entry) =
+  let process_entry t ~from:neighbor ~now (e : entry) =
     let r = t.r in
     if e.dst = r.id then false
     else begin
       let inf = infinity_of r in
-      let advertised = min e.metric inf in
-      let new_metric = min (advertised + 1) inf in
+      let advertised = Int.min e.metric inf in
+      let new_metric = Int.min (advertised + 1) inf in
       if not (Route_table.mem r.table e.dst) then begin
         if new_metric < inf then begin
           Route_table.set r.table ~dst:e.dst ~metric:new_metric ~next_hop:neighbor;
           Hashtbl.replace t.order e.dst ();
-          Route_table.Deadline_vec.refresh t.timeouts e.dst;
+          Route_table.Deadline_vec.refresh t.timeouts ~now e.dst;
           mark_changed r e.dst;
           true
         end
         else false
       end
       else if Route_table.next_hop_id r.table e.dst = neighbor then begin
-        if new_metric < inf then Route_table.Deadline_vec.refresh t.timeouts e.dst
+        if new_metric < inf then Route_table.Deadline_vec.refresh t.timeouts ~now e.dst
         else Route_table.Deadline_vec.cancel t.timeouts e.dst;
         if new_metric <> Route_table.metric r.table e.dst then begin
           Route_table.set_metric r.table ~dst:e.dst ~metric:new_metric;
@@ -294,7 +322,7 @@ module Rip = struct
       end
       else if new_metric < Route_table.metric r.table e.dst then begin
         Route_table.set r.table ~dst:e.dst ~metric:new_metric ~next_hop:neighbor;
-        Route_table.Deadline_vec.refresh t.timeouts e.dst;
+        Route_table.Deadline_vec.refresh t.timeouts ~now e.dst;
         mark_changed r e.dst;
         true
       end
@@ -306,9 +334,10 @@ module Rip = struct
     Hashtbl.replace t.order t.r.id ()
 
   let on_message t ~from msg =
-    if List.mem from t.r.up then begin
+    if is_up from t.r.up then begin
+      let now = t.r.actions.Proto_intf.now () in
       let changed_any =
-        List.fold_left (fun acc e -> process_entry t ~from e || acc) false msg
+        List.fold_left (fun acc e -> process_entry t ~from ~now e || acc) false msg
       in
       if changed_any then trigger t.r
     end
@@ -362,12 +391,16 @@ module Dbf = struct
     cache : neighbor_cache option Route_table.Vec.t;
         (* dense by neighbor id: [recompute] probes every up neighbor for
            every destination, so this lookup must not hash or allocate *)
+    moved : Route_table.Bitset.t;
+        (* while [on_message] runs: the destinations whose heard metric the
+           message changed; empty between handlers *)
   }
 
   let create cfg ~rng ~id ~neighbors ~actions =
     {
       r = router cfg ~rng ~id ~neighbors ~actions;
       cache = Route_table.Vec.create ~default:None;
+      moved = Route_table.Bitset.create ();
     }
 
   let cached_metric t ~neighbor ~dst =
@@ -381,40 +414,37 @@ module Dbf = struct
   let candidate t ~neighbor ~dst ~inf =
     match Route_table.Vec.get t.cache neighbor with
     | None -> inf
-    | Some nc -> min (Route_table.Int_vec.get nc.heard dst + 1) inf
+    | Some nc -> Int.min (Route_table.Int_vec.get nc.heard dst + 1) inf
+
+  (* The neighbor in [up] offering the cheapest route to [dst] below
+     [inf], or -1 when none does. A tie goes to [incumbent], else to the
+     lowest id: [up] is ascending, and a later neighbor replaces the best so
+     far only when strictly cheaper or when it is the incumbent. *)
+  let rec best_neighbor t ~dst ~inf ~incumbent best best_nh = function
+    | [] -> best_nh
+    | neighbor :: rest ->
+      let cand = candidate t ~neighbor ~dst ~inf in
+      if cand < best || (cand = best && cand < inf && neighbor = incumbent) then
+        best_neighbor t ~dst ~inf ~incumbent cand neighbor rest
+      else best_neighbor t ~dst ~inf ~incumbent best best_nh rest
 
   (* Recompute the best route to [dst] from the neighbor cache. Prefers the
      incumbent next hop on ties, then the lowest neighbor id, so routes are
      stable and deterministic. Returns true when metric or next hop changed.
-     Seeding the scan with the incumbent's candidate (rather than reordering
-     the neighbor list) keeps the tie-break without building a list. *)
+     The result depends only on [up], the heard vectors' entries for [dst]
+     and the installed route to [dst], and it is idempotent: a second call
+     with none of them changed returns false and does nothing. *)
   let recompute t dst =
     let r = t.r in
     if dst = r.id then false
     else begin
       let inf = infinity_of r in
       let present = Route_table.mem r.table dst in
-      let incumbent_nh = if present then Route_table.next_hop_id r.table dst else -1 in
-      let incumbent_live = incumbent_nh >= 0 && List.mem incumbent_nh r.up in
-      let best_metric = ref inf and best_nh = ref (-1) in
-      if incumbent_live then begin
-        let cand = candidate t ~neighbor:incumbent_nh ~dst ~inf in
-        if cand < inf then begin
-          best_metric := cand;
-          best_nh := incumbent_nh
-        end
-      end;
-      List.iter
-        (fun neighbor ->
-          if not (incumbent_live && neighbor = incumbent_nh) then begin
-            let cand = candidate t ~neighbor ~dst ~inf in
-            if cand < !best_metric then begin
-              best_metric := cand;
-              best_nh := neighbor
-            end
-          end)
-        r.up;
-      let metric = !best_metric and next_hop = !best_nh in
+      let incumbent = if present then Route_table.next_hop_id r.table dst else -1 in
+      let next_hop = best_neighbor t ~dst ~inf ~incumbent inf (-1) r.up in
+      let metric =
+        if next_hop < 0 then inf else candidate t ~neighbor:next_hop ~dst ~inf
+      in
       if not present then begin
         if metric < inf then begin
           Route_table.set r.table ~dst ~metric ~next_hop;
@@ -459,23 +489,53 @@ module Dbf = struct
       Route_table.Vec.set t.cache neighbor (Some nc);
       nc
 
-  let store_heard t nc (e : entry) =
-    let inf = infinity_of t.r in
-    let advertised = min e.metric inf in
-    Route_table.Int_vec.set nc.heard e.dst advertised;
-    if advertised < inf then Route_table.Deadline_vec.refresh nc.timeouts e.dst
-    else Route_table.Deadline_vec.cancel nc.timeouts e.dst
+  (* Store every entry of a heard vector, refreshing or cancelling its
+     timeout, and mark in [t.moved] each destination whose stored metric
+     changed. Returns whether any did. *)
+  let rec store_heard t nc ~now moved_any = function
+    | [] -> moved_any
+    | (e : entry) :: rest ->
+      let inf = infinity_of t.r in
+      let advertised = Int.min e.metric inf in
+      let moved = Route_table.Int_vec.get nc.heard e.dst <> advertised in
+      if moved then begin
+        Route_table.Int_vec.set nc.heard e.dst advertised;
+        Route_table.Bitset.add t.moved e.dst
+      end;
+      if advertised < inf then Route_table.Deadline_vec.refresh nc.timeouts ~now e.dst
+      else Route_table.Deadline_vec.cancel nc.timeouts e.dst;
+      store_heard t nc ~now (moved_any || moved) rest
+
+  (* Recompute, in message order, each destination marked in [t.moved],
+     clearing its mark. Returns whether any route changed. *)
+  let rec recompute_moved t changed_any = function
+    | [] -> changed_any
+    | (e : entry) :: rest ->
+      if Route_table.Bitset.mem t.moved e.dst then begin
+        Route_table.Bitset.remove t.moved e.dst;
+        let changed = recompute t e.dst in
+        recompute_moved t (changed_any || changed) rest
+      end
+      else recompute_moved t changed_any rest
 
   let start t = start t.r ~what:"Dbf.start"
 
+  (* Only destinations whose heard metric moved are recomputed. That skips
+     no route change: after every handler returns, each route is the one
+     [recompute] picks from the heard vectors and [up], because every write
+     to either recomputes what it touched ([store_heard] here,
+     [cache_expire], [on_link_down]; a neighbor that comes up has no cache
+     yet). So [recompute] on an unmoved destination returns false and has no
+     effect. Most heard entries repeat the cached value: the periodic update
+     re-advertises the whole table. The whole vector is stored before any
+     recompute, so its timeouts are armed before any work a route change
+     schedules (an FRR sweep), and events falling due at one instant keep
+     that order. *)
   let on_message t ~from msg =
-    if List.mem from t.r.up then begin
+    if is_up from t.r.up then begin
       let nc = neighbor_cache t from in
-      List.iter (store_heard t nc) msg;
-      let changed_any =
-        List.fold_left (fun acc (e : entry) -> recompute t e.dst || acc) false msg
-      in
-      if changed_any then trigger t.r
+      let now = t.r.actions.Proto_intf.now () in
+      if store_heard t nc ~now false msg && recompute_moved t false msg then trigger t.r
     end
 
   let on_link_down t ~neighbor =

@@ -153,9 +153,9 @@ module Deadline_vec = struct
     in
     ignore (v.after delay f)
 
-  let refresh v i =
+  let refresh v ~now i =
     if i >= Array.length v.d then v.d <- grown v.d i inactive;
-    v.d.(i) <- v.now () +. v.timeout;
+    v.d.(i) <- now +. v.timeout;
     if not (Bitset.mem v.armed i) then arm v i v.timeout
 
   let cancel v i = if i < Array.length v.d then v.d.(i) <- inactive

@@ -101,9 +101,11 @@ module Deadline_vec : sig
       [now], scheduling through [after]. [expire i] runs when slot [i] goes
       [timeout] seconds without a {!refresh}, once per lapse. *)
 
-  val refresh : t -> int -> unit
-  (** [refresh v i] (re)starts slot [i]'s timeout from now, scheduling an
-      event only when none is outstanding for the slot. *)
+  val refresh : t -> now:float -> int -> unit
+  (** [refresh v ~now i] (re)starts slot [i]'s timeout from [now], the
+      current time on the vector's clock, scheduling an event only when none
+      is outstanding for the slot. A handler that refreshes many slots reads
+      the clock once and passes it to each. *)
 
   val cancel : t -> int -> unit
   (** [cancel v i] stops slot [i]'s timeout without growing the vector; an

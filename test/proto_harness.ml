@@ -96,6 +96,13 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
      falls silent, so only their timeouts can notice. *)
   let silence_link net u v = net.silent <- canonical u v :: net.silent
 
+  (* [i]'s neighbors over links that have not failed: the neighbors its
+     protocol instance believes up. A silenced link still counts. *)
+  let up_neighbors net i =
+    List.filter
+      (fun v -> not (List.mem (canonical i v) net.down))
+      (Netsim.Topology.neighbors net.topo i)
+
   (* When [router] last received a message from [from], if ever. *)
   let last_heard net router ~from = Hashtbl.find_opt net.heard (router, from)
 

@@ -176,6 +176,117 @@ let prop_failure_then_reconverge =
       end
       else true)
 
+(* ---------- The fixed point of the heard vectors ---------- *)
+
+(* [on_message] recomputes only destinations whose heard metric moved. That
+   is exact because after every handler each route is already the best one
+   the heard vectors offer over the up neighbors. This property checks that
+   fixed point after every step of a random run. *)
+
+type step = Fail of int | Restore of int | Silence of int | Run of int
+
+let pp_step ppf = function
+  | Fail e -> Fmt.pf ppf "fail edge %d" e
+  | Restore e -> Fmt.pf ppf "restore edge %d" e
+  | Silence e -> Fmt.pf ppf "silence edge %d" e
+  | Run s -> Fmt.pf ppf "run %d s" s
+
+type graph = Mesh of int * int * int | Er of int * int
+
+let pp_graph ppf = function
+  | Mesh (rows, cols, degree) -> Fmt.pf ppf "mesh %dx%d degree %d" rows cols degree
+  | Er (nodes, seed) -> Fmt.pf ppf "ER %d nodes seed %d" nodes seed
+
+let topology = function
+  | Mesh (rows, cols, degree) -> Netsim.Mesh.generate ~rows ~cols ~degree
+  | Er (nodes, seed) ->
+    Netsim.Random_topo.erdos_renyi (Dessim.Rng.create seed) ~nodes ~p:0.4
+
+let arb_run =
+  let open QCheck.Gen in
+  let graph =
+    oneof
+      [
+        map3
+          (fun rows cols degree -> Mesh (rows, cols, degree))
+          (3 -- 4) (3 -- 4) (3 -- 6);
+        map2 (fun nodes seed -> Er (nodes, seed)) (4 -- 10) (1 -- 1000);
+      ]
+  in
+  (* An edge is an index into the topology's edge list, taken modulo its
+     length. A restore may name a link that never failed: a no-op. *)
+  let step =
+    frequency
+      [
+        (3, map (fun e -> Fail e) (0 -- 100));
+        (2, map (fun e -> Restore e) (0 -- 100));
+        (1, map (fun e -> Silence e) (0 -- 100));
+        (4, map (fun s -> Run s) (1 -- 250));
+      ]
+  in
+  QCheck.make
+    ~print:(fun (g, seed, steps) ->
+      Fmt.str "%a, seed %d: %a" pp_graph g seed Fmt.(list ~sep:comma pp_step) steps)
+    (triple graph (1 -- 1000) (list_size (1 -- 12) step))
+
+let infinity_metric = Protocols.Dv_core.default_config.Protocols.Dv_core.infinity_metric
+
+(* Every router's metric to every other node is the least cached metric + 1
+   over its up neighbors, capped at infinity, and its next hop attains it. *)
+let check_fixed_point net ~nodes ~after =
+  let fail id dst fmt =
+    Fmt.kstr
+      (fun m -> QCheck.Test.fail_reportf "after %s: router %d, dst %d: %s" after id dst m)
+      fmt
+  in
+  for id = 0 to nodes - 1 do
+    let up = H.up_neighbors net id in
+    for dst = 0 to nodes - 1 do
+      if dst <> id then begin
+        let via n =
+          match Protocols.Dbf.cached_metric (H.router net id) ~neighbor:n ~dst with
+          | Some c -> min (c + 1) infinity_metric
+          | None -> infinity_metric
+        in
+        let best = List.fold_left (fun acc n -> min acc (via n)) infinity_metric up in
+        let metric = Option.value (H.metric net id ~dst) ~default:infinity_metric in
+        if metric <> best then fail id dst "metric %d, best heard %d" metric best;
+        match H.next_hop net id ~dst with
+        | None ->
+          if best < infinity_metric then fail id dst "no next hop, best heard %d" best
+        | Some nh ->
+          if not (List.mem nh up) then fail id dst "next hop %d is not up" nh
+          else if via nh <> best then
+            fail id dst "next hop %d offers %d, best %d" nh (via nh) best
+      end
+    done
+  done
+
+let prop_routes_are_fixed_point =
+  QCheck.Test.make ~name:"DBF routes stay the best heard" ~count:60 arb_run
+    (fun (graph, seed, steps) ->
+      let topo = topology graph in
+      let nodes = Netsim.Topology.node_count topo in
+      let edges = Array.of_list (Netsim.Topology.edges topo) in
+      let net = H.make ~seed topo in
+      let on_edge e act =
+        let u, v = edges.(e mod Array.length edges) in
+        act net u v
+      in
+      H.start net;
+      check_fixed_point net ~nodes ~after:"start";
+      List.iter
+        (fun step ->
+          (match step with
+          | Fail e -> on_edge e H.fail_link
+          | Restore e -> on_edge e H.restore_link
+          | Silence e -> on_edge e H.silence_link
+          | Run s ->
+            H.run net ~until:(Dessim.Scheduler.now (H.sched net) +. float_of_int s));
+          check_fixed_point net ~nodes ~after:(Fmt.str "%a" pp_step step))
+        steps;
+      true)
+
 let () =
   Alcotest.run "dbf"
     [
@@ -207,4 +318,5 @@ let () =
           Alcotest.test_case "link up" `Quick test_link_up_restores;
           Alcotest.test_case "ties stable" `Quick test_tie_keeps_incumbent;
         ] );
+      ("fixed point", [ QCheck_alcotest.to_alcotest prop_routes_are_fixed_point ]);
     ]

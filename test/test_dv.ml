@@ -65,6 +65,65 @@ let prop_chunk_flatten_identity =
       && List.for_all (fun c -> List.length c <= cfg.Protocols.Dv_core.max_entries) chunks
       && List.for_all (fun c -> c <> []) chunks)
 
+(* A router that knows 60 destinations splits its full vector for each
+   neighbor into messages of 25, 25 and 10 entries, ascending by
+   destination, poisoning the routes it learned from that neighbor. Router
+   0 hears 1 and 3..31 from neighbor 1, and 2 and 32..59 from neighbor 2. *)
+let test_full_vector_split () =
+  let sched = Dessim.Scheduler.create () in
+  let sent = ref [] in
+  let actions =
+    {
+      Protocols.Proto_intf.now = (fun () -> Dessim.Scheduler.now sched);
+      send = (fun neighbor msg -> sent := (neighbor, msg) :: !sent);
+      after = (fun delay fn -> Dessim.Scheduler.after sched ~delay fn);
+      route_changed = ignore;
+      note = ignore;
+    }
+  in
+  let r =
+    Protocols.Rip.create cfg ~rng:(Dessim.Rng.create 1) ~id:0 ~neighbors:[ 1; 2 ] ~actions
+  in
+  Protocols.Rip.start r;
+  let learned_from dst = if dst = 1 || (dst >= 3 && dst <= 31) then 1 else 2 in
+  let offer n =
+    let dsts = List.filter (fun d -> learned_from d = n) (List.init 59 (fun i -> i + 1)) in
+    Protocols.Rip.on_message r ~from:n
+      (List.map (fun d -> entry d (if d = n then 0 else 1)) dsts)
+  in
+  offer 1;
+  offer 2;
+  Alcotest.(check int) "destinations known" 60
+    (List.length (Protocols.Rip.known_destinations r));
+  (* The next event that sends is the boot announce or the periodic update
+     (the triggered update the offers caused went out at once, and the gate
+     stays closed for at least a second): a full vector to each neighbor. *)
+  sent := [];
+  while !sent = [] && Dessim.Scheduler.step sched do
+    ()
+  done;
+  List.iter
+    (fun n ->
+      let msgs =
+        List.filter_map (fun (m, msg) -> if m = n then Some msg else None) (List.rev !sent)
+      in
+      Alcotest.(check (list int))
+        (Printf.sprintf "message sizes to %d" n)
+        [ 25; 25; 10 ] (List.map List.length msgs);
+      let expected dst =
+        if dst = 0 then 0
+        else if learned_from dst = n then cfg.Protocols.Dv_core.infinity_metric
+        else if dst = 1 || dst = 2 then 1
+        else 2
+      in
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "entries to %d" n)
+        (List.init 60 (fun dst -> (dst, expected dst)))
+        (List.map
+           (fun (e : Protocols.Dv_core.entry) -> (e.dst, e.metric))
+           (List.concat msgs)))
+    [ 1; 2 ]
+
 (* ---------- Trigger gate ---------- *)
 
 type gate_env = {
@@ -178,7 +237,8 @@ let make_deadlines ?(timeout = 10.) () =
 (* Advance the clock to [at] (firing whatever is due), then refresh [slot]. *)
 let refresh_at env ~at slot =
   Dessim.Scheduler.run ~until:at env.dsched;
-  Protocols.Route_table.Deadline_vec.refresh env.deadlines slot
+  Protocols.Route_table.Deadline_vec.refresh env.deadlines
+    ~now:(Dessim.Scheduler.now env.dsched) slot
 
 let check_pending env n =
   Alcotest.(check int) "events queued" n (Dessim.Scheduler.pending env.dsched)
@@ -221,7 +281,8 @@ let test_deadline_cancel_then_refresh_reuses_event () =
   refresh_at env ~at:0. 5;
   Dessim.Scheduler.run ~until:3. env.dsched;
   Protocols.Route_table.Deadline_vec.cancel env.deadlines 5;
-  Protocols.Route_table.Deadline_vec.refresh env.deadlines 5;
+  Protocols.Route_table.Deadline_vec.refresh env.deadlines
+    ~now:(Dessim.Scheduler.now env.dsched) 5;
   check_pending env 1;
   Dessim.Scheduler.run env.dsched;
   Alcotest.(check (list (pair (float 0.) int))) "new deadline" [ (13., 5) ] !(env.expiries)
@@ -238,6 +299,7 @@ let () =
           Alcotest.test_case "chunk small" `Quick test_chunk_small;
           Alcotest.test_case "chunk boundaries" `Quick test_chunk_boundaries;
           Alcotest.test_case "chunk order" `Quick test_chunk_preserves_order;
+          Alcotest.test_case "full vector split" `Quick test_full_vector_split;
           Alcotest.test_case "message size" `Quick test_message_size;
           Alcotest.test_case "jittered period" `Quick test_jittered_period_bounds;
         ]
