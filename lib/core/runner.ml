@@ -675,12 +675,10 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
                    (Ctrl { from = id; msg })));
         after = after_action;
         route_changed = (fun dst -> on_route_changed st id dst);
-        note =
-          (fun n ->
+        mrai_deferred =
+          (fun neighbor dsts ->
             if trace_control then
-              match n with
-              | Protocols.Proto_intf.Mrai_deferred { neighbor; dsts } ->
-                emit st (Obs.Event.Mrai_defer { node = id; neighbor; dsts }));
+              emit st (Obs.Event.Mrai_defer { node = id; neighbor; dsts }));
       }
     in
     P.create pcfg ~rng ~id
@@ -754,12 +752,10 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
     let interval = 1. /. rate in
     let handler = flow_handler st f in
     (* One self-rescheduling pacer closure for the flow's whole life: with
-       [fire_after] (recycled event cell) and the clock read through its
-       unboxed view, the steady-state cost of a CBR tick is the packet
-       itself. *)
-    let clock = Dessim.Scheduler.clock st.sched in
+       [fire_after] (recycled event cell) and an inlined clock read, the
+       steady-state cost of a CBR tick is the packet itself. *)
     let rec send_one () =
-      if clock.Dessim.Scheduler.now < cfg.Config.sim_end then begin
+      if Dessim.Scheduler.now st.sched < cfg.Config.sim_end then begin
         f.sent <- f.sent + 1;
         ignore
           (launch_packet st ~flow:f.idx ~handler ~src:f.src ~dst:f.dst

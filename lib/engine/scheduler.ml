@@ -40,7 +40,7 @@ let gen_step = 1 lsl 32
 
 (* The clock lives alone in an all-float record so that advancing it is an
    unboxed store: a [mutable clock : float] field of [t] would box every new
-   time. The interface exports the record read-only (see [clock]). *)
+   time. *)
 type clock = { mutable now : float }
 
 type recorder = {
@@ -161,8 +161,6 @@ let create () =
   }
 
 let now t = t.clock.now
-
-let clock t = t.clock
 
 let set_recorder t r = t.recorder <- r
 

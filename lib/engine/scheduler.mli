@@ -16,15 +16,9 @@ val create : unit -> t
 (** [create ()] is a fresh scheduler at time [0.0] with no pending events. *)
 
 val now : t -> float
-(** [now t] is the current simulation time in seconds. *)
-
-type clock = private { mutable now : float }
-(** A read-only view of a scheduler's clock. The clock is stored unboxed, so
-    a call to {!now} that is not inlined boxes its result, while reading
-    [c.now] is a plain load. Per-event callers keep the view. *)
-
-val clock : t -> clock
-(** [clock t] is [t]'s clock: [(clock t).now] always equals [now t]. *)
+(** [now t] is the current simulation time in seconds. The clock is stored
+    unboxed and the repository builds without [-opaque], so a call from
+    another module inlines to a plain load and allocates nothing. *)
 
 val schedule : t -> at:float -> (unit -> unit) -> handle
 (** [schedule t ~at f] arranges for [f ()] to run at absolute time [at].

@@ -20,7 +20,6 @@ type busy = { mutable until : float }
 
 type 'a t = {
   sched : Dessim.Scheduler.t;
-  clock : Dessim.Scheduler.clock;
   bandwidth_bps : float;
   prop_delay : float;
   queue_capacity : int;
@@ -36,9 +35,8 @@ type 'a t = {
   mutable head : int;  (* index of the oldest unit *)
   mutable next_token : int;  (* units accepted since creation *)
   mutable buckets : int;  (* see [victim_order] *)
-  (* The transmission time of the last size sent. A recurring size then
-     costs no division, and the scheduler is handed this stored box rather
-     than a fresh one. *)
+  (* The transmission time of the last size sent, so a recurring size
+     costs no division. *)
   mutable tx_bits : int;
   mutable tx_time : float;
   transmitted_tag : unit Dessim.Scheduler.tag;
@@ -101,7 +99,6 @@ let create ~sched ~bandwidth_bps ~prop_delay ~queue_capacity ~deliver ~dropped
   let t =
     {
       sched;
-      clock = Dessim.Scheduler.clock sched;
       bandwidth_bps;
       prop_delay;
       queue_capacity;
@@ -143,7 +140,7 @@ let send t ?(reliable = false) ~size_bits payload =
     Rejected Types.Queue_overflow
   end
   else begin
-    let now = t.clock.now in
+    let now = Dessim.Scheduler.now t.sched in
     if size_bits <> t.tx_bits then begin
       t.tx_bits <- size_bits;
       t.tx_time <- float_of_int size_bits /. t.bandwidth_bps
@@ -206,7 +203,7 @@ let fail t =
     t.queue_len <- 0;
     t.flying <- 0;
     t.buckets <- initial_buckets;
-    t.busy.until <- t.clock.now;
+    t.busy.until <- Dessim.Scheduler.now t.sched;
     let drop_one i =
       let w = (head + i) land (Array.length handles - 1) in
       Dessim.Scheduler.cancel t.sched handles.(w);
@@ -218,5 +215,5 @@ let fail t =
 let restore t =
   if not t.up then begin
     t.up <- true;
-    t.busy.until <- t.clock.now
+    t.busy.until <- Dessim.Scheduler.now t.sched
   end

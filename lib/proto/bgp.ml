@@ -111,8 +111,11 @@ type t = {
   fib : Route_table.t;
       (* the selected route: metric = received path length (-1: no route),
          next hop = the neighbor it came from *)
-  best_rx : Netsim.Types.node_id list Route_table.Vec.t;
-      (* the selected path as that neighbor advertised it *)
+  best_adv : Netsim.Types.node_id list Route_table.Vec.t;
+      (* the path this router advertises to each destination: [[id]] to
+         itself, set by [create]; otherwise [id] consed once, when
+         [recompute] installs the route, onto the path as the next hop
+         advertised it. Every update for the route sends this one value. *)
   pd_gates : (Netsim.Types.node_id * Netsim.Types.node_id, gate) Hashtbl.t;
       (* Per_destination scope, keyed by (neighbor, dst) *)
   rfd_table : (Netsim.Types.node_id * Netsim.Types.node_id, rfd_entry) Hashtbl.t;
@@ -136,6 +139,8 @@ let create cfg ~rng ~id ~neighbors ~actions =
       gate = new_gate ();
     }
   in
+  let best_adv = Route_table.Vec.create ~default:[] in
+  Route_table.Vec.set best_adv id [ id ];
   {
     cfg;
     rng;
@@ -144,7 +149,7 @@ let create cfg ~rng ~id ~neighbors ~actions =
     peers = Array.map peer ids;
     slot_of;
     fib = Route_table.create ();
-    best_rx = Route_table.Vec.create ~default:[];
+    best_adv;
     pd_gates = Hashtbl.create 64;
     rfd_table = Hashtbl.create 64;
     started = false;
@@ -167,8 +172,7 @@ let rib_in_path t ~neighbor ~dst =
   else Some (Route_table.Vec.get t.peers.(s).rib_path dst)
 
 let my_path t dst =
-  if dst = t.id then [ t.id ]
-  else if has_route t dst then t.id :: Route_table.Vec.get t.best_rx dst
+  if dst = t.id || has_route t dst then Route_table.Vec.get t.best_adv dst
   else invalid_arg "Bgp.my_path: no route"
 
 let best_path t ~dst =
@@ -234,8 +238,7 @@ let rec advertise_batch t p dsts =
     | Per_neighbor ->
       let g = p.gate in
       if g.closed then
-        t.actions.Proto_intf.note
-          (Proto_intf.Mrai_deferred { neighbor; dsts = enqueue_all g 0 dsts })
+        t.actions.Proto_intf.mrai_deferred neighbor (enqueue_all g 0 dsts)
       else begin
         List.iter (send_update_now t neighbor) dsts;
         close_gate t p g
@@ -245,8 +248,7 @@ let rec advertise_batch t p dsts =
         let g = pd_gate t neighbor dst in
         if g.closed then begin
           enqueue g dst;
-          t.actions.Proto_intf.note
-            (Proto_intf.Mrai_deferred { neighbor; dsts = 1 })
+          t.actions.Proto_intf.mrai_deferred neighbor 1
         end
         else begin
           send_update_now t neighbor dst;
@@ -310,7 +312,7 @@ let recompute t dst =
     done;
     if !winner < 0 then
       if has_route t dst then begin
-        Route_table.Vec.set t.best_rx dst [];
+        Route_table.Vec.set t.best_adv dst [];
         Route_table.set t.fib ~dst ~metric:(-1) ~next_hop:(-1);
         t.actions.Proto_intf.route_changed dst;
         Lost
@@ -321,10 +323,10 @@ let recompute t dst =
       let path = Route_table.Vec.get t.peers.(!winner).rib_path dst in
       if has_route t dst
          && Route_table.next_hop_id t.fib dst = via
-         && same_path (Route_table.Vec.get t.best_rx dst) path
+         && same_path (List.tl (Route_table.Vec.get t.best_adv dst)) path
       then Unchanged
       else begin
-        Route_table.Vec.set t.best_rx dst path;
+        Route_table.Vec.set t.best_adv dst (t.id :: path);
         Route_table.set t.fib ~dst ~metric:!winner_len ~next_hop:via;
         t.actions.Proto_intf.route_changed dst;
         Changed

@@ -5,13 +5,6 @@
     callbacks send control messages to neighbors, set timers, and report
     best-route changes to the measurement layer. *)
 
-(** Protocol-internal occurrences worth tracing but invisible from the
-    outside (no message is sent, no route changes). Protocols report them
-    through {!actions.note}; harnesses that do not trace install a no-op. *)
-type note =
-  | Mrai_deferred of { neighbor : Netsim.Types.node_id; dsts : int }
-      (** changed destinations queued behind a closed MRAI gate *)
-
 (** The broad class of a control message, for observers that count updates
     and withdrawals per protocol without decoding protocol wire formats. *)
 type message_kind = Update | Withdrawal | Mixed
@@ -25,8 +18,11 @@ type 'msg actions = {
   route_changed : Netsim.Types.node_id -> unit;
       (** notify observers that the best route to a destination changed
           (metric or next hop) *)
-  note : note -> unit;
-      (** report a protocol-internal occurrence to the trace layer *)
+  mrai_deferred : Netsim.Types.node_id -> int -> unit;
+      (** [mrai_deferred neighbor dsts]: [dsts] changed destinations queued
+          behind a closed MRAI gate toward [neighbor]. Invisible from the
+          outside (no message is sent, no route changes), so only the trace
+          layer listens; harnesses that do not trace install a no-op. *)
 }
 
 module type PROTOCOL = sig

@@ -61,7 +61,7 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
                 (fun dst ->
                   net.route_changes <-
                     (Dessim.Scheduler.now sched, id, dst) :: net.route_changes);
-              note = (fun _ -> ());
+              mrai_deferred = (fun _ _ -> ());
             }
           in
           P.create config ~rng ~id

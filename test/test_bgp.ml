@@ -211,7 +211,7 @@ let lone_router ~config ~id ~neighbors =
           sent := (Dessim.Scheduler.now sched, neighbor, msg) :: !sent);
       after = (fun delay fn -> Dessim.Scheduler.after sched ~delay fn);
       route_changed = (fun _ -> ());
-      note = (fun _ -> ());
+      mrai_deferred = (fun _ _ -> ());
     }
   in
   let r =

@@ -308,6 +308,56 @@ let test_alloc_fire_after () =
   Dessim.Scheduler.fire_at s ~at:0. tick;
   Alcotest.(check (float 0.01)) "words per fire_after event" 0. (steady_words_per_event s)
 
+(* A delayed event that misses the timing lanes: one self-rescheduling
+   tagged event cycles through 20 distinct delays read from an array. Only
+   8 delays earn a lane, so about 60% of its pushes go to the heap. The
+   first 5000 events grow the cell pool, the heap and the 8 lanes; the next
+   100k are measured. Neither the delay nor the absolute time handed to the
+   heap may be boxed. *)
+let test_alloc_heap_delayed () =
+  let s = Dessim.Scheduler.create () in
+  let delays = Array.init 20 (fun i -> 0.25 *. float_of_int (i + 1)) in
+  let tag = ref None in
+  let fire (count : int ref) =
+    incr count;
+    match !tag with
+    | Some tg ->
+      ignore (Dessim.Scheduler.after_tag_h s ~delay:delays.(!count mod 20) tg count)
+    | None -> ()
+  in
+  let tg = Dessim.Scheduler.register s fire in
+  tag := Some tg;
+  ignore (Dessim.Scheduler.after_tag_h s ~delay:delays.(0) tg (ref 0));
+  let steps n =
+    for _ = 1 to n do
+      ignore (Dessim.Scheduler.step s : bool)
+    done
+  in
+  let n = 100_000 in
+  steps 5000;
+  let w0 = Gc.minor_words () in
+  steps n;
+  let w1 = Gc.minor_words () in
+  Alcotest.(check int) "measured events" (5000 + n) (Dessim.Scheduler.events_processed s);
+  Alcotest.(check (float 0.01))
+    "words per heap-path event" 0.
+    ((w1 -. w0) /. float_of_int n)
+
+(* Reading the clock from another module is a plain load: [now] returns
+   the unboxed clock, and adding it into a local float allocates nothing. *)
+let test_alloc_now () =
+  let s = Dessim.Scheduler.create () in
+  Dessim.Scheduler.run ~until:2.5 s;
+  let n = 100_000 in
+  let acc = ref 0. in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    acc := !acc +. Dessim.Scheduler.now s
+  done;
+  let w1 = Gc.minor_words () in
+  check_float "sum of readings" (2.5 *. float_of_int n) !acc;
+  Alcotest.(check (float 0.01)) "words per now call" 0. ((w1 -. w0) /. float_of_int n)
+
 (* ---------- Rng ---------- *)
 
 let test_rng_deterministic () =
@@ -528,6 +578,8 @@ let () =
         [
           Alcotest.test_case "tagged event" `Quick test_alloc_tagged_event;
           Alcotest.test_case "fire_after event" `Quick test_alloc_fire_after;
+          Alcotest.test_case "heap-path delayed event" `Quick test_alloc_heap_delayed;
+          Alcotest.test_case "now across modules" `Quick test_alloc_now;
         ] );
       ( "rng",
         [

@@ -78,7 +78,7 @@ let test_full_vector_split () =
       send = (fun neighbor msg -> sent := (neighbor, msg) :: !sent);
       after = (fun delay fn -> Dessim.Scheduler.after sched ~delay fn);
       route_changed = ignore;
-      note = ignore;
+      mrai_deferred = (fun _ _ -> ());
     }
   in
   let r =
