@@ -1197,6 +1197,9 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
         (Obs.Registry.gauge m "scheduler.events_scheduled")
         (float_of_int (Dessim.Scheduler.events_scheduled st.sched));
       Obs.Registry.set
+        (Obs.Registry.gauge m "scheduler.heap_pushes")
+        (float_of_int (Dessim.Scheduler.heap_pushes st.sched));
+      Obs.Registry.set
         (Obs.Registry.gauge m "scheduler.events_skipped")
         (float_of_int (Dessim.Scheduler.events_skipped st.sched));
       Obs.Registry.set

@@ -97,9 +97,10 @@ type routing_view = {
       {!Obs.Trace.null}, which costs one boolean test per potential event.
     - [?metrics] — an {!Obs.Registry.t} the run populates with
       [scheduler.events_fired], [scheduler.events_scheduled],
-      [scheduler.events_skipped], [scheduler.max_queue_depth],
-      [scheduler.events_per_cpu_s], [scenario.cpu_s], [gc.minor_words],
-      [gc.promoted_words], [gc.major_collections] and
+      [scheduler.heap_pushes], [scheduler.events_skipped],
+      [scheduler.max_queue_depth], [scheduler.events_per_cpu_s],
+      [scenario.cpu_s], [gc.minor_words], [gc.promoted_words],
+      [gc.major_collections] and
       [alloc.minor_words_per_event] gauges,
       [ctrl.messages]/[ctrl.bytes]/[ctrl.lost]/[sched.timer_fires]/
       [sched.data_forwards] counters, and a [packet.delay_s] histogram of

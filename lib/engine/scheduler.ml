@@ -48,7 +48,8 @@ type recorder = {
   on_pop : float -> int -> bool -> unit;
 }
 
-(* A timing lane: a FIFO of events that all share one relative delay.
+(* A timing lane: a FIFO of events that all share one relative delay (a
+   lane that has emptied may take on another delay; see [max_lanes]).
 
    Nearly every hot event is scheduled as "now + d" for a d that repeats
    millions of times — a link's propagation delay, a packet's transmission
@@ -64,33 +65,53 @@ type recorder = {
    distance-vector campaigns, and with them out of the heap, heap sifts
    that walked 9 levels walk 4, while lane pushes and pops are O(1). *)
 type lane = {
-  l_delay : float;  (* the relative delay this lane serves *)
   mutable l_times : float array;
   mutable l_seqs : int array;
   mutable l_vals : int array;  (* cell-pool indices, like the heap payload *)
   mutable l_head : int;  (* next entry to pop *)
   mutable l_tail : int;  (* next slot to fill *)
+  mutable l_last : int;  (* seq of the last append (or of the retarget) *)
 }
 
 (* Lanes are created on demand, for delays seen often enough to matter:
-   every delay earns a candidate slot, and its [lane_promote_count]-th
-   occurrence promotes it to a lane (bounded by [max_lanes]; excess
-   recurring delays just stay on the heap, which is merely slower, never
-   wrong). Candidate slots evict the lowest count, so one-off jittered
-   delays churn the table without ever displacing a recurring constant
-   that is accumulating occurrences. *)
+   every heap-bound delay earns a candidate slot, and its
+   [lane_promote_count]-th occurrence promotes it to a lane. While fewer
+   than [max_lanes] lanes exist, a miss evicts the candidate with the
+   lowest count, so one-off jittered delays churn the table without ever
+   displacing a recurring constant that is accumulating occurrences.
+
+   The delays that recur change over a run: a distance-vector warm-up's
+   control-packet sizes and timeout batches fill all [max_lanes] lanes
+   before the first data packet is sent. So counting goes on once the
+   table is full, and a promoted delay takes over the least recently
+   appended lane that holds no event, reusing its arrays. A lane changes
+   its delay only while it is empty, so each lane stays sorted and the
+   merge stays exact. If every lane holds events, the delay stays on the
+   heap (slower, never wrong) with its count at the threshold, so its next
+   heap push tries again.
+
+   Once the table is full a lane can only be taken from another delay, so
+   counting asks for a delay that recurs now:
+   - A delay counts once per instant. A batch of route timeouts re-armed
+     at one instant repeats one delay up to a few hundred times and never
+     again, yet would hold its lane for the whole delay (150-180 s).
+   - A miss decrements every count instead of evicting the lowest (Misra
+     and Gries' frequent-items counting), so counts left over from the
+     warm-up fade, and a new delay that keeps recurring climbs past them.
+   A table that never fills (BGP's cells hold 4-5 lanes) promotes exactly
+   as if the table could not recycle. *)
 let max_lanes = 8
 
 let lane_promote_count = 64
 
-let new_lane d =
+let new_lane seq =
   {
-    l_delay = d;
     l_times = [||];
     l_seqs = [||];
     l_vals = [||];
     l_head = 0;
     l_tail = 0;
+    l_last = seq;
   }
 
 type t = {
@@ -109,8 +130,14 @@ type t = {
   mutable n_cells : int;
   mutable free_head : int;  (* head of the free-index list; -1 = empty *)
   mutable lanes : lane array;  (* constant-delay FIFO lanes, merged on pop *)
+  (* [lane_delay.(i)] is the delay lane [i] serves: a flat float array, so
+     the lookup on every delayed push is one load per lane and
+     retargeting a lane stores its new delay without boxing it. *)
+  lane_delay : float array;
+  mutable heap_pushes : int;
   cand_delay : float array;  (* lane-candidate delays (NaN = empty slot) *)
   cand_count : int array;  (* occurrence counts for the candidates *)
+  cand_at : float array;  (* the clock at each candidate's last count *)
   mutable n_pending : int;  (* queued events across the heap and all lanes *)
   mutable handlers : (Obj.t -> unit) array;
   mutable n_handlers : int;
@@ -150,8 +177,11 @@ let create () =
     n_cells = 0;
     free_head = -1;
     lanes = [||];
+    lane_delay = Array.make max_lanes nan;
+    heap_pushes = 0;
     cand_delay = Array.make 16 nan;
     cand_count = Array.make 16 0;
+    cand_at = Array.make 16 nan;
     n_pending = 0;
     handlers = [||];
     n_handlers = 0;
@@ -239,6 +269,7 @@ let push t ~at tag obj =
   let seq = t.next_seq in
   Int_heap.add t.queue ~time:at ~seq idx;
   t.next_seq <- seq + 1;
+  t.heap_pushes <- t.heap_pushes + 1;
   note_pushed t at seq;
   idx
 
@@ -273,11 +304,14 @@ let lane_append t l ~at idx =
   Array.unsafe_set l.l_seqs tail seq;
   Array.unsafe_set l.l_vals tail idx;
   l.l_tail <- tail + 1;
+  l.l_last <- seq;
   t.next_seq <- seq + 1;
   note_pushed t at seq
 
-(* Count an occurrence of a recurring delay; true when it just earned a
-   lane. Misses evict the smallest count (see the lane comment above). *)
+(* Count an occurrence of a heap-bound delay (see the lane comment above
+   for the two counting rules). Returns the delay's candidate slot once it
+   has occurred [lane_promote_count] times, -1 before; the count then
+   stays at the threshold until [promote] clears the slot. *)
 let note_candidate t d =
   let cd = t.cand_delay and cc = t.cand_count in
   let n = Array.length cd in
@@ -294,39 +328,83 @@ let note_candidate t d =
       incr i
     end
   done;
+  let now = t.clock.now in
+  let full = Array.length t.lanes = max_lanes in
   if !found >= 0 then begin
     let s = !found in
-    let c = cc.(s) + 1 in
-    if c >= lane_promote_count then begin
-      cd.(s) <- nan;
-      cc.(s) <- 0;
-      true
-    end
+    if full && t.cand_at.(s) = now then -1
     else begin
-      cc.(s) <- c;
-      false
+      t.cand_at.(s) <- now;
+      let c = cc.(s) + 1 in
+      if c >= lane_promote_count then s
+      else begin
+        cc.(s) <- c;
+        -1
+      end
     end
+  end
+  else if full && !minc > 0 then begin
+    for i = 0 to n - 1 do
+      let c = cc.(i) - 1 in
+      cc.(i) <- c;
+      if c = 0 then cd.(i) <- nan
+    done;
+    -1
   end
   else begin
     cd.(!mini) <- d;
     cc.(!mini) <- 1;
-    false
+    t.cand_at.(!mini) <- now;
+    -1
+  end
+
+(* Give the delay in candidate slot [s] a lane: a new one while fewer than
+   [max_lanes] exist, else the least recently appended lane that holds no
+   event. The slot is cleared only when a lane was granted. *)
+let promote t s =
+  let lanes = t.lanes in
+  let n = Array.length lanes in
+  let li =
+    if n < max_lanes then begin
+      t.lanes <- Array.append lanes [| new_lane t.next_seq |];
+      n
+    end
+    else begin
+      let idle = ref (-1) and oldest = ref max_int in
+      for i = 0 to n - 1 do
+        let l = Array.unsafe_get lanes i in
+        if l.l_tail = l.l_head && l.l_last < !oldest then begin
+          idle := i;
+          oldest := l.l_last
+        end
+      done;
+      if !idle >= 0 then (Array.unsafe_get lanes !idle).l_last <- t.next_seq;
+      !idle
+    end
+  in
+  if li >= 0 then begin
+    t.lane_delay.(li) <- t.cand_delay.(s);
+    t.cand_delay.(s) <- nan;
+    t.cand_count.(s) <- 0
   end
 
 (* Delay-relative push: the fast path of [after]/[fire_after] and the tag
    variants. Routes recurring delays to their lane; everything else to the
    heap. The lane guard ([at] not before the lane's tail) can only trip if
    the clock ever ran backwards — it falls back to the heap, trading speed
-   for unconditional correctness of the merge invariant. *)
+   for unconditional correctness of the merge invariant. A push that
+   promotes its delay still goes to the heap; the next one rides the
+   lane. *)
 let push_delayed t ~delay tag obj =
   if delay < 0.0 then invalid_arg "Scheduler.after: negative delay";
   let at = t.clock.now +. delay in
   let lanes = t.lanes in
+  let ld = t.lane_delay in
   let n = Array.length lanes in
   let li = ref (-1) in
   let i = ref 0 in
   while !li < 0 && !i < n do
-    if (Array.unsafe_get lanes !i).l_delay = delay then li := !i else incr i
+    if Array.unsafe_get ld !i = delay then li := !i else incr i
   done;
   if !li >= 0 then begin
     let l = Array.unsafe_get lanes !li in
@@ -339,8 +417,8 @@ let push_delayed t ~delay tag obj =
     end
   end
   else begin
-    if n < max_lanes && note_candidate t delay then
-      t.lanes <- Array.append t.lanes [| new_lane delay |];
+    let s = note_candidate t delay in
+    if s >= 0 then promote t s;
     push t ~at tag obj
   end
 
@@ -529,3 +607,5 @@ let events_scheduled t = t.next_seq
 let events_skipped t = t.skipped
 
 let max_queue_depth t = t.max_depth
+
+let heap_pushes t = t.heap_pushes

@@ -143,6 +143,15 @@ val events_skipped : t -> int
 (** [events_skipped t] counts cancelled events that were popped and discarded
     without firing — the queue-churn cost of cancellation. *)
 
+val heap_pushes : t -> int
+(** [heap_pushes t] counts the events pushed to the heap rather than
+    appended to a timing lane: every {!schedule} and {!schedule_tag_h},
+    and each delayed event whose delay has no lane. Delays that recur
+    often enough ride lanes, which cost O(1) per push and pop where the
+    heap costs a sift, so this is the share of the queue work that pays
+    for sifts. Like the other counts it is deterministic for a
+    deterministic simulation. *)
+
 val max_queue_depth : t -> int
 (** [max_queue_depth t] is the high-water mark of the event queue: the largest
     number of simultaneously pending events (cancelled-but-undiscarded

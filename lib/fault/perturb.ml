@@ -14,8 +14,10 @@ let is_null t =
   t.drop = 0. && t.corrupt = 0. && t.duplicate = 0. && t.jitter = 0.
 
 let validate t =
+  (* Written so that NaN fails: every comparison with NaN is false. *)
   let prob name p =
-    if p < 0. || p > 1. then Error (Printf.sprintf "%s must be in [0,1]" name)
+    if not (0. <= p && p <= 1.) then
+      Error (Printf.sprintf "%s must be in [0,1]" name)
     else Ok ()
   in
   let ( let* ) = Result.bind in
@@ -23,7 +25,7 @@ let validate t =
   let* () = prob "corrupt" t.corrupt in
   let* () = prob "duplicate" t.duplicate in
   if t.drop +. t.corrupt > 1. then Error "drop + corrupt must be <= 1"
-  else if t.jitter < 0. then Error "jitter must be >= 0"
+  else if not (t.jitter >= 0.) then Error "jitter must be >= 0"
   else Ok ()
 
 type outcome = Drop | Corrupt | Deliver of { copies : int; delay : float }

@@ -23,19 +23,21 @@ let flap ?(link = Any_edge) ~start ~cycles ~down ~up () =
     up_max = up;
   }
 
+(* The checks are written so that NaN fails: every comparison with NaN is
+   false. *)
 let validate_flap f =
-  if f.flap_start < 0. then Error "flap_start must be >= 0"
+  if not (f.flap_start >= 0.) then Error "flap_start must be >= 0"
   else if f.flap_cycles < 1 then Error "flap_cycles must be >= 1"
-  else if f.down_min < 0. || f.down_min > f.down_max then
+  else if not (0. <= f.down_min && f.down_min <= f.down_max) then
     Error "down durations must satisfy 0 <= down_min <= down_max"
-  else if f.up_min < 0. || f.up_min > f.up_max then
+  else if not (0. <= f.up_min && f.up_min <= f.up_max) then
     Error "up durations must satisfy 0 <= up_min <= up_max"
   else Ok ()
 
 let validate_crash c =
-  if c.crash_at < 0. then Error "crash_at must be >= 0"
-  else if (match c.reboot_after with Some d -> d <= 0. | None -> false) then
-    Error "reboot_after must be > 0"
+  if not (c.crash_at >= 0.) then Error "crash_at must be >= 0"
+  else if (match c.reboot_after with Some d -> not (d > 0.) | None -> false)
+  then Error "reboot_after must be > 0"
   else Ok ()
 
 type transition = { at : float; up : bool }

@@ -270,6 +270,89 @@ let test_sched_handles_survive_growth () =
     fired;
   Alcotest.(check int) "skipped" (List.length victims) (Dessim.Scheduler.events_skipped s)
 
+(* ---------- Timing lanes ---------- *)
+
+(* [count] events of [delay], one pushed by each other's handler, so that
+   each push happens at its own instant. *)
+let recur s ~delay ~count =
+  let left = ref count in
+  let rec tick () =
+    decr left;
+    if !left > 0 then Dessim.Scheduler.fire_after s ~delay tick
+  in
+  Dessim.Scheduler.fire_after s ~delay tick;
+  Dessim.Scheduler.run s
+
+(* Fill the table with 8 lanes, one per delay, and drain them all. *)
+let full_drained_table () =
+  let s = Dessim.Scheduler.create () in
+  for i = 1 to 8 do
+    recur s ~delay:(float_of_int i) ~count:64
+  done;
+  (* Every push of the warm-up went to the heap: 63 to count each delay,
+     and the 64th, which promoted it. *)
+  Alcotest.(check int) "one promoting push each" (8 * 64) (Dessim.Scheduler.heap_pushes s);
+  recur s ~delay:1. ~count:100;
+  Alcotest.(check int) "lanes hold their delays" (8 * 64) (Dessim.Scheduler.heap_pushes s);
+  s
+
+(* A full table recycles a drained lane for a delay that recurs now: after
+   its 64th heap push, a 9th delay rides the least recently used lane. A
+   table that only grows keeps it on the heap for all 1000 pushes. *)
+let test_lane_recycled () =
+  let s = full_drained_table () in
+  let h0 = Dessim.Scheduler.heap_pushes s in
+  let fired0 = Dessim.Scheduler.events_processed s in
+  recur s ~delay:0.5 ~count:1000;
+  Alcotest.(check int) "all fired" 1000 (Dessim.Scheduler.events_processed s - fired0);
+  Alcotest.(check int) "heap pushes before the lane" 64
+    (Dessim.Scheduler.heap_pushes s - h0);
+  (* Delay 1's lane was appended last, so delay 2's was the least recently
+     used: delay 2 starts over on the heap, and delay 1 keeps its lane. *)
+  let h1 = Dessim.Scheduler.heap_pushes s in
+  recur s ~delay:1. ~count:10;
+  Alcotest.(check int) "a kept lane" 0 (Dessim.Scheduler.heap_pushes s - h1);
+  recur s ~delay:2. ~count:10;
+  Alcotest.(check int) "the recycled lane's old delay" 10
+    (Dessim.Scheduler.heap_pushes s - h1)
+
+(* How a full table counts. A delay repeated 1000 times at one instant
+   counts once, so it never takes a lane: it would hold it for the whole
+   delay and gain nothing after the instant. And counts left by delays
+   that stopped recurring fade: a new delay that recurs among one-off
+   delays, one each between its pushes, still earns a lane, where evicting
+   the lowest count would evict it every time. *)
+let test_full_table_counting () =
+  let s = full_drained_table () in
+  let h0 = Dessim.Scheduler.heap_pushes s in
+  for _ = 1 to 1000 do
+    Dessim.Scheduler.fire_after s ~delay:9. ignore
+  done;
+  Dessim.Scheduler.run s;
+  Alcotest.(check int) "one-instant batch on the heap" 1000
+    (Dessim.Scheduler.heap_pushes s - h0);
+  (* Warm-up leftovers: 16 delays that each recurred 63 times. *)
+  for i = 1 to 16 do
+    recur s ~delay:(10. +. float_of_int i) ~count:63
+  done;
+  let one_off = ref 100. in
+  let left = ref 400 in
+  let rec tick () =
+    one_off := !one_off +. 0.001;
+    Dessim.Scheduler.fire_after s ~delay:!one_off ignore;
+    decr left;
+    if !left > 0 then Dessim.Scheduler.fire_after s ~delay:0.25 tick
+  in
+  let h1 = Dessim.Scheduler.heap_pushes s in
+  Dessim.Scheduler.fire_after s ~delay:0.25 tick;
+  Dessim.Scheduler.run s;
+  (* 400 one-offs, plus the recurring delay's pushes until its lane. *)
+  let recurring_on_heap = Dessim.Scheduler.heap_pushes s - h1 - 400 in
+  Alcotest.(check bool)
+    (Printf.sprintf "recurring delay earned a lane (%d of 400 pushes on the heap)"
+       recurring_on_heap)
+    true (recurring_on_heap < 200)
+
 (* ---------- Allocation ---------- *)
 
 (* Minor words per event over 100k steady-state events. [run ~until:warm]
@@ -309,11 +392,12 @@ let test_alloc_fire_after () =
   Alcotest.(check (float 0.01)) "words per fire_after event" 0. (steady_words_per_event s)
 
 (* A delayed event that misses the timing lanes: one self-rescheduling
-   tagged event cycles through 20 distinct delays read from an array. Only
-   8 delays earn a lane, so about 60% of its pushes go to the heap. The
-   first 5000 events grow the cell pool, the heap and the 8 lanes; the next
-   100k are measured. Neither the delay nor the absolute time handed to the
-   heap may be boxed. *)
+   tagged event cycles through 20 distinct delays read from an array. At
+   most 8 of them hold a lane at a time, and the full table hands drained
+   lanes from delay to delay, so at least 60% of its pushes go to the heap.
+   The first 5000 events grow the cell pool, the heap and the 8 lanes; the
+   next 100k are measured. Neither the delay nor the absolute time handed to
+   the heap may be boxed, and recycling a lane allocates nothing. *)
 let test_alloc_heap_delayed () =
   let s = Dessim.Scheduler.create () in
   let delays = Array.init 20 (fun i -> 0.25 *. float_of_int (i + 1)) in
@@ -335,10 +419,16 @@ let test_alloc_heap_delayed () =
   in
   let n = 100_000 in
   steps 5000;
+  let h0 = Dessim.Scheduler.heap_pushes s in
   let w0 = Gc.minor_words () in
   steps n;
   let w1 = Gc.minor_words () in
   Alcotest.(check int) "measured events" (5000 + n) (Dessim.Scheduler.events_processed s);
+  let on_heap = Dessim.Scheduler.heap_pushes s - h0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "most pushes reach the heap (%d of %d)" on_heap n)
+    true
+    (on_heap * 10 >= n * 6);
   Alcotest.(check (float 0.01))
     "words per heap-path event" 0.
     ((w1 -. w0) /. float_of_int n)
@@ -573,6 +663,11 @@ let () =
             test_sched_cancel_same_instant;
           Alcotest.test_case "valid across pool growth" `Quick
             test_sched_handles_survive_growth;
+        ] );
+      ( "lanes",
+        [
+          Alcotest.test_case "drained lane recycled" `Quick test_lane_recycled;
+          Alcotest.test_case "full table counting" `Quick test_full_table_counting;
         ] );
       ( "alloc",
         [

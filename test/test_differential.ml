@@ -9,7 +9,9 @@
      shrinking), on a large seeded soak, and on the exact streams real seed
      scenarios push through the scheduler (captured via the recorder seam).
    - a reference scheduler: the old closure-per-event scheduler rebuilt on
-     [Reference_heap], for random schedule/cancel/step interleavings.
+     [Reference_heap], for random schedule/cancel/step interleavings, and
+     for delayed events whose recurring delays ride timing lanes and
+     recycle them.
    - the GC: a fired event's closure must become collectable (weak-pointer
      check) once the scheduler recycles its cell.
    - [Reference_link]: the hash-table link the FIFO ring replaced, kept
@@ -297,6 +299,110 @@ let scheduler_differential_cancels =
     ~count:300
     QCheck2.Gen.(list_size (int_range 0 120) (pair (int_range 0 20) bool))
     run_cancel_scenario
+
+(* ---------- scheduler vs reference scheduler: timing lanes ---------- *)
+
+(* The cancel property above schedules at absolute times only, so every
+   event there goes through the heap. Here every event is delayed, drawn
+   from 14 recurring delays in phases: each phase repeats a window of 2 or
+   3 adjacent pool entries, and the window moves from phase to phase. The
+   lane table fills, the lanes of past phases drain, and later phases'
+   delays take them over, while cancels hit events on lanes and on the
+   heap. *)
+let lane_pool =
+  [|
+    0.0008; 0.005; 0.01; 0.000416; 0.001216; 0.004256; 0.03; 0.125; 0.25; 0.5;
+    1.; 1.5; 2.; 3.;
+  |]
+
+(* A phase is (first pool index, window width, pace, one int per push). A
+   push's int [k] picks delay [k mod width] of the window, [after] or
+   [after_tag_h] by the parity of [k / width], cancels one of the last 17
+   events when [k mod 5 = 0], and then steps both schedulers
+   [k mod (pace + 1)] times: a slow phase (pace 1) lets the queue and its
+   lanes fill, a fast one (pace 4) drains them. Returns whether both fired the same events at the same times,
+   and whether more than 8 delays rode a lane: there are at most 8 lanes,
+   so some lane then changed its delay. A push rode a lane when it left
+   [heap_pushes] unchanged. *)
+let run_lane_phases phases =
+  let pushes = List.fold_left (fun acc (_, _, _, ks) -> acc + List.length ks) 0 phases in
+  let s_new = Dessim.Scheduler.create () in
+  let s_ref = Reference_sched.create () in
+  let log_new = ref [] and log_ref = ref [] in
+  let tag = Dessim.Scheduler.register s_new (fun i -> log_new := i :: !log_new) in
+  let hs_new = Array.make (max pushes 1) None in
+  let hs_ref = Array.make (max pushes 1) None in
+  let laned = Hashtbl.create 16 in
+  let same = ref true in
+  let next = ref 0 in
+  let push (base, width, pace, k) =
+    let i = !next in
+    incr next;
+    let delay = lane_pool.((base + (k mod width)) mod Array.length lane_pool) in
+    let h0 = Dessim.Scheduler.heap_pushes s_new in
+    hs_new.(i) <-
+      Some
+        (if (k / width) land 1 = 0 then
+           Dessim.Scheduler.after s_new ~delay (fun () -> log_new := i :: !log_new)
+         else Dessim.Scheduler.after_tag_h s_new ~delay tag i);
+    if Dessim.Scheduler.heap_pushes s_new = h0 then Hashtbl.replace laned delay ();
+    hs_ref.(i) <-
+      Some
+        (Reference_sched.schedule s_ref ~at:(s_ref.Reference_sched.clock +. delay)
+           (fun () -> log_ref := i :: !log_ref));
+    if k mod 5 = 0 && i > 0 then begin
+      let j = i - 1 - (k / 5 mod min i 17) in
+      Option.iter (Dessim.Scheduler.cancel s_new) hs_new.(j);
+      Option.iter Reference_sched.cancel hs_ref.(j)
+    end;
+    for _ = 1 to k mod (pace + 1) do
+      let fired_new = Dessim.Scheduler.step s_new in
+      let fired_ref = Reference_sched.step s_ref in
+      if fired_new <> fired_ref || Dessim.Scheduler.now s_new <> s_ref.Reference_sched.clock
+      then same := false
+    done
+  in
+  List.iter
+    (fun (base, width, pace, ks) -> List.iter (fun k -> push (base, width, pace, k)) ks)
+    phases;
+  Dessim.Scheduler.run s_new;
+  Reference_sched.run s_ref;
+  let same =
+    !same
+    && List.rev !log_new = List.rev !log_ref
+    && Dessim.Scheduler.events_processed s_new = s_ref.Reference_sched.fired
+    && Dessim.Scheduler.events_skipped s_new = s_ref.Reference_sched.skipped
+  in
+  (same, Hashtbl.length laned > 8)
+
+let lane_phases_gen =
+  QCheck2.Gen.(
+    list_size (int_range 6 9)
+      (quad (int_range 0 13) (int_range 2 3) (int_range 1 4)
+         (no_shrink (list_size (int_range 200 400) (int_range 0 9999)))))
+
+let show_lane_phases =
+  QCheck2.Print.(list (quad int int int (list int)))
+
+let scheduler_differential_lanes =
+  QCheck2.Test.make
+    ~name:"lane scheduler fires like the reference under shifting delays"
+    ~count:200 ~print:show_lane_phases lane_phases_gen
+    (fun phases -> fst (run_lane_phases phases))
+
+(* The property above only means something if its cases recycle lanes:
+   most of 200 cases drawn from a fixed seed must (153 do). A phase's pushes
+   do not shrink, so a failing case shrinks by phases in seconds. *)
+let test_lane_cases_recycle () =
+  let cases =
+    QCheck2.Gen.generate ~rand:(Random.State.make [| 30 |]) ~n:200 lane_phases_gen
+  in
+  let results = List.map run_lane_phases cases in
+  let recycled = List.length (List.filter snd results) in
+  Alcotest.(check bool) "all cases match the reference" true (List.for_all fst results);
+  Alcotest.(check bool)
+    (Printf.sprintf "most cases recycle a lane (%d of 200)" recycled)
+    true (recycled >= 120)
 
 (* ---------- GC retention ---------- *)
 
@@ -875,8 +981,10 @@ let () =
               `Slow test_scenario_streams;
           ] );
       ( "scheduler",
-        qsuite [ scheduler_differential_cancels ]
+        qsuite [ scheduler_differential_cancels; scheduler_differential_lanes ]
         @ [
+            Alcotest.test_case "random lane cases recycle lanes" `Quick
+              test_lane_cases_recycle;
             Alcotest.test_case "fired cell does not retain closure" `Quick
               test_scheduler_cell_does_not_retain;
           ] );

@@ -277,6 +277,50 @@ let test_rtx_config_validation () =
     "max_retries 0" true
     (bad { Rtx.default_config with Rtx.max_retries = 0 })
 
+(* NaN compares false with everything, so a check written as "reject if
+   p < 0 or p > 1" lets it through: a NaN loss once ran as a faulted run
+   that injected nothing. Every probability, duration and instant must
+   reject it, and so must the spec the CLI builds from [--loss]. *)
+let test_validation_rejects_nan () =
+  let bad = Result.is_error in
+  let noise = { Fault.Perturb.none with Fault.Perturb.drop = 0.1 } in
+  Alcotest.(check bool) "finite noise valid" false (bad (Fault.Perturb.validate noise));
+  List.iter
+    (fun (name, p) -> Alcotest.(check bool) name true (bad (Fault.Perturb.validate p)))
+    [
+      ("drop nan", { noise with Fault.Perturb.drop = nan });
+      ("corrupt nan", { noise with Fault.Perturb.corrupt = nan });
+      ("duplicate nan", { noise with Fault.Perturb.duplicate = nan });
+      ("jitter nan", { noise with Fault.Perturb.jitter = nan });
+      ("drop 1.5", { noise with Fault.Perturb.drop = 1.5 });
+    ];
+  Alcotest.(check bool)
+    "control_loss nan" true
+    (bad (Fault.Spec.validate (Fault.Spec.control_loss nan)));
+  let flap = Fault.Schedule.flap ~start:10. ~cycles:2 ~down:1. ~up:2. () in
+  Alcotest.(check bool) "finite flap valid" false (bad (Fault.Schedule.validate_flap flap));
+  List.iter
+    (fun (name, f) -> Alcotest.(check bool) name true (bad (Fault.Schedule.validate_flap f)))
+    [
+      ("flap_start nan", { flap with Fault.Schedule.flap_start = nan });
+      ("down_min nan", { flap with Fault.Schedule.down_min = nan });
+      ("down_max nan", { flap with Fault.Schedule.down_max = nan });
+      ("up_min nan", { flap with Fault.Schedule.up_min = nan });
+      ("up_max nan", { flap with Fault.Schedule.up_max = nan });
+    ];
+  let crash =
+    { Fault.Schedule.crash_node = 0; crash_at = 5.; reboot_after = Some 3. }
+  in
+  Alcotest.(check bool) "finite crash valid" false (bad (Fault.Schedule.validate_crash crash));
+  Alcotest.(check bool)
+    "crash_at nan" true
+    (bad (Fault.Schedule.validate_crash { crash with Fault.Schedule.crash_at = nan }));
+  Alcotest.(check bool)
+    "reboot_after nan" true
+    (bad
+       (Fault.Schedule.validate_crash
+          { crash with Fault.Schedule.reboot_after = Some nan }))
+
 (* ---------- end-to-end: transport transparency and loss survival ---------- *)
 
 module C = Convergence.Config
@@ -748,6 +792,8 @@ let () =
             test_rtx_link_down_teardown;
           Alcotest.test_case "config validation" `Quick test_rtx_config_validation;
         ] );
+      ( "validate",
+        [ Alcotest.test_case "NaN rejected" `Quick test_validation_rejects_nan ] );
       ( "e2e",
         [
           Alcotest.test_case "rtx wire-transparent at zero loss" `Quick
