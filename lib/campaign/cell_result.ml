@@ -80,8 +80,6 @@ let metrics t =
 
 let key t = (t.protocol, t.degree, t.seed)
 
-let compare_key a b = compare (key a) (key b)
-
 let windowed ~warmup ~lo ~hi (s : Dessim.Series.t) =
   let buckets = Dessim.Series.buckets s in
   let indices = ref [] in

@@ -88,10 +88,6 @@ val key : t -> string * int * int
 (** [key t] is [(protocol, degree, seed)] — the unique cell identifier
     within a campaign. *)
 
-val compare_key : t -> t -> int
-(** Order by protocol (as listed, compared textually), then degree, then
-    seed. *)
-
 val windowed :
   warmup:float -> lo:float -> hi:float -> Dessim.Series.t -> series
 (** [windowed ~warmup ~lo ~hi s] slices the buckets of [s] whose normalized

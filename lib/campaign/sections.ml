@@ -642,10 +642,10 @@ let faults =
    (event and callback counts, queue depth) is a pure function of the
    simulated scenario. Machine-speed numbers (ns/event, events/sec) go into
    [Cell_result.perf], which the driver stores in the artifact's strippable
-   [timing] block — and so does every [Gc]-derived number, allocation counts
-   included: OCaml 5's [Gc.quick_stat] aggregates across domains, so a
-   concurrent cell's allocations leak into this cell's delta whenever
-   [--jobs] > 1. *)
+   [timing] block — and so does every [Gc]-derived number. Minor words are
+   this domain's own ([Gc.minor_words]), but promoted words and collection
+   counts come from OCaml 5's [Gc.quick_stat], which sums every domain, so
+   a concurrent cell's work leaks into them whenever [--jobs] > 1. *)
 let perf_meshes = [ (5, 5); (7, 7); (10, 10) ]
 
 let perf_measured_runs = 2

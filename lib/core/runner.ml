@@ -111,22 +111,9 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
     cfg : Config.t;
     sched : Dessim.Scheduler.t;
     topo : Netsim.Topology.t;
-    n_nodes : int;
-    link_off : int array;
-        (* CSR row offsets: node [u]'s outgoing links occupy slots
-           [link_off.(u) .. link_off.(u+1) - 1] of [link_nbr]/[links] *)
-    link_nbr : int array;
-        (* neighbor id per slot, ascending within each row *)
-    slot_dense : int array;
-        (* n×n direct map [u * n_nodes + v] -> slot (-1 when no link), built
-           only while n² stays small; [||] above the threshold, where the
-           binary search over [link_nbr] takes over. Keeps the per-hop lookup
-           at mesh scale as cheap as the old dense link array without paying
-           O(n²) memory at 10k nodes *)
-    links : payload Netsim.Link.t option array;
-        (* directed link per slot, parallel to [link_nbr]. CSR rather than a
-           flat n×n array: the dense form is O(n²) words — ~800 MB of
-           pointers at 10k nodes — while adjacency is O(n + m) *)
+        (* every per-link table below is indexed by this topology's
+           directed-link slots ([Netsim.Topology.slot]) *)
+    mutable links : payload Netsim.Link.t array;  (* per slot [u -> v] *)
     mutable routers : P.t array;
     flows : flow_state array;
     trace : Obs.Trace.t;
@@ -142,19 +129,15 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
     (* fault injection; all inert when [faults] is [Fault.Spec.none] *)
     faults : Fault.Spec.t;
     rtx_on : bool;  (* route control messages through Fault.Rtx sessions *)
-    rtx_sessions : (int * int, P.message Fault.Rtx.t) Hashtbl.t;
-        (* (owner, neighbor) -> owner's session toward neighbor *)
-    link_rngs : (int * int, Dessim.Rng.t) Hashtbl.t;
-        (* per-directed-link perturbation streams, independent of the master *)
-    down_refs : (int * int, int ref) Hashtbl.t;
-        (* undirected link -> concurrent down causes (flap + crash compose) *)
+    mutable rtx_sessions : P.message Fault.Rtx.t array;
+        (* per slot [a -> b]: [a]'s session toward [b]; [||] unless [rtx_on] *)
+    down_causes : int array;
+        (* per undirected link, at the slot of [min u v -> max u v]:
+           concurrent down causes (flap + crash compose) *)
     generation : int array;  (* protocol instance generation, bumped on crash *)
     crashed : bool array;
     mutable injected_data_drops : int;
     mutable injected_ctrl_drops : int;
-    mutable rtx_retransmissions : int;
-    mutable rtx_timeouts : int;
-    mutable session_resets : int;
     (* per-category event counts for the perf harness *)
     mutable timer_fires : int;
     mutable data_forwards : int;
@@ -166,31 +149,13 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
     mutable frr_exhausted : int;
   }
 
-  (* Slot of directed link [u -> v] in the CSR arrays, or -1 when absent.
-     Rows are sorted, so this is a binary search over [degree u] entries —
-     or a single read when the dense map exists. *)
+  (* Slot of directed link [u -> v]: a binary search over [u]'s row. *)
   let link_slot st u v =
-    if Array.length st.slot_dense > 0 then st.slot_dense.((u * st.n_nodes) + v)
-    else begin
-      let lo = ref st.link_off.(u) and hi = ref (st.link_off.(u + 1) - 1) in
-      let found = ref (-1) in
-      while !found < 0 && !lo <= !hi do
-        let mid = (!lo + !hi) / 2 in
-        let nbr = st.link_nbr.(mid) in
-        if nbr = v then found := mid
-        else if nbr < v then lo := mid + 1
-        else hi := mid - 1
-      done;
-      !found
-    end
-
-  let link st u v =
-    let slot = link_slot st u v in
+    let slot = Netsim.Topology.slot st.topo u v in
     if slot < 0 then invalid_arg (Printf.sprintf "Runner: no link %d->%d" u v)
-    else
-      match st.links.(slot) with
-      | Some l -> l
-      | None -> invalid_arg (Printf.sprintf "Runner: no link %d->%d" u v)
+    else slot
+
+  let link st u v = st.links.(link_slot st u v)
 
   (* Trace emission helpers. Producers guard with [tracing] before building
      an event, so a disabled trace costs one boolean test per site. *)
@@ -434,23 +399,11 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
     match payload with
     | Data d -> forward st at_node payload d
     | Ctrl { from; msg } -> deliver_ctrl st ~from at_node msg
-    | Rseg { from; seg } -> (
-      match Hashtbl.find_opt st.rtx_sessions (at_node, from) with
-      | Some session -> Fault.Rtx.on_segment session seg
-      | None -> ())
+    | Rseg { from; seg } ->
+      Fault.Rtx.on_segment st.rtx_sessions.(link_slot st at_node from) seg
 
   let fault_seed st =
     Option.value st.faults.Fault.Spec.fault_seed ~default:st.cfg.Config.seed
-
-  let link_rng st u v =
-    match Hashtbl.find_opt st.link_rngs (u, v) with
-    | Some rng -> rng
-    | None ->
-      let rng =
-        Dessim.Rng.create (Fault.Spec.link_seed ~seed:(fault_seed st) ~u ~v)
-      in
-      Hashtbl.replace st.link_rngs (u, v) rng;
-      rng
 
   let perturb_applies (noise : Fault.Perturb.t) payload =
     match (noise.Fault.Perturb.scope, payload) with
@@ -477,14 +430,13 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
          retransmit, so only the injection counter records it. *)
       st.injected_ctrl_drops <- st.injected_ctrl_drops + 1
 
-  (* Link egress with the perturbation layer in front of [on_arrival]. Data
-     packets are never duplicated (their delivery accounting is exactly-once
-     by construction); control units may be dropped, corrupted, duplicated,
-     or jittered. *)
-  let ingress st u v payload =
-    match st.faults.Fault.Spec.noise with
-    | Some noise when perturb_applies noise payload -> (
-      match Fault.Perturb.decide (link_rng st u v) noise with
+  (* Link egress with the perturbation layer in front of [on_arrival]; [rng]
+     is link [u -> v]'s own stream. Data packets are never duplicated (their
+     delivery accounting is exactly-once by construction); control units may
+     be dropped, corrupted, duplicated, or jittered. *)
+  let ingress st noise rng u v payload =
+    if perturb_applies noise payload then
+      match Fault.Perturb.decide rng noise with
       | Fault.Perturb.Drop ->
         injected_loss st u v payload Netsim.Types.Injected_loss "drop"
       | Fault.Perturb.Corrupt ->
@@ -505,8 +457,8 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
               (Dessim.Scheduler.after st.sched ~delay (fun () ->
                    on_arrival st v payload))
           done
-        end)
-    | Some _ | None -> on_arrival st v payload
+        end
+    else on_arrival st v payload
 
   let on_link_drop st payload reason =
     match payload with
@@ -519,42 +471,39 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
       if tracing st Obs.Event.Control then
         emit st (Obs.Event.Ctrl_lost { reason })
 
-  let make_links st =
+  (* Directed link [u -> v]. Under injected noise its deliver closure owns
+     the link's perturbation stream, seeded from the link itself
+     ([Fault.Spec.link_seed]) so that its draws move no other stream of the
+     run; without noise it hands every arrival straight to [on_arrival]. *)
+  let make_link st u v =
     let cfg = st.cfg in
-    let directed (u, v) =
-      let l =
-        Netsim.Link.create ~sched:st.sched ~bandwidth_bps:cfg.Config.bandwidth_bps
-          ~prop_delay:cfg.Config.prop_delay
-          ~queue_capacity:cfg.Config.queue_capacity
-          ~deliver:(fun payload -> ingress st u v payload)
-          ~dropped:(fun payload reason -> on_link_drop st payload reason)
-          ()
-      in
-      st.links.(link_slot st u v) <- Some l
+    let deliver =
+      match st.faults.Fault.Spec.noise with
+      | None -> fun payload -> on_arrival st v payload
+      | Some noise ->
+        let rng =
+          Dessim.Rng.create (Fault.Spec.link_seed ~seed:(fault_seed st) ~u ~v)
+        in
+        fun payload -> ingress st noise rng u v payload
     in
-    let both (u, v) =
-      directed (u, v);
-      directed (v, u)
-    in
-    List.iter both (Netsim.Topology.edges st.topo)
-
-  let rtx_session st u v =
-    match Hashtbl.find_opt st.rtx_sessions (u, v) with
-    | Some s -> s
-    | None -> invalid_arg (Printf.sprintf "Runner: no rtx session %d->%d" u v)
+    Netsim.Link.create ~sched:st.sched ~bandwidth_bps:cfg.Config.bandwidth_bps
+      ~prop_delay:cfg.Config.prop_delay ~queue_capacity:cfg.Config.queue_capacity
+      ~deliver
+      ~dropped:(fun payload reason -> on_link_drop st payload reason)
+      ()
 
   (* Tear down / re-establish both endpoints' sessions over one undirected
      link. No-ops when the reliable transport is disabled. *)
   let rtx_link_down st u v =
     if st.rtx_on then begin
-      Fault.Rtx.link_down (rtx_session st u v);
-      Fault.Rtx.link_down (rtx_session st v u)
+      Fault.Rtx.link_down st.rtx_sessions.(link_slot st u v);
+      Fault.Rtx.link_down st.rtx_sessions.(link_slot st v u)
     end
 
   let rtx_link_up st u v =
     if st.rtx_on then begin
-      Fault.Rtx.link_up (rtx_session st u v);
-      Fault.Rtx.link_up (rtx_session st v u)
+      Fault.Rtx.link_up st.rtx_sessions.(link_slot st u v);
+      Fault.Rtx.link_up st.rtx_sessions.(link_slot st v u)
     end
 
   (* One endpoint's reliable session: [a]'s side of the (a, b) adjacency.
@@ -567,6 +516,7 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
     let config =
       Option.value st.faults.Fault.Spec.rtx ~default:Fault.Rtx.default_config
     in
+    let link = link st a b in
     Fault.Rtx.create ~config ~sched:st.sched
       ~send:(fun seg ->
         let size_bits =
@@ -575,11 +525,10 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
           | Fault.Rtx.Seg_ack _ -> 0
         in
         ignore
-          (Netsim.Link.send (link st a b) ~reliable:true ~size_bits
+          (Netsim.Link.send link ~reliable:true ~size_bits
              (Rseg { from = a; seg })))
       ~deliver:(fun msg -> deliver_ctrl st ~from:b a msg)
       ~on_reset:(fun ~epoch ->
-        st.session_resets <- st.session_resets + 1;
         if tracing st Obs.Event.Control then
           emit st (Obs.Event.Session_reset { src = a; dst = b; epoch });
         (* Bounce the routing session on BOTH ends. A transport reset tears
@@ -597,13 +546,11 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
         P.on_link_up st.routers.(b) ~neighbor:a)
       ~on_event:(function
         | Fault.Rtx.Retransmit { seq; attempt } ->
-          st.rtx_retransmissions <- st.rtx_retransmissions + 1;
           if tracing st Obs.Event.Control then
             emit st
               (Obs.Event.Rtx_sent
                  { proto = P.name; src = a; dst = b; seq; attempt })
         | Fault.Rtx.Timeout { rto; attempt } ->
-          st.rtx_timeouts <- st.rtx_timeouts + 1;
           if tracing st Obs.Event.Control then
             emit st (Obs.Event.Rtx_timeout { src = a; dst = b; rto; attempt }))
       ()
@@ -619,12 +566,6 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
        directly; otherwise each timer callback is wrapped to announce its
        firing. Decided once per router, not per timer. *)
     let trace_control = tracing st Obs.Event.Control in
-    if st.rtx_on then
-      List.iter
-        (fun nb ->
-          if not (Hashtbl.mem st.rtx_sessions (id, nb)) then
-            Hashtbl.replace st.rtx_sessions (id, nb) (make_rtx_session st id nb))
-        (Netsim.Topology.neighbors st.topo id);
     let run_timer fn =
       st.timer_fires <- st.timer_fires + 1;
       Obs.Prof.enter prof_timer;
@@ -667,7 +608,8 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
                      kind = msg_kind_of (P.message_kind msg);
                      bits;
                    });
-            if st.rtx_on then Fault.Rtx.send (rtx_session st id neighbor) msg
+            if st.rtx_on then
+              Fault.Rtx.send st.rtx_sessions.(link_slot st id neighbor) msg
             else
               ignore
                 (Netsim.Link.send (link st id neighbor)
@@ -948,20 +890,13 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
      failures on one link, a failure plus a flap), so link state is
      refcounted per undirected edge: the link physically fails and is
      detected on 0 -> 1 and heals on 1 -> 0; every other down/up just moves
-     the count. *)
-  let down_ref st u v =
-    let key = if u <= v then (u, v) else (v, u) in
-    match Hashtbl.find_opt st.down_refs key with
-    | Some r -> r
-    | None ->
-      let r = ref 0 in
-      Hashtbl.replace st.down_refs key r;
-      r
+     the count. The count lives at the edge's lower-to-higher slot. *)
+  let edge_slot st u v = if u <= v then link_slot st u v else link_slot st v u
 
   let sched_take_down st u v =
-    let r = down_ref st u v in
-    incr r;
-    if !r = 1 then begin
+    let e = edge_slot st u v in
+    st.down_causes.(e) <- st.down_causes.(e) + 1;
+    if st.down_causes.(e) = 1 then begin
       (* The first failure defines the measurement origin: freeze every
          flow's pre-failure path. *)
       if st.first_failure_at = None then begin
@@ -980,7 +915,7 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
              (* Skip notification if the link already came back up: an
                 outage shorter than the detection delay is invisible to
                 routing, exactly like a real loss-of-signal debounce. *)
-             if !(down_ref st u v) > 0 then begin
+             if st.down_causes.(e) > 0 then begin
                frr_link_down st u v;
                rtx_link_down st u v;
                P.on_link_down st.routers.(u) ~neighbor:v;
@@ -994,10 +929,10 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
     end
 
   let sched_bring_up st u v =
-    let r = down_ref st u v in
-    if !r > 0 then begin
-      decr r;
-      if !r = 0 then begin
+    let e = edge_slot st u v in
+    if st.down_causes.(e) > 0 then begin
+      st.down_causes.(e) <- st.down_causes.(e) - 1;
+      if st.down_causes.(e) = 0 then begin
         if tracing st Obs.Event.Env then emit st (Obs.Event.Link_healed { u; v });
         Netsim.Link.restore (link st u v);
         Netsim.Link.restore (link st v u);
@@ -1178,11 +1113,13 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
      and control-plane metrics. *)
   let run_scheduler st =
     let gc0 = Gc.quick_stat () in
+    let words0 = Gc.minor_words () in
     let cpu0 = Sys.time () in
     Obs.Prof.enter prof_engine_run;
     Dessim.Scheduler.run ~until:st.cfg.Config.sim_end st.sched;
     Obs.Prof.exit prof_engine_run;
     let cpu_s = Sys.time () -. cpu0 in
+    let minor_words = Gc.minor_words () -. words0 in
     let gc1 = Gc.quick_stat () in
     let events = Dessim.Scheduler.events_processed st.sched in
     let max_queue = Dessim.Scheduler.max_queue_depth st.sched in
@@ -1212,12 +1149,12 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
         (Obs.Registry.counter m "sched.timer_fires");
       Obs.Registry.incr ~by:st.data_forwards
         (Obs.Registry.counter m "sched.data_forwards");
-      (* Allocation telemetry: minor words are deterministic for a
+      (* Allocation telemetry: minor words, read from this domain's
+         allocation pointer ([Gc.minor_words]), are deterministic for a
          deterministic simulation (collection timing does not change how
-         much is allocated), promotion and collection counts are not. *)
-      Obs.Registry.set
-        (Obs.Registry.gauge m "gc.minor_words")
-        (gc1.Gc.minor_words -. gc0.Gc.minor_words);
+         much is allocated); promotion and collection counts are not, and
+         [Gc.quick_stat] sums them over every domain. *)
+      Obs.Registry.set (Obs.Registry.gauge m "gc.minor_words") minor_words;
       Obs.Registry.set
         (Obs.Registry.gauge m "gc.promoted_words")
         (gc1.Gc.promoted_words -. gc0.Gc.promoted_words);
@@ -1226,9 +1163,7 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
         (float_of_int (gc1.Gc.major_collections - gc0.Gc.major_collections));
       Obs.Registry.set
         (Obs.Registry.gauge m "alloc.minor_words_per_event")
-        (if events > 0 then
-           (gc1.Gc.minor_words -. gc0.Gc.minor_words) /. float_of_int events
-         else 0.);
+        (if events > 0 then minor_words /. float_of_int events else 0.);
       Obs.Registry.set (Obs.Registry.gauge m "scenario.cpu_s") cpu_s;
       Obs.Registry.incr ~by:st.ctrl_messages (Obs.Registry.counter m "ctrl.messages");
       Obs.Registry.incr ~by:st.ctrl_bytes (Obs.Registry.counter m "ctrl.bytes");
@@ -1252,6 +1187,12 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
       (* Fault gauges appear only for faulted runs, so a plain run's metric
          listing is unchanged. *)
       if not (Fault.Spec.is_none st.faults) then begin
+        (* Each session counts its own recovery actions. *)
+        let rtx_total field =
+          Array.fold_left
+            (fun acc s -> acc + field (Fault.Rtx.stats s))
+            0 st.rtx_sessions
+        in
         Obs.Registry.set
           (Obs.Registry.gauge m "fault.injected_data_drops")
           (float_of_int st.injected_data_drops);
@@ -1260,13 +1201,13 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
           (float_of_int st.injected_ctrl_drops);
         Obs.Registry.set
           (Obs.Registry.gauge m "rtx.retransmissions")
-          (float_of_int st.rtx_retransmissions);
+          (float_of_int (rtx_total (fun s -> s.Fault.Rtx.s_retransmissions)));
         Obs.Registry.set
           (Obs.Registry.gauge m "rtx.timeouts")
-          (float_of_int st.rtx_timeouts);
+          (float_of_int (rtx_total (fun s -> s.Fault.Rtx.s_timeouts)));
         Obs.Registry.set
           (Obs.Registry.gauge m "rtx.session_resets")
-          (float_of_int st.session_resets)
+          (float_of_int (rtx_total (fun s -> s.Fault.Rtx.s_resets)))
       end);
     Obs.Trace.flush st.trace
 
@@ -1360,48 +1301,12 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
         transfer = None;
       }
     in
-    let link_off, link_nbr =
-      let n = Netsim.Topology.node_count topo in
-      let off = Array.make (n + 1) 0 in
-      for u = 0 to n - 1 do
-        off.(u + 1) <- off.(u) + Netsim.Topology.degree topo u
-      done;
-      let nbr = Array.make off.(n) 0 in
-      for u = 0 to n - 1 do
-        (* [Topology.neighbors] is sorted ascending, which [link_slot]'s
-           binary search depends on. *)
-        List.iteri
-          (fun i v -> nbr.(off.(u) + i) <- v)
-          (Netsim.Topology.neighbors topo u)
-      done;
-      (off, nbr)
-    in
-    let slot_dense =
-      let n = Netsim.Topology.node_count topo in
-      (* 8 MB of slot indexes at the 1024-node threshold; graphs past it are
-         the internet-scale sweeps, whose per-hop rate tolerates the binary
-         search far better than their footprint tolerates O(n²) memory. *)
-      if n * n > 1_048_576 then [||]
-      else begin
-        let dense = Array.make (n * n) (-1) in
-        for u = 0 to n - 1 do
-          for s = link_off.(u) to link_off.(u + 1) - 1 do
-            dense.((u * n) + link_nbr.(s)) <- s
-          done
-        done;
-        dense
-      end
-    in
     let st =
       {
         cfg;
         sched = Dessim.Scheduler.create ();
         topo;
-        n_nodes = Netsim.Topology.node_count topo;
-        link_off;
-        link_nbr;
-        slot_dense;
-        links = Array.make (Array.length link_nbr) None;
+        links = [||];
         routers = [||];
         flows = Array.of_list (List.mapi resolve_flow flows);
         trace;
@@ -1420,32 +1325,24 @@ module Make (P : Protocols.Proto_intf.PROTOCOL) = struct
           (match faults.Fault.Spec.rtx with
           | Some _ -> P.uses_reliable_transport
           | None -> false);
-        rtx_sessions = Hashtbl.create 64;
-        link_rngs = Hashtbl.create 64;
-        down_refs = Hashtbl.create 16;
+        rtx_sessions = [||];
+        down_causes = Array.make (Netsim.Topology.slot_count topo) 0;
         generation = Array.make (Netsim.Topology.node_count topo) 0;
         crashed = Array.make (Netsim.Topology.node_count topo) false;
         injected_data_drops = 0;
         injected_ctrl_drops = 0;
-        rtx_retransmissions = 0;
-        rtx_timeouts = 0;
-        session_resets = 0;
         timer_fires = 0;
         data_forwards = 0;
-        frr =
-          (if frr then
-             Some
-               (Frr.create
-                  ~n:(Netsim.Topology.node_count topo)
-                  ~neighbors:(Netsim.Topology.neighbors topo))
-           else None);
+        frr = (if frr then Some (Frr.create topo) else None);
         frr_installs = 0;
         frr_activations = 0;
         frr_forwards = 0;
         frr_exhausted = 0;
       }
     in
-    make_links st;
+    st.links <- Netsim.Topology.init_slots topo (make_link st);
+    if st.rtx_on then
+      st.rtx_sessions <- Netsim.Topology.init_slots topo (make_rtx_session st);
     make_routers st pcfg rng;
     apply_faults st pcfg;
     Array.iter (start_traffic st) st.flows;

@@ -105,8 +105,10 @@ type routing_view = {
       [ctrl.messages]/[ctrl.bytes]/[ctrl.lost]/[sched.timer_fires]/
       [sched.data_forwards] counters, and a [packet.delay_s] histogram of
       CBR delivery delays. Event and callback counts are deterministic;
-      the cpu, gc and alloc numbers are honest measurement (and, in
-      multi-domain programs, [Gc.quick_stat] aggregates across domains).
+      the cpu, gc and alloc numbers are honest measurement. Minor words
+      count this domain's allocation ([Gc.minor_words]); promoted words and
+      collections come from [Gc.quick_stat], which in multi-domain programs
+      aggregates across domains.
     - [?faults] — a {!Fault.Spec.t} describing injected link noise, fault
       schedules (flaps, crashes), and the reliable-control-transport
       configuration. Defaults to {!Fault.Spec.none}, in which case the run's

@@ -192,8 +192,6 @@ let create () =
 
 let now t = t.clock.now
 
-let set_recorder t r = t.recorder <- r
-
 let register (type a) t (f : a -> unit) : a tag =
   let idx = t.n_handlers in
   if idx = Array.length t.handlers then begin
@@ -261,7 +259,8 @@ let note_pushed t at seq =
   if depth > t.max_depth then t.max_depth <- depth
 
 let push t ~at tag obj =
-  if at < t.clock.now then
+  (* Written so that a NaN time fails the test too. *)
+  if not (at >= t.clock.now) then
     invalid_arg
       (Printf.sprintf "Scheduler.schedule: at=%g is before now=%g" at
          t.clock.now);
@@ -396,7 +395,8 @@ let promote t s =
    promotes its delay still goes to the heap; the next one rides the
    lane. *)
 let push_delayed t ~delay tag obj =
-  if delay < 0.0 then invalid_arg "Scheduler.after: negative delay";
+  (* As in [push], a NaN delay fails the test too. *)
+  if not (delay >= 0.0) then invalid_arg "Scheduler.after: negative delay";
   let at = t.clock.now +. delay in
   let lanes = t.lanes in
   let ld = t.lane_delay in

@@ -170,9 +170,6 @@ type recorder = {
     through a reference heap and compare pop orders. Costs one [option] check
     per push/pop when unset. *)
 
-val set_recorder : t -> recorder option -> unit
-(** [set_recorder t (Some r)] installs [r] until replaced. Tests only. *)
-
 val with_default_recorder : recorder -> (unit -> 'a) -> 'a
 (** [with_default_recorder r fn] makes every scheduler {!create}d by the
     current domain during [fn ()] start with recorder [r] — the seam for

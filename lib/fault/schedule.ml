@@ -59,8 +59,3 @@ let flap_transitions rng f =
         ({ at = up_at; up = true } :: { at = t; up = false } :: acc)
   in
   go f.flap_start f.flap_cycles []
-
-let flap_end_of rng f =
-  match List.rev (flap_transitions rng f) with
-  | { at; _ } :: _ -> at
-  | [] -> f.flap_start

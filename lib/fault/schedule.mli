@@ -47,7 +47,3 @@ val flap_transitions : Dessim.Rng.t -> flap -> transition list
 (** Materialize one flap into its ordered transition list (alternating
     down/up, beginning with down at [flap_start], ending up). Deterministic
     in the RNG state: equal streams yield equal schedules. *)
-
-val flap_end_of : Dessim.Rng.t -> flap -> float
-(** Time of the final (up) transition the same draw sequence would produce.
-    Consumes the same number of draws as {!flap_transitions}. *)

@@ -26,65 +26,45 @@
    the packet has already visited, which bounds any residual loop to one
    revisit-free walk.
 
-   This module is pure bookkeeping over dense int arrays — no scheduler, no
-   topology object — so the engine can consult it on the forwarding hot
-   path for the price of an array read. All state the runner needs is here:
+   This module is pure bookkeeping over dense int arrays — no scheduler —
+   so the engine can consult it on the forwarding hot path: [backup_id] is
+   one array read, and [is_down] one slot lookup, a binary search over the
+   node's topology row. All state the runner needs is here:
 
    - the backup table, [node * n + dst] -> backup next hop or -1;
    - the dirty-destination set driving debounced recomputation (route
      changes mark destinations; one sweep recomputes only those);
-   - per-directed-link local failure detection ([mark_down]/[mark_up]) and
-     the per-node count that makes [active] a single load. *)
+   - per-directed-link local failure detection ([mark_down]/[mark_up]),
+     one bit per topology slot, and the per-node count that makes [active]
+     a single load. *)
+
+module Topo = Netsim.Topology
 
 type t = {
   n : int;
-  nbr_off : int array;  (* CSR row offsets into [nbr] *)
-  nbr : int array;  (* neighbor ids, ascending within each row *)
+  topo : Topo.t;
   backup : int array;  (* node * n + dst -> backup next hop, or -1 *)
   dirty : Bytes.t;  (* per-destination: backup column needs recomputing *)
   mutable dirty_any : bool;
   mutable sweep_armed : bool;  (* the owner has a sweep scheduled *)
-  down : Bytes.t;  (* per CSR slot: this end detected the link down *)
+  down : Bytes.t;  (* per topology slot: this end detected the link down *)
   down_count : int array;  (* per node: detected-down incident links *)
 }
 
-let create ~n ~neighbors =
-  let nbr_off = Array.make (n + 1) 0 in
-  for u = 0 to n - 1 do
-    nbr_off.(u + 1) <- nbr_off.(u) + List.length (neighbors u)
-  done;
-  let nbr = Array.make nbr_off.(n) 0 in
-  for u = 0 to n - 1 do
-    List.iteri (fun i v -> nbr.(nbr_off.(u) + i) <- v) (neighbors u)
-  done;
+let create topo =
+  let n = Topo.node_count topo in
   {
     n;
-    nbr_off;
-    nbr;
+    topo;
     backup = Array.make (n * n) (-1);
     dirty = Bytes.make ((n + 7) / 8) '\000';
     dirty_any = false;
     sweep_armed = false;
-    down = Bytes.make ((nbr_off.(n) + 7) / 8) '\000';
+    down = Bytes.make ((Topo.slot_count topo + 7) / 8) '\000';
     down_count = Array.make n 0;
   }
 
 let node_count t = t.n
-
-(* CSR slot of directed link [node -> neighbor], or -1. Rows are sorted, so
-   this is a binary search over [degree node] entries; it only runs on the
-   rare detection/heal edges, never per packet. *)
-let slot t node neighbor =
-  let lo = ref t.nbr_off.(node) and hi = ref (t.nbr_off.(node + 1) - 1) in
-  let found = ref (-1) in
-  while !found < 0 && !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let v = t.nbr.(mid) in
-    if v = neighbor then found := mid
-    else if v < neighbor then lo := mid + 1
-    else hi := mid - 1
-  done;
-  !found
 
 let bit_get b i = Char.code (Bytes.unsafe_get b (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
@@ -97,7 +77,7 @@ let bit_set b i v =
 (* ---------- local failure detection ---------- *)
 
 let mark_down t ~node ~neighbor =
-  let s = slot t node neighbor in
+  let s = Topo.slot t.topo node neighbor in
   if s < 0 || bit_get t.down s then false
   else begin
     bit_set t.down s true;
@@ -106,7 +86,7 @@ let mark_down t ~node ~neighbor =
   end
 
 let mark_up t ~node ~neighbor =
-  let s = slot t node neighbor in
+  let s = Topo.slot t.topo node neighbor in
   if s >= 0 && bit_get t.down s then begin
     bit_set t.down s false;
     t.down_count.(node) <- t.down_count.(node) - 1
@@ -115,7 +95,7 @@ let mark_up t ~node ~neighbor =
 let active t node = t.down_count.(node) > 0
 
 let is_down t ~node ~neighbor =
-  let s = slot t node neighbor in
+  let s = Topo.slot t.topo node neighbor in
   s >= 0 && bit_get t.down s
 
 (* ---------- backup table ---------- *)
@@ -172,8 +152,8 @@ let compute_backup t ~metric ~next_hop ~node ~dst =
     | None -> -1
     | Some self_m ->
       let best = ref (-1) and best_m = ref max_int and best_down = ref false in
-      for s = t.nbr_off.(node) to t.nbr_off.(node + 1) - 1 do
-        let alt = t.nbr.(s) in
+      for s = Topo.first_slot t.topo node to Topo.end_slot t.topo node - 1 do
+        let alt = Topo.slot_target t.topo s in
         if alt <> prim && not (bit_get t.down s) then begin
           match (metric ~node:alt ~dst : int option) with
           | Some am when am < 1 + self_m ->

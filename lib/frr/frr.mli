@@ -23,10 +23,10 @@
 
 type t
 
-val create : n:int -> neighbors:(int -> int list) -> t
-(** [create ~n ~neighbors] builds the empty backup state for an [n]-node
-    topology. [neighbors u] must list [u]'s neighbors in ascending order
-    (as [Netsim.Topology.neighbors] does) and is consulted only here. *)
+val create : Netsim.Topology.t -> t
+(** [create topo] builds the empty backup state for [topo]. Detection marks
+    are kept per directed-link slot of [topo] ([Netsim.Topology.slot]), and
+    backups are chosen among [topo]'s neighbors. *)
 
 val node_count : t -> int
 
@@ -50,7 +50,9 @@ val active : t -> int -> bool
     incident link? One array load — this gates the forwarding hot path. *)
 
 val is_down : t -> node:int -> neighbor:int -> bool
-(** Is the directed link [node -> neighbor] locally detected down? *)
+(** Is the directed link [node -> neighbor] locally detected down? One slot
+    lookup (a binary search over [node]'s row); the runner asks it on every
+    hop it forwards with fast reroute on. *)
 
 (** {2 The backup table} *)
 

@@ -1,13 +1,7 @@
-module Edge_set = Set.Make (struct
-  type t = int * int
-
-  let compare ((a, b) : t) ((c, d) : t) =
-    if a <> c then Int.compare a c else Int.compare b d
-end)
-
-type t = { n : int; adj : Types.node_id list array; edge_set : Edge_set.t }
-
-let canonical u v = if u < v then (u, v) else (v, u)
+(* Compressed sparse rows: node [u]'s neighbors are [nbr.(off.(u))] to
+   [nbr.(off.(u + 1) - 1)], ascending, and each position is the slot of one
+   directed link. *)
+type t = { n : int; off : int array; nbr : Types.node_id array }
 
 let create ~nodes ~edges =
   if nodes <= 0 then invalid_arg "Topology.create: nodes must be positive";
@@ -15,90 +9,126 @@ let create ~nodes ~edges =
     if u < 0 || u >= nodes then
       invalid_arg (Printf.sprintf "Topology.create: node %d out of range" u)
   in
-  let edge_set =
-    List.fold_left
-      (fun acc (u, v) ->
-        check u;
-        check v;
-        if u = v then invalid_arg "Topology.create: self-loop";
-        Edge_set.add (canonical u v) acc)
-      Edge_set.empty edges
-  in
-  let adj = Array.make nodes [] in
-  Edge_set.iter
+  let rows = Array.make nodes [] in
+  List.iter
     (fun (u, v) ->
-      adj.(u) <- v :: adj.(u);
-      adj.(v) <- u :: adj.(v))
-    edge_set;
-  Array.iteri (fun i l -> adj.(i) <- List.sort Int.compare l) adj;
-  { n = nodes; adj; edge_set }
+      check u;
+      check v;
+      if u = v then invalid_arg "Topology.create: self-loop";
+      rows.(u) <- v :: rows.(u);
+      rows.(v) <- u :: rows.(v))
+    edges;
+  let rows = Array.map (List.sort_uniq Int.compare) rows in
+  let off = Array.make (nodes + 1) 0 in
+  Array.iteri (fun u row -> off.(u + 1) <- off.(u) + List.length row) rows;
+  let nbr = Array.make off.(nodes) 0 in
+  Array.iteri (fun u row -> List.iteri (fun i v -> nbr.(off.(u) + i) <- v) row) rows;
+  { n = nodes; off; nbr }
 
 let node_count t = t.n
 
-let edge_count t = Edge_set.cardinal t.edge_set
+let slot_count t = Array.length t.nbr
 
-let edges t = Edge_set.elements t.edge_set
+let edge_count t = slot_count t / 2
 
-let neighbors t u = t.adj.(u)
+let first_slot t u = t.off.(u)
 
-let degree t u = List.length t.adj.(u)
+let end_slot t u = t.off.(u + 1)
 
-(* Neighbor lists are sorted ascending, so the scan stops at the first id
-   past [v]: linear in the degree, no allocation. *)
-let rec mem_sorted (v : int) = function
-  | [] -> false
-  | w :: rest -> w = v || (w < v && mem_sorted v rest)
+let slot_target t s = t.nbr.(s)
 
-let has_edge t u v = u >= 0 && u < t.n && mem_sorted v t.adj.(u)
+let degree t u = end_slot t u - first_slot t u
+
+let neighbors t u = List.init (degree t u) (fun i -> t.nbr.(t.off.(u) + i))
+
+let edges t =
+  let acc = ref [] in
+  for u = t.n - 1 downto 0 do
+    for s = t.off.(u + 1) - 1 downto t.off.(u) do
+      if u < t.nbr.(s) then acc := (u, t.nbr.(s)) :: !acc
+    done
+  done;
+  !acc
+
+let slot t u v =
+  if u < 0 || u >= t.n then -1
+  else begin
+    let lo = ref t.off.(u) and hi = ref (t.off.(u + 1) - 1) in
+    let found = ref (-1) in
+    while !found < 0 && !lo <= !hi do
+      let mid = (!lo + !hi) / 2 in
+      let w = t.nbr.(mid) in
+      if w = v then found := mid else if w < v then lo := mid + 1 else hi := mid - 1
+    done;
+    !found
+  end
+
+let has_edge t u v = slot t u v >= 0
+
+let init_slots t f =
+  let u = ref 0 in
+  Array.init (slot_count t) (fun s ->
+      while t.off.(!u + 1) <= s do
+        incr u
+      done;
+      f !u t.nbr.(s))
 
 let remove_edge t u v =
-  if has_edge t u v then
-    create ~nodes:t.n ~edges:(Edge_set.elements (Edge_set.remove (canonical u v) t.edge_set))
-  else t
+  if not (has_edge t u v) then t
+  else begin
+    let off = Array.make (t.n + 1) 0 in
+    let nbr = Array.make (slot_count t - 2) 0 in
+    let k = ref 0 in
+    for a = 0 to t.n - 1 do
+      for s = t.off.(a) to t.off.(a + 1) - 1 do
+        let b = t.nbr.(s) in
+        if not ((a = u && b = v) || (a = v && b = u)) then begin
+          nbr.(!k) <- b;
+          incr k
+        end
+      done;
+      off.(a + 1) <- !k
+    done;
+    { n = t.n; off; nbr }
+  end
 
 let add_edge t u v =
-  if has_edge t u v then t
-  else create ~nodes:t.n ~edges:((u, v) :: Edge_set.elements t.edge_set)
+  if has_edge t u v then t else create ~nodes:t.n ~edges:((u, v) :: edges t)
 
-let bfs_distances t src =
+(* Breadth-first search from [src] over an array queue (each node enters it
+   once). When [parent] is non-empty it receives each reached node's
+   predecessor: the first one dequeued, a deterministic choice since rows
+   are ascending. *)
+let bfs t src parent =
   let dist = Array.make t.n max_int in
+  let queue = Array.make t.n 0 in
   dist.(src) <- 0;
-  let q = Queue.create () in
-  Queue.add src q;
-  while not (Queue.is_empty q) do
-    let u = Queue.take q in
-    let relax v =
+  queue.(0) <- src;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let u = queue.(!head) in
+    incr head;
+    for s = t.off.(u) to t.off.(u + 1) - 1 do
+      let v = t.nbr.(s) in
       if dist.(v) = max_int then begin
         dist.(v) <- dist.(u) + 1;
-        Queue.add v q
+        if Array.length parent > 0 then parent.(v) <- u;
+        queue.(!tail) <- v;
+        incr tail
       end
-    in
-    List.iter relax t.adj.(u)
+    done
   done;
   dist
+
+let bfs_distances t src = bfs t src [||]
 
 let is_connected t =
   let dist = bfs_distances t 0 in
   Array.for_all (fun d -> d <> max_int) dist
 
 let shortest_path t src dst =
-  let dist = Array.make t.n max_int in
   let parent = Array.make t.n (-1) in
-  dist.(src) <- 0;
-  let q = Queue.create () in
-  Queue.add src q;
-  while not (Queue.is_empty q) do
-    let u = Queue.take q in
-    (* Neighbors are sorted, so the first parent found has the smallest id. *)
-    let relax v =
-      if dist.(v) = max_int then begin
-        dist.(v) <- dist.(u) + 1;
-        parent.(v) <- u;
-        Queue.add v q
-      end
-    in
-    List.iter relax t.adj.(u)
-  done;
+  let dist = bfs t src parent in
   if dist.(dst) = max_int then None
   else begin
     let rec walk acc v = if v = src then src :: acc else walk (v :: acc) parent.(v) in

@@ -8,8 +8,6 @@ type drop_reason =
   | Injected_loss
   | Corrupted
 
-let pp_node = Fmt.int
-
 let string_of_drop_reason = function
   | No_route -> "no-route"
   | Ttl_expired -> "ttl-expired"

@@ -20,7 +20,6 @@ type drop_reason =
       (** payload corrupted in flight by fault injection; receivers discard
           corrupt frames, so this behaves as a loss with its own label *)
 
-val pp_node : node_id Fmt.t
 val pp_drop_reason : drop_reason Fmt.t
 val string_of_drop_reason : drop_reason -> string
 val all_drop_reasons : drop_reason list

@@ -10,16 +10,6 @@ let string_of_category = function
   | Env -> "env"
   | Sched -> "sched"
 
-let category_of_string s =
-  match String.lowercase_ascii s with
-  | "data" -> Some Data
-  | "control" | "ctrl" -> Some Control
-  | "env" | "environment" -> Some Env
-  | "sched" | "scheduler" -> Some Sched
-  | _ -> None
-
-let pp_category ppf c = Fmt.string ppf (string_of_category c)
-
 type severity = Debug | Info | Warn
 
 let severity_rank = function Debug -> 0 | Info -> 1 | Warn -> 2
@@ -28,15 +18,6 @@ let string_of_severity = function
   | Debug -> "debug"
   | Info -> "info"
   | Warn -> "warn"
-
-let severity_of_string s =
-  match String.lowercase_ascii s with
-  | "debug" -> Some Debug
-  | "info" -> Some Info
-  | "warn" | "warning" -> Some Warn
-  | _ -> None
-
-let pp_severity ppf s = Fmt.string ppf (string_of_severity s)
 
 type path_kind = Path_complete | Path_broken | Path_looping
 

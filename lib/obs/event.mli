@@ -22,8 +22,6 @@ val category_index : category -> int
 (** A dense index in [0..3], for filter bitsets. *)
 
 val string_of_category : category -> string
-val category_of_string : string -> category option
-val pp_category : category Fmt.t
 
 type severity = Debug | Info | Warn
 
@@ -31,8 +29,6 @@ val severity_rank : severity -> int
 (** [Debug < Info < Warn]. *)
 
 val string_of_severity : severity -> string
-val severity_of_string : string -> severity option
-val pp_severity : severity Fmt.t
 
 type path_kind = Path_complete | Path_broken | Path_looping
 

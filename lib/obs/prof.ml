@@ -169,13 +169,20 @@ type gc_delta = {
   d_major_collections : int;
 }
 
+(* Minor words come from [Gc.minor_words], which counts this domain's
+   allocations up to the current minor-heap pointer; [Gc.quick_stat]'s field
+   counts only completed minor collections and adds other domains' work.
+   The reads sit inside the two [quick_stat] calls so that neither record is
+   counted. *)
 let gc_delta f =
   let a = Gc.quick_stat () in
+  let wa = Gc.minor_words () in
   let v = f () in
+  let wb = Gc.minor_words () in
   let b = Gc.quick_stat () in
   ( v,
     {
-      d_minor_words = b.Gc.minor_words -. a.Gc.minor_words;
+      d_minor_words = wb -. wa;
       d_promoted_words = b.Gc.promoted_words -. a.Gc.promoted_words;
       d_major_words = b.Gc.major_words -. a.Gc.major_words;
       d_minor_collections = b.Gc.minor_collections - a.Gc.minor_collections;

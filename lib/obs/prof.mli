@@ -1,5 +1,5 @@
 (** Low-overhead performance observability: scoped monotonic-clock timers
-    over a static registry, plus [Gc.quick_stat] allocation deltas.
+    over a static registry, plus allocation deltas.
 
     Scopes are created once at module-initialisation time ({!scope} is
     get-or-create by name) and entered/exited on the hot path. The whole
@@ -71,5 +71,7 @@ type gc_delta = {
 }
 
 val gc_delta : (unit -> 'a) -> 'a * gc_delta
-(** [Gc.quick_stat] before/after [f ()]. Independent of {!enabled} — the
-    perf harness uses it even when spans are off. *)
+(** Allocation before/after [f ()]: minor words from [Gc.minor_words] (this
+    domain, exact), the rest from [Gc.quick_stat] (all domains, as of the
+    last collection). Independent of {!enabled} — the perf harness uses it
+    even when spans are off. *)

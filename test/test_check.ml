@@ -345,7 +345,7 @@ let test_oracle_frr_matches_frr_module () =
      cell the oracle considers coverable without a backup. *)
   let view = perfect_view mesh33 in
   let n = Netsim.Topology.node_count mesh33 in
-  let f = Frr.create ~n ~neighbors:(Netsim.Topology.neighbors mesh33) in
+  let f = Frr.create mesh33 in
   for dst = 0 to n - 1 do
     Frr.mark_dirty f ~dst
   done;

@@ -130,6 +130,34 @@ let test_sched_negative_delay_rejected () =
   Alcotest.check_raises "negative" (Invalid_argument "Scheduler.after: negative delay")
     (fun () -> ignore (Dessim.Scheduler.after s ~delay:(-1.) (fun () -> ())))
 
+(* NaN compares false both ways, so a bound written as [at < now] lets a
+   NaN time through: the event then never fires before a horizon, or fires
+   last and sets the clock to NaN. Every entry point must refuse it and
+   leave the queue and the clock as they were. *)
+let test_sched_nan_rejected () =
+  let s = Dessim.Scheduler.create () in
+  ignore (Dessim.Scheduler.schedule s ~at:1. (fun () -> ()));
+  ignore (Dessim.Scheduler.schedule s ~at:10. (fun () -> ()));
+  Dessim.Scheduler.run ~until:5. s;
+  let tag = Dessim.Scheduler.register s (fun () -> ()) in
+  let before_now = Invalid_argument "Scheduler.schedule: at=nan is before now=5" in
+  let negative = Invalid_argument "Scheduler.after: negative delay" in
+  List.iter
+    (fun (name, exn, push) ->
+      Alcotest.check_raises name exn (fun () -> ignore (push () : Dessim.Scheduler.handle));
+      check_float (name ^ " leaves now") 5. (Dessim.Scheduler.now s);
+      Alcotest.(check int) (name ^ " leaves pending") 1 (Dessim.Scheduler.pending s))
+    [
+      ("schedule", before_now, fun () -> Dessim.Scheduler.schedule s ~at:nan ignore);
+      ("after", negative, fun () -> Dessim.Scheduler.after s ~delay:nan ignore);
+      ( "schedule_tag_h",
+        before_now,
+        fun () -> Dessim.Scheduler.schedule_tag_h s ~at:nan tag () );
+      ( "after_tag_h",
+        negative,
+        fun () -> Dessim.Scheduler.after_tag_h s ~delay:nan tag () );
+    ]
+
 let test_sched_cancel () =
   let s = Dessim.Scheduler.create () in
   let fired = ref false in
@@ -647,6 +675,7 @@ let () =
           Alcotest.test_case "past rejected" `Quick test_sched_past_rejected;
           Alcotest.test_case "negative delay rejected" `Quick
             test_sched_negative_delay_rejected;
+          Alcotest.test_case "NaN time rejected" `Quick test_sched_nan_rejected;
           Alcotest.test_case "cancel" `Quick test_sched_cancel;
           Alcotest.test_case "nested" `Quick test_sched_nested_scheduling;
           Alcotest.test_case "until horizon" `Quick test_sched_until_horizon;

@@ -25,7 +25,8 @@ let square_next_hop ~node ~dst =
       (fun h -> square_dist.(h).(dst) = square_dist.(node).(dst) - 1)
       (square_neighbors node)
 
-let make_square () = Frr.create ~n:4 ~neighbors:square_neighbors
+let make_square () =
+  Frr.create (Netsim.Topology.create ~nodes:4 ~edges:[ (0, 1); (0, 2); (1, 3); (2, 3) ])
 
 let sweep_all ?(on_install = fun ~node:_ ~dst:_ ~backup:_ -> ()) f =
   for dst = 0 to Frr.node_count f - 1 do
@@ -53,7 +54,6 @@ let test_preference_order () =
   (* Fabricated tables on a 5-node star around 0: for destination 4, both
      neighbors 2 (equal-metric, loop-free) and 3 (downstream) qualify;
      the downstream alternate must win even with the larger node id. *)
-  let neighbors = function 0 -> [ 1; 2; 3 ] | _ -> [ 0 ] in
   let metric ~node ~dst =
     if dst <> 4 then None
     else
@@ -62,7 +62,7 @@ let test_preference_order () =
   let next_hop ~node ~dst =
     if dst = 4 && node = 0 then Some 1 else if dst = 4 then Some 4 else None
   in
-  let f = Frr.create ~n:5 ~neighbors in
+  let f = Frr.create (Netsim.Topology.create ~nodes:5 ~edges:[ (0, 1); (0, 2); (0, 3) ]) in
   Alcotest.(check int) "downstream beats equal-metric" 3
     (Frr.compute_backup f ~metric ~next_hop ~node:0 ~dst:4)
 

@@ -149,37 +149,104 @@ let test_ensure_connected_batch () =
 (* [has_edge] scans a sorted neighbor list; it must agree with the
    canonical edge list for every ordered pair, and reject ids outside the
    graph. *)
+(* A 40-node graph from a shuffled edge list that repeats edges in both
+   orientations, so the rows must deduplicate and canonicalise. *)
+let shuffled_input =
+  let r = rng 12 in
+  let base =
+    List.init 90 (fun _ ->
+        let u = Dessim.Rng.int r 40 in
+        (u, (u + 1 + Dessim.Rng.int r 39) mod 40))
+  in
+  let every k l = List.filteri (fun i _ -> i mod k = 0) l in
+  let a =
+    Array.of_list (base @ List.map (fun (u, v) -> (v, u)) (every 3 base) @ every 5 base)
+  in
+  Dessim.Rng.shuffle r a;
+  Array.to_list a
+
+(* The slot layout against an independent source: the edge list each graph
+   was built from. [edges] and [has_edge] both read the rows, so neither can
+   vouch for the other. A generator does not expose its input, so its graphs
+   are checked against their [edges] list. *)
 let test_has_edge_matches_edges () =
+  let generated t = (t, T.edges t) in
   let graphs =
     [
-      ("mesh 7x7 d4", Netsim.Mesh.generate ~rows:7 ~cols:7 ~degree:4);
-      ("mesh 5x6 d8", Netsim.Mesh.generate ~rows:5 ~cols:6 ~degree:8);
-      ("ER 60", RT.erdos_renyi (rng 4) ~nodes:60 ~p:0.1);
-      ("BA 120", RT.barabasi_albert (rng 8) ~nodes:120 ~m:3);
-      ("hier 128", RT.hierarchical_auto (rng 6) ~nodes:128);
+      ("mesh 7x7 d4", generated (Netsim.Mesh.generate ~rows:7 ~cols:7 ~degree:4));
+      ("mesh 5x6 d8", generated (Netsim.Mesh.generate ~rows:5 ~cols:6 ~degree:8));
+      ("ER 60", generated (RT.erdos_renyi (rng 4) ~nodes:60 ~p:0.1));
+      ("BA 120", generated (RT.barabasi_albert (rng 8) ~nodes:120 ~m:3));
+      ("hier 128", generated (RT.hierarchical_auto (rng 6) ~nodes:128));
+      ("torus 6x7 d6", generated (Netsim.Mesh.generate_torus ~rows:6 ~cols:7 ~degree:6));
+      ("shuffled 40", (T.create ~nodes:40 ~edges:shuffled_input, shuffled_input));
     ]
   in
   List.iter
-    (fun (name, t) ->
+    (fun (name, (t, input)) ->
       let n = T.node_count t in
-      let edges = Hashtbl.create 256 in
-      List.iter (fun e -> Hashtbl.replace edges e ()) (T.edges t);
+      let canonical =
+        List.sort_uniq compare
+          (List.map (fun (u, v) -> if u < v then (u, v) else (v, u)) input)
+      in
+      if T.edges t <> canonical then
+        Alcotest.failf "%s: edges differ from the canonical input list" name;
+      Alcotest.(check int) (name ^ ": slot count") (2 * T.edge_count t) (T.slot_count t);
+      Alcotest.(check int) (name ^ ": edge count") (List.length canonical) (T.edge_count t);
+      let adj = Array.make n [] in
+      List.iter
+        (fun (u, v) ->
+          adj.(u) <- v :: adj.(u);
+          adj.(v) <- u :: adj.(v))
+        canonical;
+      let next = ref 0 in
       for u = 0 to n - 1 do
-        for v = 0 to n - 1 do
-          let expected =
-            Hashtbl.mem edges (u, v) || Hashtbl.mem edges (v, u)
-          in
-          if T.has_edge t u v <> expected then
-            Alcotest.failf "%s: has_edge %d %d is %b, edges say %b" name u v
-              (not expected) expected
+        let expected = List.sort compare adj.(u) in
+        let first = T.first_slot t u in
+        if first <> !next then
+          Alcotest.failf "%s: row %d starts at slot %d, not %d" name u first !next;
+        let row = List.init (T.end_slot t u - first) (fun i -> T.slot_target t (first + i)) in
+        Alcotest.(check (list int)) (Printf.sprintf "%s: row %d" name u) expected row;
+        Alcotest.(check (list int))
+          (Printf.sprintf "%s: neighbors %d" name u)
+          expected (T.neighbors t u);
+        List.iteri
+          (fun i v ->
+            if T.slot t u v <> first + i then
+              Alcotest.failf "%s: slot %d %d is %d, not %d" name u v (T.slot t u v) (first + i))
+          expected;
+        for v = -1 to n do
+          let adjacent = List.mem v expected in
+          if (not adjacent) && T.slot t u v <> -1 then
+            Alcotest.failf "%s: slot %d %d is %d for non-neighbors" name u v (T.slot t u v);
+          if T.has_edge t u v <> adjacent then
+            Alcotest.failf "%s: has_edge %d %d is %b, the input says %b" name u v
+              (not adjacent) adjacent
         done;
         List.iter
           (fun bad ->
-            if T.has_edge t u bad || T.has_edge t bad u then
-              Alcotest.failf "%s: has_edge accepts id %d" name bad)
-          [ -1; n ]
-      done)
+            if T.slot t bad u <> -1 || T.has_edge t bad u then
+              Alcotest.failf "%s: id %d has a slot toward %d" name bad u)
+          [ -1; n ];
+        next := T.end_slot t u
+      done;
+      Alcotest.(check int) (name ^ ": rows cover every slot") (T.slot_count t) !next)
     graphs
+
+(* [create] checks edges in list order and names the first bad one. *)
+let test_create_first_bad_edge () =
+  let raises expected edges =
+    Alcotest.check_raises expected (Invalid_argument expected) (fun () ->
+        ignore (T.create ~nodes:5 ~edges))
+  in
+  raises "Topology.create: self-loop" [ (0, 1); (2, 2); (7, 1) ];
+  raises "Topology.create: node 7 out of range" [ (0, 1); (7, 1); (2, 2) ];
+  raises "Topology.create: node 6 out of range" [ (4, 6); (-1, 2) ];
+  raises "Topology.create: node -1 out of range" [ (1, 0); (-1, 2); (9, 9) ];
+  raises "Topology.create: node 5 out of range" [ (5, 5) ];
+  Alcotest.check_raises "no nodes"
+    (Invalid_argument "Topology.create: nodes must be positive") (fun () ->
+      ignore (T.create ~nodes:0 ~edges:[ (0, 0) ]))
 
 (* ---------- scale smoke ---------- *)
 
@@ -288,6 +355,8 @@ let () =
         [
           Alcotest.test_case "has_edge agrees with edges" `Quick
             test_has_edge_matches_edges;
+          Alcotest.test_case "create names the first bad edge" `Quick
+            test_create_first_bad_edge;
         ] );
       ( "scale",
         [

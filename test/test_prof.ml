@@ -168,6 +168,17 @@ let test_gc_delta_accounting () =
     "no-op allocates (almost) nothing" true
     (quiet.Obs.Prof.d_minor_words < 1_000.)
 
+(* A list that fits in the minor heap: [Gc.quick_stat]'s minor words count
+   only completed minor collections, so after an emptying [Gc.minor] they
+   read 0 for it. The delta must see all 10,000 cons cells. *)
+let test_gc_delta_counts_minor_heap () =
+  Gc.minor ();
+  let l, d = Obs.Prof.gc_delta (fun () -> List.init 10_000 Fun.id) in
+  ignore (Sys.opaque_identity l);
+  if d.Obs.Prof.d_minor_words < 30_000. then
+    Alcotest.failf "List.init 10_000 read %.0f minor words, expected >= 30000"
+      d.Obs.Prof.d_minor_words
+
 (* ---------- scheduler counters ---------- *)
 
 let test_scheduler_counts_skipped () =
@@ -315,7 +326,11 @@ let () =
             test_prof_flag_does_not_change_outputs;
         ] );
       ( "gc",
-        [ Alcotest.test_case "delta accounting" `Quick test_gc_delta_accounting ] );
+        [
+          Alcotest.test_case "delta accounting" `Quick test_gc_delta_accounting;
+          Alcotest.test_case "minor words include the minor heap" `Quick
+            test_gc_delta_counts_minor_heap;
+        ] );
       ( "scheduler",
         [
           Alcotest.test_case "skipped-event counter" `Quick
